@@ -34,6 +34,10 @@ __all__ = ["CheckpointError", "CheckpointBundle", "save_checkpoint", "load_check
 MAGIC = "reranklab checkpoint v1"
 
 _CONFIG_FIELDS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len", "seed")
+_OPTIMIZERS = {
+    "lion": (Lion, ("lr", "beta1", "beta2", "weight_decay")),
+    "adamw": (AdamW, ("lr", "beta1", "beta2", "eps", "weight_decay")),
+}
 
 
 class CheckpointError(ValueError):
@@ -51,10 +55,18 @@ def _dims(shape: tuple[int, ...]) -> str:
     return "x".join(str(n) for n in shape) if shape else "scalar"
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _parse_value(parse, text: str, field: str):
+    """``parse(text)``, reporting a malformed value as a CheckpointError on ``field``."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise CheckpointError(f"{field}: malformed value {text!r}") from None
+
+
+def _parse_dims(text: str, name: str) -> tuple[int, ...]:
     if text == "scalar":
         return ()
-    return tuple(int(part) for part in text.split("x"))
+    return tuple(_parse_value(int, part, f"dims of {name}") for part in text.split("x"))
 
 
 def _write_array(out: io.StringIO, header: str, name: str, data: np.ndarray) -> None:
@@ -120,15 +132,15 @@ class _Reader:
         return line
 
 
-def _read_array(reader: _Reader, dims: tuple[int, ...]) -> np.ndarray:
+def _read_array(reader: _Reader, dims: tuple[int, ...], name: str) -> np.ndarray:
     n_rows = 1 if len(dims) < 2 else int(np.prod(dims[:-1]))
     row_len = dims[-1] if dims else 1
     values = []
     for _ in range(n_rows):
         parts = reader.next().split()
         if len(parts) != row_len:
-            raise CheckpointError(f"expected {row_len} values per row, got {len(parts)}")
-        values.append([float.fromhex(p) for p in parts])
+            raise CheckpointError(f"{name}: expected {row_len} values per row, got {len(parts)}")
+        values.append([_parse_value(float.fromhex, p, name) for p in parts])
     return np.array(values, dtype=np.float64).reshape(dims)
 
 
@@ -145,11 +157,14 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
         if line is None or line.startswith("["):
             break
         key, _, value = reader.next().partition("=")
-        config_kv[key] = int(value)
+        config_kv[key] = _parse_value(int, value, f"[config] {key}")
     missing = [f for f in _CONFIG_FIELDS if f not in config_kv]
     if missing:
         raise CheckpointError(f"config section missing fields: {missing}")
-    config = CrossEncoderConfig(**{f: config_kv[f] for f in _CONFIG_FIELDS})
+    try:
+        config = CrossEncoderConfig(**{f: config_kv[f] for f in _CONFIG_FIELDS})
+    except ValueError as exc:
+        raise CheckpointError(f"[config] {exc}") from None
 
     if reader.next() != "[vocab]":
         raise CheckpointError("missing [vocab] section")
@@ -162,7 +177,10 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
         if not line.startswith("tok "):
             raise CheckpointError(f"malformed vocab line: {line!r}")
         tokens.append(line[4:])
-    vocab = Vocab(tokens)
+    try:
+        vocab = Vocab(tokens)
+    except ValueError as exc:
+        raise CheckpointError(f"[vocab] {exc}") from None
     if vocab.size != config.vocab_size:
         raise CheckpointError(
             f"vocab holds {vocab.size} ids but config says {config.vocab_size}"
@@ -180,8 +198,8 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
             break
         if line.startswith("[param "):
             header, _, name = line.partition("] ")
-            dims = _parse_dims(header[len("[param "):])
-            params[name] = _read_array(reader, dims)
+            dims = _parse_dims(header[len("[param "):], name)
+            params[name] = _read_array(reader, dims, name)
         elif line.startswith("[optimizer "):
             opt_kind = line[len("[optimizer "):-1]
             while True:
@@ -189,14 +207,15 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
                 if nxt is None or nxt.startswith("["):
                     break
                 key, _, value = reader.next().partition("=")
+                field = f"[optimizer {opt_kind}] {key}"
                 if key == "step":
-                    opt_step = int(value)
+                    opt_step = _parse_value(int, value, field)
                 else:
-                    opt_hypers[key] = float.fromhex(value)
+                    opt_hypers[key] = _parse_value(float.fromhex, value, field)
         elif line.startswith("[state "):
             header, _, name = line.partition("] ")
-            dims = _parse_dims(header[len("[state "):])
-            opt_buffers[name] = _read_array(reader, dims)
+            dims = _parse_dims(header[len("[state "):], name)
+            opt_buffers[name] = _read_array(reader, dims, name)
         else:
             raise CheckpointError(f"unexpected line in checkpoint: {line!r}")
 
@@ -215,26 +234,33 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
 
     optimizer = None
     if opt_kind is not None:
-        betas = (opt_hypers["beta1"], opt_hypers["beta2"])
-        if opt_kind == "lion":
-            optimizer = Lion(
-                model.params,
-                lr=opt_hypers["lr"],
-                betas=betas,
-                weight_decay=opt_hypers["weight_decay"],
+        if opt_kind not in _OPTIMIZERS:
+            raise CheckpointError(f"unknown optimizer kind {opt_kind!r}")
+        cls, hyper_keys = _OPTIMIZERS[opt_kind]
+        missing = [key for key in hyper_keys if key not in opt_hypers]
+        if missing:
+            raise CheckpointError(f"[optimizer {opt_kind}] missing hyperparameters: {missing}")
+        kwargs = {key: opt_hypers[key] for key in hyper_keys if not key.startswith("beta")}
+        try:
+            optimizer = cls(model.params, betas=(opt_hypers["beta1"], opt_hypers["beta2"]), **kwargs)
+        except ValueError as exc:
+            raise CheckpointError(f"[optimizer {opt_kind}] {exc}") from None
+        expected_buffers = optimizer.state_dict()["buffers"]
+        if set(opt_buffers) != set(expected_buffers):
+            raise CheckpointError(
+                f"optimizer state names mismatch parameters: "
+                f"missing {sorted(set(expected_buffers) - set(opt_buffers))}, "
+                f"extra {sorted(set(opt_buffers) - set(expected_buffers))}"
             )
-            optimizer.load_buffers(opt_buffers)
-        elif opt_kind == "adamw":
-            optimizer = AdamW(
-                model.params,
-                lr=opt_hypers["lr"],
-                betas=betas,
-                eps=opt_hypers["eps"],
-                weight_decay=opt_hypers["weight_decay"],
-            )
+        for key, buf in expected_buffers.items():
+            if opt_buffers[key].shape != buf.shape:
+                raise CheckpointError(
+                    f"optimizer state {key!r} has shape {opt_buffers[key].shape}, expected {buf.shape}"
+                )
+        if opt_kind == "adamw":
             optimizer.load_buffers(opt_buffers, step=opt_step)
         else:
-            raise CheckpointError(f"unknown optimizer kind {opt_kind!r}")
+            optimizer.load_buffers(opt_buffers)
 
     return CheckpointBundle(model=model, vocab=vocab, optimizer=optimizer)
 

@@ -92,8 +92,20 @@ def _align_table(headers: list[str], rows: list[list[str]]) -> str:
 # ---------------------------------------------------------------------------
 # config file handling
 
+# Keys a run config may set; [lion] / [adamw] override [train] per optimizer.
+_TRAIN_KEYS = {"batch_size", "epochs", "base_lr", "schedule", "warmup_ratio", "shuffle", "weight_decay"}
+_INI_KEYS = {
+    "run": {"name", "seed", "out_dir"},
+    "data": {"triplets"},
+    "model": {"d_model", "n_layers", "n_heads", "d_ff", "max_len"},
+    "train": _TRAIN_KEYS | {"optimizer"},
+    "lion": _TRAIN_KEYS,
+    "adamw": _TRAIN_KEYS,
+}
+
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
+    """Parse a run config, rejecting sections and keys no command reads."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -102,6 +114,12 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config {path} is not valid INI: {exc}") from exc
+    for section in parser.sections():
+        if section not in _INI_KEYS:
+            raise ConfigError(f"config {path}: unknown section [{section}]")
+        for key in parser[section]:
+            if key not in _INI_KEYS[section]:
+                raise ConfigError(f"config {path}: unknown key [{section}] {key}")
     return parser
 
 
@@ -110,12 +128,19 @@ def _train_config_from_ini(parser: configparser.ConfigParser, optimizer: str, se
     override = parser[optimizer] if parser.has_section(optimizer) else {}
 
     def get(key: str, default):
+        section = optimizer if key in override else "train"
         raw = override.get(key, base.get(key, None))
         if raw is None:
             return default
         if isinstance(default, bool):
-            return str(raw).strip().lower() in ("1", "true", "yes", "on")
-        return type(default)(raw)
+            value = raw.strip().lower()
+            if value not in parser.BOOLEAN_STATES:
+                raise ConfigError(f"[{section}] {key}: expected a boolean (true/false), got {raw!r}")
+            return parser.BOOLEAN_STATES[value]
+        try:
+            return type(default)(raw)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: expected {type(default).__name__}, got {raw!r}") from None
 
     try:
         return TrainConfig(

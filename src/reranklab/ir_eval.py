@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from reranklab.model import CrossEncoder, Vocab, score as model_score, tokenize_pair
+from reranklab.model import CrossEncoder, Vocab, score_batch, tokenize_pair
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 METRIC_NAMES = ("ndcg@10", "map", "mrr@10", "recall@10", "r_prec", "p@10")
+
+
+def _metric_labels(k: int) -> tuple[str, ...]:
+    """Report labels for :data:`METRIC_NAMES` at cutoff ``k``."""
+    return tuple(name.replace("@10", f"@{k}") for name in METRIC_NAMES)
 
 
 class ParseError(ValueError):
@@ -232,15 +237,14 @@ def rerank(
         per_query.setdefault(entry.qid, []).append(entry.docid)
 
     out: list[RunEntry] = []
-    for qid in per_query:
+    for qid, docids in per_query.items():
         if qid not in queries:
             raise ValueError(f"rerank: query id {qid!r} has no text")
-        scored: list[tuple[str, float]] = []
-        for docid in per_query[qid]:
-            if docid not in passages:
-                raise ValueError(f"rerank: passage id {docid!r} (query {qid!r}) has no text")
-            seq = tokenize_pair(vocab, queries[qid], passages[docid], model.config.max_len)
-            scored.append((docid, model_score(model, seq)))
+        missing = [docid for docid in docids if docid not in passages]
+        if missing:
+            raise ValueError(f"rerank: passage id {missing[0]!r} (query {qid!r}) has no text")
+        seqs = [tokenize_pair(vocab, queries[qid], passages[d], model.config.max_len) for d in docids]
+        scored = list(zip(docids, score_batch(model, seqs)))
         for rank, (docid, value) in enumerate(_sorted_by_score(scored), start=1):
             out.append(RunEntry(qid=qid, docid=docid, rank=rank, score=value, tag=tag))
     return out
@@ -359,7 +363,8 @@ class MetricReport:
     ``per_query[metric][qid]`` is None when the metric is undefined for
     that query (no relevant documents); such queries are excluded from
     that metric's aggregate. Aggregates are None when no query defined
-    the metric.
+    the metric. Both are keyed by :data:`METRIC_NAMES` whatever ``k``
+    is; the rendered reports label the cutoff metrics ``@k``.
     """
 
     per_query: dict[str, dict[str, Optional[float]]]
@@ -428,14 +433,15 @@ def evaluate(
 
 def report_tsv_lines(report: MetricReport) -> list[str]:
     """Machine lines ``metric<TAB>qid<TAB>value`` with qid 'all' aggregates."""
+    labels = list(zip(METRIC_NAMES, _metric_labels(report.k)))
     lines = []
-    for metric in METRIC_NAMES:
+    for metric, label in labels:
         for qid in report.query_ids:
             value = report.per_query[metric][qid]
-            lines.append(f"{metric}\t{qid}\t{'NA' if value is None else f'{value:.6f}'}")
-    for metric in METRIC_NAMES:
+            lines.append(f"{label}\t{qid}\t{'NA' if value is None else f'{value:.6f}'}")
+    for metric, label in labels:
         value = report.aggregates[metric]
-        lines.append(f"{metric}\tall\t{'NA' if value is None else f'{value:.6f}'}")
+        lines.append(f"{label}\tall\t{'NA' if value is None else f'{value:.6f}'}")
     lines.append(f"n_queries\tall\t{report.n_queries}")
     lines.append(f"n_skipped\tall\t{report.n_skipped}")
     lines.append(f"binarize_at\tall\t{report.binarize_at}")
@@ -444,10 +450,11 @@ def report_tsv_lines(report: MetricReport) -> list[str]:
 
 def report_table(report: MetricReport) -> str:
     """Aligned aggregate table for human eyes."""
-    width = max(len(m) for m in METRIC_NAMES)
+    labels = _metric_labels(report.k)
+    width = max(len(label) for label in labels)
     rows = [
-        f"{m:<{width}}  {'NA' if report.aggregates[m] is None else f'{report.aggregates[m]:.4f}'}"
-        for m in METRIC_NAMES
+        f"{label:<{width}}  {'NA' if report.aggregates[m] is None else f'{report.aggregates[m]:.4f}'}"
+        for m, label in zip(METRIC_NAMES, labels)
     ]
     header = (
         f"queries evaluated: {report.n_queries} (skipped {report.n_skipped}), "

@@ -9,7 +9,7 @@ head with a sigmoid, producing a relevance score in (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -209,22 +209,21 @@ class CrossEncoder:
 
     # -- forward ------------------------------------------------------
 
-    def forward(self, seq: TokenSequence) -> Tensor:
-        """Relevance score for one sequence as a 1x1 tensor.
+    def forward(self, seqs: Sequence[TokenSequence]) -> Tensor:
+        """Relevance scores for a batch of sequences as a (B, 1) tensor.
 
         Records on the active tape, so it is the training-path entry
-        point; use :func:`score` for plain float inference.
+        point; use :func:`score_batch` for plain float inference.
         """
         cfg = self.config
-        if len(seq.ids) != cfg.max_len:
-            raise ValueError(
-                f"sequence length {len(seq.ids)} does not match max_len {cfg.max_len}"
-            )
+        lengths = {len(seq.ids) for seq in seqs}
+        if lengths != {cfg.max_len}:
+            raise ValueError(f"sequence lengths {sorted(lengths)} do not match max_len {cfg.max_len}")
         P = self.params
-        ids = np.asarray(seq.ids, dtype=np.intp)
-        # Additive key mask: 0 on real tokens, -inf on padding.
-        mask = np.where(np.asarray(seq.attention_mask) == 1, 0.0, -np.inf)
-        mask_row = Tensor(mask)
+        ids = np.array([seq.ids for seq in seqs], dtype=np.intp)
+        # Additive key mask, (B, 1, L): 0 on real tokens, -inf on padding.
+        real = np.array([seq.attention_mask for seq in seqs]) == 1
+        key_mask = Tensor(np.where(real, 0.0, -np.inf)[:, None, :])
 
         x = T.add(
             T.embedding_lookup(P["token_embedding"], ids),
@@ -241,8 +240,8 @@ class CrossEncoder:
                 q = T.matmul(a, P[f"{hp}.w_query"])
                 k = T.matmul(a, P[f"{hp}.w_key"])
                 v = T.matmul(a, P[f"{hp}.w_value"])
-                scores = T.add(T.mul(T.matmul(q, T.transpose(k)), scale), mask_row)
-                weights = T.softmax(scores, axis=1)
+                scores = T.add(T.mul(T.matmul(q, T.transpose(k)), scale), key_mask)
+                weights = T.softmax(scores, axis=-1)
                 head_out = T.matmul(T.matmul(weights, v), P[f"{hp}.w_out"])
                 attn_out = head_out if attn_out is None else T.add(attn_out, head_out)
             x = T.add(x, T.add(attn_out, P[f"{pre}.attn.out_bias"]))
@@ -251,7 +250,8 @@ class CrossEncoder:
             f = T.add(T.matmul(f, P[f"{pre}.ff.w2"]), P[f"{pre}.ff.b2"])
             x = T.add(x, f)
 
-        cls_state = T.embedding_lookup(x, np.array([0]))
+        # CLS rows: a one-hot (L, 1) column zeroes the other positions.
+        cls_state = T.reduce_sum(T.mul(x, np.eye(cfg.max_len, 1)), axis=1)
         logit = T.add(T.matmul(cls_state, P["head.weight"]), P["head.bias"])
         return T.sigmoid(logit)
 
@@ -261,11 +261,13 @@ def init_params(config: CrossEncoderConfig) -> CrossEncoder:
     return CrossEncoder(config)
 
 
+def score_batch(model: CrossEncoder, seqs: Sequence[TokenSequence]) -> list[float]:
+    """Relevance scores in (0, 1), in input order, from one forward pass."""
+    if not seqs:
+        return []
+    return model.forward(seqs).data[:, 0].tolist()
+
+
 def score(model: CrossEncoder, seq: TokenSequence) -> float:
-    """Relevance score in (0, 1); pure and deterministic."""
-    return model.forward(seq).item()
-
-
-def score_batch(model: CrossEncoder, seqs: list[TokenSequence]) -> list[float]:
-    """Scores in input order; equal to mapping :func:`score` over seqs."""
-    return [score(model, s) for s in seqs]
+    """Relevance score in (0, 1) of one sequence; pure and deterministic."""
+    return score_batch(model, [seq])[0]

@@ -66,13 +66,13 @@ class Tape:
             loss = f(params)
         tape.backward(loss)
 
-    ``visit_counts`` holds, after each ``backward`` call, how often every
-    node was visited during that traversal (always exactly once).
+    The tape references its nodes and their tensors, never the reverse,
+    so a step's graph is freed by reference counting once the caller
+    drops the tape and the loss.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.visit_counts: list[int] = []
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -87,7 +87,6 @@ class Tape:
 
     def _record(self, inputs, output, rule):
         output.node_id = len(self.nodes)
-        output._tape = self
         self.nodes.append(_Node(inputs, output, rule))
 
     def backward(self, loss: "Tensor") -> None:
@@ -99,10 +98,10 @@ class Tape:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         if not self.nodes:
             raise ValueError("backward on an empty tape")
-        if loss._tape is not self or loss.node_id is None:
+        node_id = loss.node_id
+        if node_id is None or node_id >= len(self.nodes) or self.nodes[node_id].output is not loss:
             raise ValueError("loss was not produced on this tape")
 
-        self.visit_counts = [0] * len(self.nodes)
         # id(tensor) -> (tensor, accumulated gradient); entries are never
         # mutated in place, only rebound, so aliasing rule outputs is safe.
         pending: dict[int, tuple["Tensor", np.ndarray]] = {
@@ -111,7 +110,6 @@ class Tape:
 
         for idx in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[idx]
-            self.visit_counts[idx] += 1
             entry = pending.get(id(node.output))
             if entry is None:
                 continue  # node did not contribute to the loss
@@ -137,14 +135,13 @@ class Tensor:
     filled (and thereafter accumulated into) by ``Tape.backward``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "node_id")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64, order="C")
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self.node_id: Optional[int] = None
-        self._tape: Optional[Tape] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -161,12 +158,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        """Run the recording tape's backward pass from this scalar."""
-        if self._tape is None:
-            raise ValueError("tensor was not recorded on a tape")
-        self._tape.backward(self)
 
     def sum(self, axis=None) -> "Tensor":
         return reduce_sum(self, axis)
@@ -228,11 +219,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _broadcast_shapes(a: Tensor, b: Tensor, op: str) -> None:
+def _broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...], op: str) -> None:
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        np.broadcast_shapes(a, b)
     except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+        raise ShapeError(f"{op}: shapes {a} and {b} do not broadcast") from None
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +231,33 @@ def _broadcast_shapes(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
+    """Matrix product over the last two axes, broadcasting leading axes."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul requires rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul requires operands of rank >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
+    _broadcast_shapes(a.shape[:-2], b.shape[:-2], "matmul batch axes")
 
     def rule(g):
         return (
-            g @ b.data.T if a.requires_grad else None,
-            a.data.T @ g if b.requires_grad else None,
+            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None,
+            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None,
         )
 
     return _emit((a, b), a.data @ b.data, rule)
 
 
 def transpose(a) -> Tensor:
-    """Transpose of a rank-2 tensor."""
+    """Swap the last two axes of a tensor of rank >= 2."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose requires a rank-2 tensor, got {a.shape}")
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose requires rank >= 2, got {a.shape}")
 
     def rule(g):
-        return (np.ascontiguousarray(g.T),)
+        return (np.swapaxes(g, -1, -2),)
 
-    return _emit((a,), np.ascontiguousarray(a.data.T), rule)
+    return _emit((a,), np.swapaxes(a.data, -1, -2), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +266,7 @@ def transpose(a) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shapes(a, b, "add")
+    _broadcast_shapes(a.shape, b.shape, "add")
 
     def rule(g):
         return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
@@ -284,7 +276,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shapes(a, b, "sub")
+    _broadcast_shapes(a.shape, b.shape, "sub")
 
     def rule(g):
         return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
@@ -294,7 +286,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shapes(a, b, "mul")
+    _broadcast_shapes(a.shape, b.shape, "mul")
 
     def rule(g):
         return (
@@ -414,11 +406,11 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def embedding_lookup(table, ids) -> Tensor:
-    """Gather rows of a rank-2 table; backward scatter-adds row gradients."""
+    """Gather rows of a rank-2 table, keeping the shape of ``ids``; backward scatter-adds."""
     table = as_tensor(table)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_lookup requires a rank-2 table, got {table.shape}")
-    ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+    ids = np.asarray(ids, dtype=np.intp)
     rows = table.shape[0]
     if ids.size:
         bad = ids[(ids < 0) | (ids >= rows)]

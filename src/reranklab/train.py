@@ -177,25 +177,19 @@ def triplets_to_pairs(triplets: Iterable[Triplet]) -> list[TrainPair]:
 # objective
 
 
-def bce_loss(y_hat, y: int) -> Tensor:
-    """Binary cross-entropy -[y log(p) + (1-y) log(1-p)].
+def bce_loss(y_hat, y) -> Tensor:
+    """Mean binary cross-entropy -[y log(p) + (1-y) log(1-p)], one 0/1 label per p.
 
     The prediction is clamped to [1e-12, 1 - 1e-12] before the logs so
     the loss stays finite; gradients flow through the clamp interior.
     """
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
     p = T.clip(T.as_tensor(y_hat), BCE_EPS, 1.0 - BCE_EPS)
-    term_pos = T.log(p)
-    term_neg = T.log(1.0 - p)
-    return -(float(y) * term_pos + (1.0 - float(y)) * term_neg)
-
-
-def _batch_mean_loss(losses: Sequence[Tensor]) -> Tensor:
-    total = losses[0]
-    for item in losses[1:]:
-        total = total + item
-    return total * (1.0 / len(losses))
+    y = np.asarray(y, dtype=np.float64)
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError(f"labels must be 0 or 1, got {y}")
+    y = y.reshape(p.shape)  # a label count that differs from p's raises ValueError
+    per_pair = T.add(T.mul(y, T.log(p)), T.mul(1.0 - y, T.log(T.sub(1.0, p))))
+    return -T.reduce_mean(per_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +242,7 @@ def run_training(
     sequences = [
         tokenize_pair(vocab, pair.query, pair.passage, model.config.max_len) for pair in pairs
     ]
-    labels = [pair.label for pair in pairs]
+    labels = np.array([pair.label for pair in pairs])
 
     loss_log: list[LossRecord] = []
     checkpoints: list[tuple[str, str]] = []
@@ -266,10 +260,8 @@ def run_training(
             lr = lr_at(spec, global_step)
             t0 = time.perf_counter()
             with Tape() as tape:
-                losses = [
-                    bce_loss(model.forward(sequences[i]), labels[i]) for i in batch_ids
-                ]
-                batch_loss = _batch_mean_loss(losses)
+                batch = [sequences[i] for i in batch_ids]
+                batch_loss = bce_loss(model.forward(batch), labels[batch_ids])
             loss_value = batch_loss.item()
             if not math.isfinite(loss_value):
                 raise NonFiniteLossError(global_step, loss_value)

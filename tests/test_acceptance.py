@@ -49,7 +49,7 @@ def test_c01_gradient_correctness_every_parameter_group():
     seq = tokenize_pair(vocab, "t0 t1 t2", "t3 t4 t5 t6", config.max_len)
 
     with Tape() as tape:
-        out = model.forward(seq)
+        out = model.forward([seq])
     tape.backward(out)
 
     worst = 0.0

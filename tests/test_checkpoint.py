@@ -113,6 +113,27 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             parse_checkpoint("\n".join(text.splitlines()[:10]))
 
+    def test_missing_optimizer_hyperparameter_named(self, setup):
+        model, vocab = setup
+        text = checkpoint_text(model, vocab, Lion(model.params))
+        lines = [l for l in text.splitlines() if not l.startswith("beta1=")]
+        with pytest.raises(CheckpointError, match="beta1"):
+            parse_checkpoint("\n".join(lines) + "\n")
+
+    def test_missing_state_buffer_named(self, setup):
+        model, vocab = setup
+        lines = checkpoint_text(model, vocab, Lion(model.params)).splitlines()
+        start = next(i for i, l in enumerate(lines) if l.endswith("] m/head.bias"))
+        del lines[start : start + 2]
+        with pytest.raises(CheckpointError, match="m/head.bias"):
+            parse_checkpoint("\n".join(lines) + "\n")
+
+    def test_malformed_config_integer_named(self, setup):
+        model, vocab = setup
+        text = checkpoint_text(model, vocab).replace("d_model=8", "d_model=6x4", 1)
+        with pytest.raises(CheckpointError, match=r"d_model.*6x4"):
+            parse_checkpoint(text)
+
     def test_missing_parameter_detected(self, setup):
         model, vocab = setup
         lines = checkpoint_text(model, vocab).splitlines()

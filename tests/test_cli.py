@@ -138,6 +138,37 @@ class TestTrain:
         assert (tmp_path / "root" / "rel" / "manifest.json").exists()
 
 
+class TestConfigValidation:
+    def test_every_documented_key_accepted(self, tmp_path, synth_dir):
+        extra = (
+            "epochs = 1\nschedule = cosine\nwarmup_ratio = 0.1\nshuffle = off\nweight_decay = 0.02\n"
+            "\n[lion]\nbatch_size = 8\nbase_lr = 1e-4\n"
+        )
+        config = write_config(tmp_path, synth_dir, extra=extra)
+        text = config.read_text().replace("[model]\n", "[model]\nn_layers = 1\n")
+        config.write_text(text, encoding="utf-8")
+        assert run_cli("train", "--config", config) == 0
+        rows = (tmp_path / "out" / "loss-lion.tsv").read_text().splitlines()
+        assert len(rows) == 3  # 24 pairs at the [lion] batch size of 8
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ("batch_szie = 8\n", "[train] batch_szie"),
+            ("shuffle = maybe\n", "[train] shuffle"),
+            ("\n[adamw]\nshuffle = 2\n", "[adamw] shuffle"),
+            ("\n[lion]\noptimizer = adamw\n", "[lion] optimizer"),
+            ("\n[trian]\nepochs = 1\n", "[trian]"),
+            ("epochs = many\n", "[train] epochs"),
+        ],
+    )
+    def test_bad_key_or_value_is_config_error(self, tmp_path, synth_dir, capsys, extra, named):
+        config = write_config(tmp_path, synth_dir, extra=extra)
+        assert run_cli("train", "--config", config) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "loss-lion.tsv").exists()
+
+
 @pytest.fixture
 def trained(tmp_path, synth_dir):
     config = write_config(tmp_path, synth_dir)
@@ -242,6 +273,30 @@ class TestEval:
         for metric, values in per_query.items():
             assert aggregates[metric] == pytest.approx(sum(values) / len(values), abs=1e-6)
         assert len(per_query) == 6
+
+    def test_labels_follow_k(self, tmp_path, capsys):
+        run = tmp_path / "deep.run"
+        qrels = tmp_path / "qrels.txt"
+        # the only relevant document sits at rank 6: inside @10, outside @5
+        run.write_text(
+            "".join(f"q1 Q0 d{r} {r} {10 - r}.000000 t\n" for r in range(1, 8)), encoding="utf-8"
+        )
+        qrels.write_text("q1 0 d6 1\n", encoding="utf-8")
+        report_dir = tmp_path / "report"
+        assert run_cli("eval", "--run", run, "--qrels", qrels, "--k", "5", "--out", report_dir) == 0
+        out = capsys.readouterr().out
+        values = {
+            line.split()[0]: line.split()[1]
+            for line in out.splitlines()
+            if line and not line.startswith(("queries", "reports"))
+        }
+        assert set(values) == {"ndcg@5", "map", "mrr@5", "recall@5", "r_prec", "p@5"}
+        assert values["ndcg@5"] == values["mrr@5"] == values["recall@5"] == "0.0000"
+        assert values["map"] == "0.1667"
+        tsv = (report_dir / "metrics.tsv").read_text()
+        assert "@10" not in tsv
+        assert "ndcg@5\tq1\t0.000000\n" in tsv and "mrr@5\tall\t0.000000\n" in tsv
+        assert (report_dir / "metrics.txt").read_text() in out
 
     def test_malformed_run_is_parse_error(self, tmp_path):
         run = tmp_path / "bad.run"

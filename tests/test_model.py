@@ -16,6 +16,7 @@ from reranklab.model import (
     tokenize_pair,
 )
 from reranklab.tensor import Tape, finite_diff_grad
+from reranklab.train import bce_loss
 
 from conftest import max_rel_err
 
@@ -172,11 +173,37 @@ class TestScore:
         model = init_params(cfg)
         seq = tokenize_pair(vocab, "t0 t1", "t2 t3", cfg.max_len)
         with Tape() as tape:
-            out = model.forward(seq)
+            out = model.forward([seq])
         tape.backward(out)
         for name in ("position_embedding", "layers.0.attn.head1.w_key", "layers.0.ff.w2", "head.bias"):
             p = model.params[name]
             fd = finite_diff_grad(lambda _: score(model, seq), p)
+            assert max_rel_err(p.grad, fd.data) < 1e-4, name
+
+
+def _mixed_length_batch(vocab, max_len):
+    """Pairs whose real lengths (5, 10, 7, 12) differ, so their masks do."""
+    texts = [("t0", "t1"), ("t0 t1 t2", "t3 t4 t5 t6"), ("t5", "t6 t7 t8 t9"), ("t2 t9", "t8 " * 7)]
+    return [tokenize_pair(vocab, q, p, max_len) for q, p in texts]
+
+
+class TestBatchedGradient:
+    def test_mean_bce_gradient_every_parameter_group(self):
+        vocab = Vocab([f"t{i}" for i in range(16)])
+        cfg = CrossEncoderConfig(
+            vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=16, seed=12
+        )
+        model = init_params(cfg)
+        seqs = _mixed_length_batch(vocab, cfg.max_len)
+        assert len({sum(s.attention_mask) for s in seqs}) == len(seqs)
+        labels = np.array([1, 0, 1, 0])
+
+        with Tape() as tape:
+            loss = bce_loss(model.forward(seqs), labels)
+        tape.backward(loss)
+        for name, p in model.parameters():
+            assert p.grad is not None, f"no gradient reached {name}"
+            fd = finite_diff_grad(lambda _: bce_loss(model.forward(seqs), labels), p)
             assert max_rel_err(p.grad, fd.data) < 1e-4, name
 
 
@@ -196,6 +223,21 @@ class TestScoreBatch:
         whole = score_batch(tiny_model, seqs)
         halves = score_batch(tiny_model, seqs[:2]) + score_batch(tiny_model, seqs[2:])
         assert whole == halves
+
+    def test_mixed_lengths_match_single_scores_and_halves(self, tiny_vocab, tiny_model):
+        seqs = _mixed_length_batch(tiny_vocab, 16)[:3] + [tokenize_pair(tiny_vocab, "t3", "", 16)]
+        model = init_params(
+            CrossEncoderConfig(
+                vocab_size=tiny_vocab.size, d_model=8, n_layers=2, n_heads=2, d_ff=16, max_len=16, seed=7
+            )
+        )
+        whole = score_batch(model, seqs)
+        assert all(abs(a - score(model, s)) < 1e-12 for a, s in zip(whole, seqs))
+        halves = score_batch(model, seqs[:2]) + score_batch(model, seqs[2:])
+        assert all(abs(a - b) < 1e-12 for a, b in zip(whole, halves))
+
+    def test_empty_batch(self, tiny_model):
+        assert score_batch(tiny_model, []) == []
 
 
 class TestEmptyVocab:

@@ -45,6 +45,38 @@ class TestMatmul:
         assert max_rel_err(a.grad, fd_a.data) < 1e-4
         assert max_rel_err(b.grad, fd_b.data) < 1e-4
 
+    @pytest.mark.parametrize("b_shape", [(4, 2), (3, 4, 2)])
+    def test_batched_product_and_backward(self, rng, b_shape):
+        a = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+        out = T.matmul(a, b)
+        for i in range(3):
+            rhs = b.data if b.data.ndim == 2 else b.data[i]
+            np.testing.assert_allclose(out.data[i], a.data[i] @ rhs, rtol=1e-12)
+        weights = rng.normal(size=(3, 5, 2))
+        with Tape() as tape:
+            loss = T.mul(T.matmul(a, b), weights).sum()
+        tape.backward(loss)
+        assert b.grad.shape == b_shape
+        fd_a = finite_diff_grad(lambda t: T.mul(T.matmul(t, b), weights).sum(), a)
+        fd_b = finite_diff_grad(lambda t: T.mul(T.matmul(a, t), weights).sum(), b)
+        assert max_rel_err(a.grad, fd_a.data) < 1e-4
+        assert max_rel_err(b.grad, fd_b.data) < 1e-4
+
+    def test_batch_axes_must_broadcast(self):
+        with pytest.raises(ShapeError, match="batch axes.*do not broadcast"):
+            T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
+
+    def test_transpose_swaps_last_two_axes(self, rng):
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        out = T.transpose(a)
+        np.testing.assert_array_equal(out.data, np.swapaxes(a.data, 1, 2))
+        weights = rng.normal(size=(2, 4, 3))
+        with Tape() as tape:
+            loss = T.mul(T.transpose(a), weights).sum()
+        tape.backward(loss)
+        np.testing.assert_array_equal(a.grad, np.swapaxes(weights, 1, 2))
+
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
@@ -196,6 +228,17 @@ class TestEmbeddingLookup:
         np.testing.assert_array_equal(out.data[0], out.data[1])
         np.testing.assert_array_equal(out.data[0], table.data[0])
 
+    def test_keeps_shape_of_id_array(self, rng):
+        table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        ids = np.array([[0, 4, 4], [2, 0, 1]])
+        out = T.embedding_lookup(table, ids)
+        assert out.shape == (2, 3, 3)
+        np.testing.assert_array_equal(out.data[1, 2], table.data[1])
+        with Tape() as tape:
+            loss = T.embedding_lookup(table, ids).sum()
+        tape.backward(loss)
+        np.testing.assert_array_equal(table.grad[:, 0], [2.0, 1.0, 1.0, 0.0, 2.0])
+
     def test_empty_ids(self, rng):
         out = T.embedding_lookup(Tensor(rng.normal(size=(5, 3))), [])
         assert out.shape == (0, 3)
@@ -280,8 +323,16 @@ class TestBackward:
         with Tape() as tape:
             y = T.sigmoid(T.matmul(x, x))
             loss = (y * y).sum()
+        calls = [0] * len(tape.nodes)
+        for idx, node in enumerate(tape.nodes):
+
+            def counted(g, rule=node.rule, idx=idx):
+                calls[idx] += 1
+                return rule(g)
+
+            node.rule = counted
         tape.backward(loss)
-        assert tape.visit_counts == [1] * len(tape.nodes)
+        assert calls == [1] * len(tape.nodes)
 
     def test_shared_input_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
@@ -346,11 +397,17 @@ class TestTensorBasics:
 
     def test_tensor_backward_method(self):
         x = Tensor([2.0], requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             loss = (x * x).sum()
-        loss.backward()
+        tape.backward(loss)
         np.testing.assert_allclose(x.grad, [4.0], atol=1e-12)
 
     def test_backward_off_tape_rejected(self):
-        with pytest.raises(ValueError):
-            Tensor(1.0).backward()
+        x = Tensor([2.0], requires_grad=True)
+        with Tape() as tape:
+            (x * x).sum()
+        with Tape():
+            other = (x * x).sum()
+        for loss in (Tensor(1.0), other):
+            with pytest.raises(ValueError, match="this tape"):
+                tape.backward(loss)

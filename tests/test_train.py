@@ -1,13 +1,15 @@
 """Pair construction, BCE loss, the training loop, and resource accounting."""
 
+import gc
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from reranklab.model import CrossEncoderConfig, Vocab, init_params
-from reranklab.tensor import Tensor
+from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, init_params, tokenize_pair
+from reranklab.tensor import Tape, Tensor
 from reranklab.train import (
     NonFiniteLossError,
     ParseError,
@@ -88,6 +90,16 @@ class TestBCELoss:
     def test_invalid_label(self):
         with pytest.raises(ValueError):
             bce_loss(0.5, 2)
+
+    def test_batch_is_mean_of_pair_losses(self, rng):
+        p = rng.uniform(0.05, 0.95, size=(5, 1))
+        y = np.array([1, 0, 0, 1, 1])
+        single = [bce_loss(float(pi), int(yi)).item() for pi, yi in zip(p[:, 0], y)]
+        assert abs(bce_loss(p, y).item() - sum(single) / len(single)) < 1e-12
+
+    def test_label_count_must_match(self):
+        with pytest.raises(ValueError):
+            bce_loss(np.full((3, 1), 0.5), [1, 0])
 
     def test_gradient_formula(self, rng):
         from reranklab.tensor import Tape, finite_diff_grad
@@ -201,6 +213,37 @@ class TestRunTraining:
         assert lrs[0] == config.base_lr
         assert lrs == sorted(lrs, reverse=True)
         assert lrs[-1] > 0.0
+
+
+class TestStepGraph:
+    def test_one_forward_per_step(self, monkeypatch):
+        model, vocab, pairs = _tiny_setup(n_triplets=12)  # 24 pairs
+        batch_sizes = []
+        forward = CrossEncoder.forward
+
+        def counting(self, seqs):
+            batch_sizes.append(len(seqs))
+            return forward(self, seqs)
+
+        monkeypatch.setattr(CrossEncoder, "forward", counting)
+        run_training(model, vocab, pairs, TrainConfig(batch_size=10, epochs=1, seed=12))
+        assert batch_sizes == [10, 10, 4]
+
+    def test_graph_freed_without_cycle_collector(self):
+        model, vocab, pairs = _tiny_setup(n_triplets=4)
+        seqs = [tokenize_pair(vocab, p.query, p.passage, model.config.max_len) for p in pairs]
+        labels = np.array([p.label for p in pairs])
+        gc.collect()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = bce_loss(model.forward(seqs), labels)
+            tape.backward(loss)
+            tape_ref = weakref.ref(tape)
+            del tape, loss
+            assert tape_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestEfficiencyGain:
