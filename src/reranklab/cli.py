@@ -123,6 +123,16 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
     return parser
 
 
+def _int_setting(section, name: str, key: str, default: int) -> int:
+    raw = section.get(key)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"[{name}] {key}: expected int, got {raw!r}") from None
+
+
 def _train_config_from_ini(parser: configparser.ConfigParser, optimizer: str, seed: int) -> TrainConfig:
     base = parser["train"] if parser.has_section("train") else {}
     override = parser[optimizer] if parser.has_section(optimizer) else {}
@@ -163,11 +173,11 @@ def _model_config_from_ini(parser: configparser.ConfigParser, vocab_size: int, s
     try:
         return CrossEncoderConfig(
             vocab_size=vocab_size,
-            d_model=int(section.get("d_model", 64)),
-            n_layers=int(section.get("n_layers", 1)),
-            n_heads=int(section.get("n_heads", 2)),
-            d_ff=int(section.get("d_ff", 128)),
-            max_len=int(section.get("max_len", 16)),
+            d_model=_int_setting(section, "model", "d_model", 64),
+            n_layers=_int_setting(section, "model", "n_layers", 1),
+            n_heads=_int_setting(section, "model", "n_heads", 2),
+            d_ff=_int_setting(section, "model", "d_ff", 128),
+            max_len=_int_setting(section, "model", "max_len", 16),
             seed=seed,
         )
     except ValueError as exc:
@@ -190,6 +200,27 @@ def _config_snapshot(parser: configparser.ConfigParser) -> dict:
 
 # ---------------------------------------------------------------------------
 # commands
+
+
+def _load_run_config(args):
+    """Read ``--config`` and resolve the settings ``train`` and ``bench-optim`` share.
+
+    Returns ``(parser, seed, name, out_dir, triplets_path)``; flags win over
+    ``[run]``, and the output directory is created.
+    """
+    parser = _read_ini(_require_file(args.config, "config"))
+    run_section = parser["run"] if parser.has_section("run") else {}
+    seed = args.seed if args.seed is not None else _int_setting(run_section, "run", "seed", 12)
+    name = args.name or run_section.get("name", Path(args.config).stem)
+    out_value = args.out or run_section.get("out_dir")
+    if not out_value:
+        raise ConfigError("no output directory: set [run] out_dir or pass --out")
+    out_dir = _resolve_out(out_value)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not parser.has_section("data") or not parser["data"].get("triplets"):
+        raise ConfigError("config needs [data] triplets = <path>")
+    triplets_path = _require_file(parser["data"]["triplets"], "triplets")
+    return parser, seed, name, out_dir, triplets_path
 
 
 def _run_one_training(parser, optimizer, seed, name, triplets_path, out_dir):
@@ -221,18 +252,7 @@ def _run_one_training(parser, optimizer, seed, name, triplets_path, out_dir):
 
 
 def cmd_train(args) -> int:
-    parser = _read_ini(_require_file(args.config, "config"))
-    run_section = parser["run"] if parser.has_section("run") else {}
-    seed = args.seed if args.seed is not None else int(run_section.get("seed", 12))
-    name = args.name or run_section.get("name", Path(args.config).stem)
-    out_value = args.out or run_section.get("out_dir")
-    if not out_value:
-        raise ConfigError("no output directory: set [run] out_dir or pass --out")
-    out_dir = _resolve_out(out_value)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not parser.has_section("data") or not parser["data"].get("triplets"):
-        raise ConfigError("config needs [data] triplets = <path>")
-    triplets_path = _require_file(parser["data"]["triplets"], "triplets")
+    parser, seed, name, out_dir, triplets_path = _load_run_config(args)
     if args.epochs is not None:
         if not parser.has_section("train"):
             parser.add_section("train")
@@ -326,18 +346,7 @@ def cmd_bench_optim(args) -> int:
 
     if not args.config:
         raise ConfigError("bench-optim needs --config or --import")
-    parser = _read_ini(_require_file(args.config, "config"))
-    run_section = parser["run"] if parser.has_section("run") else {}
-    seed = args.seed if args.seed is not None else int(run_section.get("seed", 12))
-    name = args.name or run_section.get("name", Path(args.config).stem)
-    out_value = args.out or run_section.get("out_dir")
-    if not out_value:
-        raise ConfigError("no output directory: set [run] out_dir or pass --out")
-    out_dir = _resolve_out(out_value)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not parser.has_section("data") or not parser["data"].get("triplets"):
-        raise ConfigError("config needs [data] triplets = <path>")
-    triplets_path = _require_file(parser["data"]["triplets"], "triplets")
+    parser, seed, name, out_dir, triplets_path = _load_run_config(args)
 
     stats = {}
     artifacts: list[str] = []
@@ -367,6 +376,10 @@ def cmd_bench_optim(args) -> int:
     table += (
         f"efficiency gain (mean step time): "
         f"{efficiency_gain(stats['adamw'].mean_step_ms, stats['lion'].mean_step_ms):.2f}%\n"
+    )
+    table += (
+        f"efficiency gain (optimizer update time): "
+        f"{efficiency_gain(stats['adamw'].mean_update_ms, stats['lion'].mean_update_ms):.2f}%\n"
     )
     print(table, end="")
     (out_dir / "bench.txt").write_text(table, encoding="utf-8")

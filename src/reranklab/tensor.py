@@ -3,9 +3,14 @@
 Ops compute eagerly with numpy. When a :class:`Tape` is active and the
 result requires gradients, the op records a node carrying its local
 backward rule. ``Tape.backward`` walks the node list once in reverse
-(forward execution order is already topological) and accumulates
-gradients into every ``requires_grad`` tensor it reaches. Gradients
-accumulate across backward calls; callers zero them between steps.
+(forward execution order is already topological). Gradients reach leaves
+only: ``.grad`` is written to the ``requires_grad`` tensors that no node on
+the tape produced (parameters and inputs), and an intermediate's gradient
+is freed as soon as its node has run. Leaf gradients accumulate across
+backward calls; callers zero them between steps.
+
+Op outputs own fresh, C-contiguous buffers that alias no input; the public
+``Tensor(data)`` constructor copies the data it is given.
 
 Tensors and tapes are single-context objects: independent tapes may run
 in parallel, but one tape must never be shared across threads.
@@ -90,9 +95,12 @@ class Tape:
         self.nodes.append(_Node(inputs, output, rule))
 
     def backward(self, loss: "Tensor") -> None:
-        """Accumulate d(loss)/d(tensor) into ``.grad`` of reachable tensors.
+        """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
-        ``loss`` must be a single-element tensor produced on this tape.
+        A leaf is a ``requires_grad`` tensor that no node on this tape
+        produced. Op outputs get no ``.grad``: each one's gradient is
+        dropped once its node has passed it on. ``loss`` must be a
+        single-element tensor produced on this tape.
         """
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -110,7 +118,7 @@ class Tape:
 
         for idx in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[idx]
-            entry = pending.get(id(node.output))
+            entry = pending.pop(id(node.output), None)
             if entry is None:
                 continue  # node did not contribute to the loss
             out_grad = entry[1]
@@ -123,9 +131,9 @@ class Tape:
                 else:
                     pending[id(tensor)] = (tensor, prev[1] + grad)
 
+        # Every op output has been popped, so what is left are the leaves.
         for tensor, grad in pending.values():
-            if tensor.requires_grad:
-                tensor.grad = grad.copy() if tensor.grad is None else tensor.grad + grad
+            tensor.grad = grad.copy() if tensor.grad is None else tensor.grad + grad
 
 
 class Tensor:
@@ -201,8 +209,12 @@ def as_tensor(x) -> Tensor:
 
 
 def _emit(inputs: tuple[Tensor, ...], data: np.ndarray, rule) -> Tensor:
-    out = Tensor(data)
+    # ``data`` is a fresh op result, so it is wrapped without a second copy.
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(data, dtype=np.float64, order="C")
     out.requires_grad = any(t.requires_grad for t in inputs)
+    out.grad = None
+    out.node_id = None
     if _TAPE_STACK and out.requires_grad:
         _TAPE_STACK[-1]._record(inputs, out, rule)
     return out
@@ -231,13 +243,30 @@ def _broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...], op: str) -> None:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading axes."""
+    """Matrix product over the last two axes, broadcasting leading axes.
+
+    A 2-D ``b`` (every weight product) folds ``a``'s leading axes into
+    rows, so the forward and each gradient are one GEMM.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul requires operands of rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
     _broadcast_shapes(a.shape[:-2], b.shape[:-2], "matmul batch axes")
+
+    if b.data.ndim == 2:
+        k, n = b.shape
+        a2 = a.data.reshape(-1, k)
+
+        def folded_rule(g):
+            g2 = g.reshape(-1, n)
+            return (
+                (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
+                a2.T @ g2 if b.requires_grad else None,
+            )
+
+        return _emit((a, b), (a2 @ b.data).reshape(a.shape[:-1] + (n,)), folded_rule)
 
     def rule(g):
         return (
@@ -257,7 +286,9 @@ def transpose(a) -> Tensor:
     def rule(g):
         return (np.swapaxes(g, -1, -2),)
 
-    return _emit((a,), np.swapaxes(a.data, -1, -2), rule)
+    # Copied here: a swap with a size-1 axis is already C-contiguous, and
+    # ``_emit`` would keep it as a view of ``a``.
+    return _emit((a,), np.swapaxes(a.data, -1, -2).copy(), rule)
 
 
 # ---------------------------------------------------------------------------

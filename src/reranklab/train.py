@@ -107,13 +107,18 @@ class TrainConfig:
 
 @dataclass
 class ResourceStats:
-    """Process-level optimizer accounting for one run."""
+    """Process-level optimizer accounting for one run.
+
+    Step times cover forward, loss, backward and update; ``mean_update_ms``
+    times ``optimizer.step`` alone, the only part that differs by optimizer.
+    """
 
     optimizer_state_bytes: int
     mean_step_ms: float
     peak_step_ms: float
     std_step_ms: float
     n_steps: int
+    mean_update_ms: float
 
 
 @dataclass
@@ -247,6 +252,7 @@ def run_training(
     loss_log: list[LossRecord] = []
     checkpoints: list[tuple[str, str]] = []
     step_times_ms: list[float] = []
+    update_times_ms: list[float] = []
     global_step = 0
 
     for epoch_index in range(config.epochs):
@@ -266,7 +272,9 @@ def run_training(
             if not math.isfinite(loss_value):
                 raise NonFiniteLossError(global_step, loss_value)
             tape.backward(batch_loss)
+            t_update = time.perf_counter()
             optimizer.step(lr=lr)
+            update_times_ms.append((time.perf_counter() - t_update) * 1000.0)
             optimizer.zero_grad()
             step_times_ms.append((time.perf_counter() - t0) * 1000.0)
             loss_log.append(LossRecord(step=global_step, epoch=epoch, lr=lr, loss=loss_value))
@@ -287,6 +295,7 @@ def run_training(
         peak_step_ms=float(times.max()),
         std_step_ms=float(times.std()),
         n_steps=len(step_times_ms),
+        mean_update_ms=float(np.mean(update_times_ms)),
     )
     return TrainResult(model=model, checkpoints=checkpoints, loss_log=loss_log, stats=stats)
 
@@ -318,7 +327,7 @@ def write_loss_log(path, records: Iterable[LossRecord]) -> None:
 
 
 def resource_stats_lines(stats: ResourceStats, optimizer: str) -> list[str]:
-    """key=value lines plus a block mirroring the usage-table columns."""
+    """key=value lines, a block mirroring the usage-table columns, then the update time."""
     return [
         f"optimizer={optimizer}",
         f"optimizer_state_bytes={stats.optimizer_state_bytes}",
@@ -331,4 +340,5 @@ def resource_stats_lines(stats: ResourceStats, optimizer: str) -> list[str]:
         f"peak={stats.peak_step_ms:.10g}",
         f"std={stats.std_step_ms:.10g}",
         f"data_points={stats.n_steps}",
+        f"mean_update_ms={stats.mean_update_ms:.10g}",
     ]

@@ -169,6 +169,23 @@ class TestConfigValidation:
         assert not (tmp_path / "out" / "loss-lion.tsv").exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "bench-optim"])
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("seed = 12\n", "seed = x\n", "[run] seed"),
+            ("d_model = 16\n", "d_model = 6x4\n", "[model] d_model"),
+        ],
+    )
+    def test_bad_run_or_model_integer_is_config_error(
+        self, tmp_path, synth_dir, capsys, command, old, new, named
+    ):
+        config = write_config(tmp_path, synth_dir)
+        config.write_text(config.read_text().replace(old, new), encoding="utf-8")
+        assert run_cli(command, "--config", config) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+
 @pytest.fixture
 def trained(tmp_path, synth_dir):
     config = write_config(tmp_path, synth_dir)
@@ -331,6 +348,13 @@ class TestBenchOptim:
         gain_line = next(l for l in text.splitlines() if "state bytes" in l)
         gain = float(gain_line.split(":")[1].strip().rstrip("%"))
         assert 49.0 <= gain <= 51.0
+        assert "efficiency gain (mean step time)" in text
+        assert "efficiency gain (optimizer update time)" in text
+        keys = [line.split("=")[0] for line in (out_dir / "stats-lion.txt").read_text().splitlines()]
+        assert keys == [
+            "optimizer", "optimizer_state_bytes", "mean_step_ms", "peak_step_ms", "std_step_ms",
+            "n_steps", "[usage-table]", "mean", "peak", "std", "data_points", "mean_update_ms",
+        ]
         manifest = json.loads((out_dir / "manifest.json").read_text())
         produced = sorted(p.name for p in out_dir.iterdir() if p.name != "manifest.json")
         assert manifest["artifacts"] == produced

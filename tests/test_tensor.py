@@ -63,6 +63,30 @@ class TestMatmul:
         assert max_rel_err(a.grad, fd_a.data) < 1e-4
         assert max_rel_err(b.grad, fd_b.data) < 1e-4
 
+    def test_folded_product_matches_numpy(self, rng):
+        a = Tensor(rng.normal(size=(2, 3, 5, 4)))
+        b = Tensor(rng.normal(size=(4, 6)))
+        out = T.matmul(a, b)
+        assert out.shape == (2, 3, 5, 6)
+        np.testing.assert_allclose(out.data, np.matmul(a.data, b.data), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("trained", ["a", "b"])
+    def test_folded_backward_with_one_constant_operand(self, rng, trained):
+        a = Tensor(rng.normal(size=(2, 3, 5, 4)), requires_grad=trained == "a")
+        b = Tensor(rng.normal(size=(4, 3)), requires_grad=trained == "b")
+        weights = rng.normal(size=(2, 3, 5, 3))
+        with Tape() as tape:
+            loss = T.mul(T.matmul(a, b), weights).sum()
+        tape.backward(loss)
+        if trained == "a":
+            fd = finite_diff_grad(lambda t: T.mul(T.matmul(t, b), weights).sum(), a)
+            assert b.grad is None and a.grad.shape == a.shape
+            assert max_rel_err(a.grad, fd.data) < 1e-4
+        else:
+            fd = finite_diff_grad(lambda t: T.mul(T.matmul(a, t), weights).sum(), b)
+            assert a.grad is None and b.grad.shape == b.shape
+            assert max_rel_err(b.grad, fd.data) < 1e-4
+
     def test_batch_axes_must_broadcast(self):
         with pytest.raises(ShapeError, match="batch axes.*do not broadcast"):
             T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
@@ -76,6 +100,14 @@ class TestMatmul:
             loss = T.mul(T.transpose(a), weights).sum()
         tape.backward(loss)
         np.testing.assert_array_equal(a.grad, np.swapaxes(weights, 1, 2))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 1)])
+    def test_transpose_owns_its_buffer(self, rng, shape):
+        x = Tensor(rng.normal(size=shape))
+        out = T.transpose(x)
+        before = out.data.copy()
+        x.data += 1.0
+        np.testing.assert_array_equal(out.data, before)
 
 
 class TestElementwise:
@@ -334,6 +366,23 @@ class TestBackward:
         tape.backward(loss)
         assert calls == [1] * len(tape.nodes)
 
+    def test_gradients_reach_leaves_only(self, rng):
+        x = Tensor(rng.normal(size=(2, 5, 4)))
+        w1 = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w2 = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+
+        def f(_=None):
+            return T.sigmoid(T.matmul(T.relu(T.matmul(x, w1)), w2)).mean()
+
+        with Tape() as tape:
+            loss = f()
+        tape.backward(loss)
+        assert len(tape.nodes) == 5
+        assert all(node.output.grad is None for node in tape.nodes)
+        assert x.grad is None
+        for w in (w1, w2):
+            assert max_rel_err(w.grad, finite_diff_grad(f, w).data) < 1e-4
+
     def test_shared_input_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
@@ -390,6 +439,12 @@ class TestTensorBasics:
             loss = x.sum()
         tape.backward(loss)
         assert x.grad.shape == x.data.shape
+
+    def test_constructor_copies_its_data(self):
+        arr = np.array([1.0, 2.0])
+        t = Tensor(arr)
+        arr += 1.0
+        np.testing.assert_array_equal(t.data, [1.0, 2.0])
 
     def test_item_requires_scalar(self):
         with pytest.raises(ValueError):

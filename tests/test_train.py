@@ -202,6 +202,7 @@ class TestRunTraining:
         assert stats.n_steps == len(result.loss_log) >= 1
         assert stats.peak_step_ms >= stats.mean_step_ms >= 0.0
         assert stats.std_step_ms >= 0.0
+        assert 0.0 < stats.mean_update_ms <= stats.mean_step_ms
         assert stats.optimizer_state_bytes == 8 * model.parameter_count()
 
     def test_schedule_total_steps_drives_cosine(self):
