@@ -27,17 +27,13 @@ from typing import Optional
 import numpy as np
 
 from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab
-from reranklab.optim import AdamW, Lion
+from reranklab.optim import OPTIMIZERS, Optimizer
 
 __all__ = ["CheckpointError", "CheckpointBundle", "save_checkpoint", "load_checkpoint", "checkpoint_text"]
 
 MAGIC = "reranklab checkpoint v1"
 
 _CONFIG_FIELDS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len", "seed")
-_OPTIMIZERS = {
-    "lion": (Lion, ("lr", "beta1", "beta2", "weight_decay")),
-    "adamw": (AdamW, ("lr", "beta1", "beta2", "eps", "weight_decay")),
-}
 
 
 class CheckpointError(ValueError):
@@ -48,7 +44,7 @@ class CheckpointError(ValueError):
 class CheckpointBundle:
     model: CrossEncoder
     vocab: Vocab
-    optimizer: Optional[Lion | AdamW] = None
+    optimizer: Optional[Optimizer] = None
 
 
 def _dims(shape: tuple[int, ...]) -> str:
@@ -81,7 +77,7 @@ def _float_kv(key: str, value: float) -> str:
     return f"{key}={float(value).hex()}"
 
 
-def checkpoint_text(model: CrossEncoder, vocab: Vocab, optimizer: Lion | AdamW | None = None) -> str:
+def checkpoint_text(model: CrossEncoder, vocab: Vocab, optimizer: Optimizer | None = None) -> str:
     """Serialize to the checkpoint text format."""
     if vocab.size != model.config.vocab_size:
         raise CheckpointError(
@@ -100,9 +96,8 @@ def checkpoint_text(model: CrossEncoder, vocab: Vocab, optimizer: Lion | AdamW |
     if optimizer is not None:
         state = optimizer.state_dict()
         out.write(f"[optimizer {state['kind']}]\n")
-        for key in ("lr", "beta1", "beta2", "eps", "weight_decay"):
-            if key in state:
-                out.write(_float_kv(key, state[key]) + "\n")
+        for key in optimizer.HYPERS:
+            out.write(_float_kv(key, state[key]) + "\n")
         if "step" in state:
             out.write(f"step={state['step']}\n")
         for key, buf in state["buffers"].items():
@@ -190,7 +185,6 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
     params: dict[str, np.ndarray] = {}
     opt_kind = None
     opt_hypers: dict[str, float] = {}
-    opt_step = 0
     opt_buffers: dict[str, np.ndarray] = {}
     while True:
         line = reader.next()
@@ -207,11 +201,8 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
                 if nxt is None or nxt.startswith("["):
                     break
                 key, _, value = reader.next().partition("=")
-                field = f"[optimizer {opt_kind}] {key}"
-                if key == "step":
-                    opt_step = _parse_value(int, value, field)
-                else:
-                    opt_hypers[key] = _parse_value(float.fromhex, value, field)
+                parse = int if key == "step" else float.fromhex
+                opt_hypers[key] = _parse_value(parse, value, f"[optimizer {opt_kind}] {key}")
         elif line.startswith("[state "):
             header, _, name = line.partition("] ")
             dims = _parse_dims(header[len("[state "):], name)
@@ -234,33 +225,23 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
 
     optimizer = None
     if opt_kind is not None:
-        if opt_kind not in _OPTIMIZERS:
+        cls = OPTIMIZERS.get(opt_kind)
+        if cls is None:
             raise CheckpointError(f"unknown optimizer kind {opt_kind!r}")
-        cls, hyper_keys = _OPTIMIZERS[opt_kind]
-        missing = [key for key in hyper_keys if key not in opt_hypers]
+        keys = cls.HYPERS + (("step",) if cls.COUNTS_STEPS else ())
+        unknown = [key for key in opt_hypers if key not in keys]
+        if unknown:
+            raise CheckpointError(f"[optimizer {opt_kind}] {unknown[0]}: unknown key")
+        missing = [key for key in keys if key not in opt_hypers]
         if missing:
             raise CheckpointError(f"[optimizer {opt_kind}] missing hyperparameters: {missing}")
-        kwargs = {key: opt_hypers[key] for key in hyper_keys if not key.startswith("beta")}
+        kwargs = {key: opt_hypers[key] for key in cls.HYPERS}
+        betas = (kwargs.pop("beta1"), kwargs.pop("beta2"))
         try:
-            optimizer = cls(model.params, betas=(opt_hypers["beta1"], opt_hypers["beta2"]), **kwargs)
+            optimizer = cls(model.params, betas=betas, **kwargs)
+            optimizer.load_state(opt_buffers, step=opt_hypers.get("step", 0))
         except ValueError as exc:
             raise CheckpointError(f"[optimizer {opt_kind}] {exc}") from None
-        expected_buffers = optimizer.state_dict()["buffers"]
-        if set(opt_buffers) != set(expected_buffers):
-            raise CheckpointError(
-                f"optimizer state names mismatch parameters: "
-                f"missing {sorted(set(expected_buffers) - set(opt_buffers))}, "
-                f"extra {sorted(set(opt_buffers) - set(expected_buffers))}"
-            )
-        for key, buf in expected_buffers.items():
-            if opt_buffers[key].shape != buf.shape:
-                raise CheckpointError(
-                    f"optimizer state {key!r} has shape {opt_buffers[key].shape}, expected {buf.shape}"
-                )
-        if opt_kind == "adamw":
-            optimizer.load_buffers(opt_buffers, step=opt_step)
-        else:
-            optimizer.load_buffers(opt_buffers)
 
     return CheckpointBundle(model=model, vocab=vocab, optimizer=optimizer)
 

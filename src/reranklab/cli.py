@@ -19,6 +19,7 @@ from pathlib import Path
 from reranklab import ir_eval, synth, train as train_mod
 from reranklab.checkpoint import CheckpointError, load_checkpoint
 from reranklab.model import CrossEncoderConfig, Vocab, init_params
+from reranklab.optim import OPTIMIZERS
 from reranklab.train import (
     NonFiniteLossError,
     TrainConfig,
@@ -92,15 +93,15 @@ def _align_table(headers: list[str], rows: list[list[str]]) -> str:
 # ---------------------------------------------------------------------------
 # config file handling
 
-# Keys a run config may set; [lion] / [adamw] override [train] per optimizer.
+# Keys a run config may set; a section named after an optimizer kind
+# ([lion], [adamw]) overrides [train] for that optimizer.
 _TRAIN_KEYS = {"batch_size", "epochs", "base_lr", "schedule", "warmup_ratio", "shuffle", "weight_decay"}
 _INI_KEYS = {
     "run": {"name", "seed", "out_dir"},
     "data": {"triplets"},
     "model": {"d_model", "n_layers", "n_heads", "d_ff", "max_len"},
     "train": _TRAIN_KEYS | {"optimizer"},
-    "lion": _TRAIN_KEYS,
-    "adamw": _TRAIN_KEYS,
+    **{kind: _TRAIN_KEYS for kind in OPTIMIZERS},
 }
 
 
@@ -165,7 +166,9 @@ def _train_config_from_ini(parser: configparser.ConfigParser, optimizer: str, se
             weight_decay=get("weight_decay", 0.01),
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid [train]/[{optimizer}] settings: {exc}") from exc
+        # TrainConfig's messages start with the offending field, which is also its key.
+        key = str(exc).split()[0]
+        raise ConfigError(f"[{optimizer if key in override else 'train'}] {exc}") from None
 
 
 def _model_config_from_ini(parser: configparser.ConfigParser, vocab_size: int, seed: int) -> CrossEncoderConfig:
@@ -187,7 +190,7 @@ def _model_config_from_ini(parser: configparser.ConfigParser, vocab_size: int, s
 def _select_optimizers(parser: configparser.ConfigParser, flag_value: str | None) -> list[str]:
     if flag_value:
         return [flag_value]
-    present = [name for name in ("lion", "adamw") if parser.has_section(name)]
+    present = [name for name in OPTIMIZERS if parser.has_section(name)]
     if present:
         return present
     section = parser["train"] if parser.has_section("train") else {}
@@ -210,7 +213,12 @@ def _load_run_config(args):
     """
     parser = _read_ini(_require_file(args.config, "config"))
     run_section = parser["run"] if parser.has_section("run") else {}
-    seed = args.seed if args.seed is not None else _int_setting(run_section, "run", "seed", 12)
+    if args.seed is not None:
+        seed, seed_field = args.seed, "--seed"
+    else:
+        seed, seed_field = _int_setting(run_section, "run", "seed", 12), "[run] seed"
+    if seed < 0:
+        raise ConfigError(f"{seed_field}: expected a non-negative integer, got {seed}")
     name = args.name or run_section.get("name", Path(args.config).stem)
     out_value = args.out or run_section.get("out_dir")
     if not out_value:
@@ -223,16 +231,16 @@ def _load_run_config(args):
     return parser, seed, name, out_dir, triplets_path
 
 
-def _run_one_training(parser, optimizer, seed, name, triplets_path, out_dir):
+def _run_one_training(parser, config: TrainConfig, name, triplets_path, out_dir):
     triplets = train_mod.load_triplets(triplets_path)
     pairs = triplets_to_pairs(triplets)
     if not pairs:
         raise ConfigError(f"no usable training pairs in {triplets_path}")
     texts = [t.query for t in triplets] + [t.positive for t in triplets] + [t.negative for t in triplets]
     vocab = Vocab.build(texts)
-    model = init_params(_model_config_from_ini(parser, vocab.size, seed))
-    config = _train_config_from_ini(parser, optimizer, seed)
+    model = init_params(_model_config_from_ini(parser, vocab.size, config.seed))
     result = run_training(model, vocab, pairs, config, run_name=name)
+    optimizer = config.optimizer
 
     artifacts = []
     for ckpt_name, text in result.checkpoints:
@@ -258,14 +266,16 @@ def cmd_train(args) -> int:
             parser.add_section("train")
         parser["train"]["epochs"] = str(args.epochs)
 
+    # every run's settings are checked before the first one trains
+    configs = [_train_config_from_ini(parser, opt, seed) for opt in _select_optimizers(parser, args.optimizer)]
     artifacts: list[str] = []
-    for optimizer in _select_optimizers(parser, args.optimizer):
-        result, produced = _run_one_training(parser, optimizer, seed, name, triplets_path, out_dir)
+    for config in configs:
+        result, produced = _run_one_training(parser, config, name, triplets_path, out_dir)
         artifacts.extend(produced)
         final_epoch = result.loss_log[-1].epoch
         final = [r.loss for r in result.loss_log if r.epoch == final_epoch]
         print(
-            f"{optimizer}: {result.stats.n_steps} steps, "
+            f"{config.optimizer}: {result.stats.n_steps} steps, "
             f"final-epoch mean loss {sum(final) / len(final):.6f}, "
             f"state bytes {result.stats.optimizer_state_bytes}"
         )
@@ -348,11 +358,13 @@ def cmd_bench_optim(args) -> int:
         raise ConfigError("bench-optim needs --config or --import")
     parser, seed, name, out_dir, triplets_path = _load_run_config(args)
 
+    # AdamW is the baseline and Lion the candidate, the paper's comparison.
+    configs = [_train_config_from_ini(parser, opt, seed) for opt in ("adamw", "lion")]
     stats = {}
     artifacts: list[str] = []
-    for optimizer in ("adamw", "lion"):
-        result, produced = _run_one_training(parser, optimizer, seed, name, triplets_path, out_dir)
-        stats[optimizer] = result.stats
+    for config in configs:
+        result, produced = _run_one_training(parser, config, name, triplets_path, out_dir)
+        stats[config.optimizer] = result.stats
         artifacts.extend(produced)
 
     rows = [
@@ -364,7 +376,7 @@ def cmd_bench_optim(args) -> int:
             f"{stats[opt].std_step_ms:.3f}",
             str(stats[opt].n_steps),
         ]
-        for opt in ("adamw", "lion")
+        for opt in stats
     ]
     table = _align_table(
         ["optimizer", "state_bytes", "mean_ms", "peak_ms", "std_ms", "data_points"], rows
@@ -446,7 +458,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (overrides [run] out_dir)")
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--optimizer", choices=("lion", "adamw"))
+    p.add_argument("--optimizer", choices=tuple(OPTIMIZERS))
     p.add_argument("--name", help="checkpoint name prefix (default: [run] name)")
     p.set_defaults(func=cmd_train)
 

@@ -3,6 +3,8 @@
 Both optimizers consume gradients left on the parameter tensors by the
 autodiff backward pass and mutate parameter buffers in place. ``step``
 accepts an effective learning rate so an external schedule can drive it.
+``OPTIMIZERS`` maps each kind name to its class; other modules ask it
+rather than naming kinds.
 """
 
 from __future__ import annotations
@@ -15,18 +17,104 @@ import numpy as np
 
 from reranklab.tensor import ShapeError, Tensor
 
-__all__ = ["Lion", "AdamW", "ScheduleSpec", "lr_at"]
+__all__ = ["Optimizer", "Lion", "AdamW", "OPTIMIZERS", "ScheduleSpec", "lr_at"]
 
 FLOAT_BYTES = 8  # float64 buffers everywhere
-COUNTER_BYTES = 8  # AdamW step counter, one int64
+COUNTER_BYTES = 8  # step counter, one int64
 
 
-def _check_betas(beta1: float, beta2: float) -> None:
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValueError(f"betas must lie in [0, 1), got ({beta1}, {beta2})")
+class Optimizer:
+    """What Lion and AdamW share: checks, per-parameter state, checkpoint state.
+
+    A subclass declares its checkpointed hyperparameters in file order
+    (``HYPERS``), its buffer prefixes (``BUFFERS``; one zero buffer per
+    parameter each), and whether it counts steps (``COUNTS_STEPS``).
+    Beyond that it holds only its update rule, in ``step``. Each subclass
+    also defines its own ``zero_grad``: ``perfbench/tracing.py`` wraps the
+    ``step`` and ``zero_grad`` in each class's own ``__dict__`` and closes
+    a training step's span in ``zero_grad``, so one inherited from here
+    would silently go untraced.
+    """
+
+    name: str
+    HYPERS: tuple[str, ...]
+    BUFFERS: tuple[str, ...]
+    COUNTS_STEPS = False
+
+    def __init__(
+        self,
+        params: Mapping[str, Tensor],
+        lr: float,
+        betas: tuple[float, float],
+        weight_decay: float,
+        decay_exclude: tuple[str, ...] = (),
+    ):
+        if lr <= 0:
+            raise ValueError(f"lr must be positive, got {lr}")
+        if weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+        self.beta1, self.beta2 = betas
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"betas must lie in [0, 1), got ({self.beta1}, {self.beta2})")
+        self.params = dict(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.decay_exclude = frozenset(decay_exclude)
+        self.state = {
+            prefix: {name: np.zeros_like(p.data) for name, p in self.params.items()} for prefix in self.BUFFERS
+        }
+        if self.COUNTS_STEPS:
+            self.step_count = 0
+
+    def _grads(self):
+        """Yield ``(name, param, grad, weight decay)`` for each parameter holding a gradient."""
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            if g.shape != p.data.shape:
+                raise ShapeError(f"gradient shape {g.shape} mismatches parameter {name!r} {p.data.shape}")
+            yield name, p, g, 0.0 if name in self.decay_exclude else self.weight_decay
+
+    def _buffers(self) -> dict[str, np.ndarray]:
+        """Every state buffer under its checkpoint key ``<prefix>/<param>``."""
+        return {f"{prefix}/{name}": buf for prefix, store in self.state.items() for name, buf in store.items()}
+
+    def state_bytes(self) -> int:
+        """Exact bytes held in state: the buffers plus the step counter, if any."""
+        buffers = sum(buf.size * FLOAT_BYTES for buf in self._buffers().values())
+        return buffers + (COUNTER_BYTES if self.COUNTS_STEPS else 0)
+
+    def state_dict(self) -> dict:
+        """Kind, ``HYPERS`` in order, ``step`` if counted, then ``buffers``."""
+        state = {"kind": self.name, **{key: getattr(self, key) for key in self.HYPERS}}
+        if self.COUNTS_STEPS:
+            state["step"] = self.step_count
+        state["buffers"] = self._buffers()
+        return state
+
+    def load_state(self, buffers: Mapping[str, np.ndarray], step: int = 0) -> None:
+        """Restore every buffer (keys as in ``state_dict``) and the step counter.
+
+        Raises ValueError, before changing anything, if a buffer is missing,
+        extra, or mis-shaped.
+        """
+        own = self._buffers()
+        if set(buffers) != set(own):
+            raise ValueError(
+                f"optimizer state names mismatch parameters: "
+                f"missing {sorted(set(own) - set(buffers))}, extra {sorted(set(buffers) - set(own))}"
+            )
+        for key, buf in own.items():
+            if buffers[key].shape != buf.shape:
+                raise ShapeError(f"optimizer state {key!r} has shape {buffers[key].shape}, expected {buf.shape}")
+        for key, buf in own.items():
+            buf[...] = buffers[key]
+        if self.COUNTS_STEPS:
+            self.step_count = step
 
 
-class Lion:
+class Lion(Optimizer):
     """Sign-momentum optimizer.
 
     Per coordinate, with gradient g and momentum m:
@@ -41,6 +129,8 @@ class Lion:
     """
 
     name = "lion"
+    HYPERS = ("lr", "beta1", "beta2", "weight_decay")
+    BUFFERS = ("m",)
 
     def __init__(
         self,
@@ -50,30 +140,15 @@ class Lion:
         weight_decay: float = 0.01,
         decay_exclude: tuple[str, ...] = (),
     ):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        _check_betas(*betas)
-        self.params = dict(params)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.weight_decay = weight_decay
-        self.decay_exclude = frozenset(decay_exclude)
-        self.momentum = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        super().__init__(params, lr, betas, weight_decay, decay_exclude)
+        self.momentum = self.state["m"]
 
     def step(self, lr: float | None = None) -> None:
         """Apply one update from the gradients currently on the params."""
         eta = self.lr if lr is None else lr
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} mismatches parameter {name!r} {p.data.shape}")
+        for name, p, g, wd in self._grads():
             m = self.momentum[name]
             c = self.beta1 * m + (1.0 - self.beta1) * g
-            wd = 0.0 if name in self.decay_exclude else self.weight_decay
             p.data -= eta * (np.sign(c) + wd * p.data)
             m *= self.beta2
             m += (1.0 - self.beta2) * g
@@ -82,29 +157,8 @@ class Lion:
         for p in self.params.values():
             p.zero_grad()
 
-    def state_bytes(self) -> int:
-        """Exact bytes held in optimizer state buffers."""
-        return sum(m.size * FLOAT_BYTES for m in self.momentum.values())
 
-    def state_dict(self) -> dict:
-        return {
-            "kind": self.name,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "weight_decay": self.weight_decay,
-            "buffers": {f"m/{name}": m for name, m in self.momentum.items()},
-        }
-
-    def load_buffers(self, buffers: Mapping[str, np.ndarray]) -> None:
-        for name, m in self.momentum.items():
-            src = buffers[f"m/{name}"]
-            if src.shape != m.shape:
-                raise ShapeError(f"momentum shape {src.shape} mismatches parameter {name!r}")
-            m[...] = src
-
-
-class AdamW:
+class AdamW(Optimizer):
     """Adam with decoupled weight decay and bias correction.
 
     Per coordinate, at step t (1-based):
@@ -118,6 +172,9 @@ class AdamW:
     """
 
     name = "adamw"
+    HYPERS = ("lr", "beta1", "beta2", "eps", "weight_decay")
+    BUFFERS = ("m", "v")
+    COUNTS_STEPS = True
 
     def __init__(
         self,
@@ -128,22 +185,11 @@ class AdamW:
         weight_decay: float = 0.01,
         decay_exclude: tuple[str, ...] = (),
     ):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
         if eps < 0:
             raise ValueError(f"eps must be >= 0, got {eps}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        _check_betas(*betas)
-        self.params = dict(params)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
+        super().__init__(params, lr, betas, weight_decay, decay_exclude)
         self.eps = eps
-        self.weight_decay = weight_decay
-        self.decay_exclude = frozenset(decay_exclude)
-        self.step_count = 0
-        self.moment1 = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.moment2 = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.moment1, self.moment2 = self.state["m"], self.state["v"]
 
     def step(self, lr: float | None = None) -> None:
         eta = self.lr if lr is None else lr
@@ -151,12 +197,7 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} mismatches parameter {name!r} {p.data.shape}")
+        for name, p, g, wd in self._grads():
             m = self.moment1[name]
             v = self.moment2[name]
             m *= self.beta1
@@ -165,41 +206,15 @@ class AdamW:
             v += (1.0 - self.beta2) * g * g
             mhat = m / bc1
             vhat = v / bc2
-            wd = 0.0 if name in self.decay_exclude else self.weight_decay
             p.data -= eta * (mhat / (np.sqrt(vhat) + self.eps) + wd * p.data)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
-    def state_bytes(self) -> int:
-        """Exact bytes in state: two moment buffers plus the counter."""
-        buffers = sum(m.size * FLOAT_BYTES for m in self.moment1.values())
-        buffers += sum(v.size * FLOAT_BYTES for v in self.moment2.values())
-        return buffers + COUNTER_BYTES
 
-    def state_dict(self) -> dict:
-        buffers = {f"m/{name}": m for name, m in self.moment1.items()}
-        buffers.update({f"v/{name}": v for name, v in self.moment2.items()})
-        return {
-            "kind": self.name,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "step": self.step_count,
-            "buffers": buffers,
-        }
-
-    def load_buffers(self, buffers: Mapping[str, np.ndarray], step: int = 0) -> None:
-        for prefix, store in (("m", self.moment1), ("v", self.moment2)):
-            for name, buf in store.items():
-                src = buffers[f"{prefix}/{name}"]
-                if src.shape != buf.shape:
-                    raise ShapeError(f"{prefix} shape {src.shape} mismatches parameter {name!r}")
-                buf[...] = src
-        self.step_count = step
+# Kind name -> class; the one list of optimizer kinds, in CLI order.
+OPTIMIZERS: dict[str, type[Optimizer]] = {cls.name: cls for cls in (Lion, AdamW)}
 
 
 @dataclass(frozen=True)
@@ -218,7 +233,7 @@ class ScheduleSpec:
 
     def __post_init__(self):
         if self.kind not in ("constant", "cosine"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ValueError(f"schedule kind must be 'constant' or 'cosine', got {self.kind!r}")
         if self.base_lr <= 0:
             raise ValueError(f"base_lr must be positive, got {self.base_lr}")
         if not 0.0 <= self.warmup_ratio < 1.0:

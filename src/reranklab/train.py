@@ -19,7 +19,7 @@ import numpy as np
 from reranklab import tensor as T
 from reranklab.checkpoint import checkpoint_text
 from reranklab.model import CrossEncoder, Vocab, tokenize_pair
-from reranklab.optim import AdamW, Lion, ScheduleSpec, lr_at
+from reranklab.optim import OPTIMIZERS, ScheduleSpec, lr_at
 from reranklab.tensor import Tape, Tensor
 
 logger = logging.getLogger(__name__)
@@ -78,7 +78,9 @@ class TrainConfig:
     """Hyperparameters for one training run.
 
     The schedule's total step count is derived inside ``run_training``
-    as epochs * ceil(n_pairs / batch_size).
+    as epochs * ceil(n_pairs / batch_size). Construction checks every
+    field, the schedule and optimizer ones through ``ScheduleSpec`` and
+    the optimizer class; each error message starts with the field's name.
     """
 
     batch_size: int = 64
@@ -90,19 +92,16 @@ class TrainConfig:
     warmup_ratio: float = 0.1
     shuffle: bool = True
     weight_decay: float = 0.01
-    lion_betas: tuple[float, float] = (0.9, 0.99)
-    adamw_betas: tuple[float, float] = (0.9, 0.999)
-    adamw_eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.optimizer not in ("lion", "adamw"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {', '.join(OPTIMIZERS)}, got {self.optimizer!r}")
+        ScheduleSpec(kind=self.schedule, base_lr=self.base_lr, warmup_ratio=self.warmup_ratio)
+        OPTIMIZERS[self.optimizer]({}, lr=self.base_lr, weight_decay=self.weight_decay)  # checks only
 
 
 @dataclass
@@ -201,23 +200,6 @@ def bce_loss(y_hat, y) -> Tensor:
 # training loop
 
 
-def _make_optimizer(model: CrossEncoder, config: TrainConfig):
-    if config.optimizer == "lion":
-        return Lion(
-            model.params,
-            lr=config.base_lr,
-            betas=config.lion_betas,
-            weight_decay=config.weight_decay,
-        )
-    return AdamW(
-        model.params,
-        lr=config.base_lr,
-        betas=config.adamw_betas,
-        eps=config.adamw_eps,
-        weight_decay=config.weight_decay,
-    )
-
-
 def run_training(
     model: CrossEncoder,
     vocab: Vocab,
@@ -242,7 +224,7 @@ def run_training(
         warmup_ratio=config.warmup_ratio,
         total_steps=total_steps,
     )
-    optimizer = _make_optimizer(model, config)
+    optimizer = OPTIMIZERS[config.optimizer](model.params, lr=config.base_lr, weight_decay=config.weight_decay)
 
     sequences = [
         tokenize_pair(vocab, pair.query, pair.passage, model.config.max_len) for pair in pairs

@@ -11,7 +11,7 @@ from reranklab.checkpoint import (
     save_checkpoint,
 )
 from reranklab.model import CrossEncoderConfig, Vocab, init_params
-from reranklab.optim import AdamW, Lion
+from reranklab.optim import OPTIMIZERS, AdamW, Lion
 
 
 @pytest.fixture
@@ -78,21 +78,64 @@ class TestRoundTrip:
 
     def test_resumed_optimizer_steps_identically(self, setup, rng):
         model, vocab = setup
-        opt = AdamW(model.params, lr=1e-3)
-        grads = {name: rng.normal(size=p.shape) for name, p in model.parameters()}
-        for _, p in model.parameters():
-            p.grad = grads[_]
-        opt.step()
-        bundle = parse_checkpoint(checkpoint_text(model, vocab, opt))
-        # one more step on both the original and the restored pair
-        next_grads = {name: rng.normal(size=p.shape) for name, p in model.parameters()}
-        for (name, p), (_, q) in zip(model.parameters(), bundle.model.parameters()):
-            p.grad = next_grads[name]
-            q.grad = next_grads[name]
-        opt.step()
-        bundle.optimizer.step()
-        for (name, p), (_, q) in zip(model.parameters(), bundle.model.parameters()):
-            np.testing.assert_array_equal(p.data, q.data)
+        for cls in OPTIMIZERS.values():
+            opt = cls(model.params, lr=1e-3)
+            grads = {name: rng.normal(size=p.shape) for name, p in model.parameters()}
+            for name, p in model.parameters():
+                p.grad = grads[name]
+            opt.step()
+            bundle = parse_checkpoint(checkpoint_text(model, vocab, opt))
+            assert type(bundle.optimizer) is cls
+            assert bundle.optimizer.state_bytes() == opt.state_bytes()
+            # one more step on both the original and the restored pair
+            next_grads = {name: rng.normal(size=p.shape) for name, p in model.parameters()}
+            for (name, p), (_, q) in zip(model.parameters(), bundle.model.parameters()):
+                p.grad = next_grads[name]
+                q.grad = next_grads[name]
+            opt.step()
+            bundle.optimizer.step()
+            for (name, p), (_, q) in zip(model.parameters(), bundle.model.parameters()):
+                np.testing.assert_array_equal(p.data, q.data)
+            assert checkpoint_text(bundle.model, vocab, bundle.optimizer) == checkpoint_text(model, vocab, opt)
+
+
+class TestOptimizerBlock:
+    """The documented key order of each kind's [optimizer <kind>] block, spelled out."""
+
+    HYPER_LINES = {
+        "lion": [
+            "lr=0x1.0000000000000p-1",
+            "beta1=0x1.8000000000000p-1",
+            "beta2=0x1.c000000000000p-1",
+            "weight_decay=0x1.0000000000000p-2",
+        ],
+        "adamw": [
+            "lr=0x1.0000000000000p-1",
+            "beta1=0x1.8000000000000p-1",
+            "beta2=0x1.c000000000000p-1",
+            "eps=0x1.0000000000000p-3",
+            "weight_decay=0x1.0000000000000p-2",
+            "step=2",
+        ],
+    }
+    PREFIXES = {"lion": ["m"], "adamw": ["m", "v"]}
+
+    @pytest.mark.parametrize("kind", ["lion", "adamw"])
+    def test_block_golden(self, setup, kind):
+        model, vocab = setup
+        hypers = {"lr": 0.5, "betas": (0.75, 0.875), "weight_decay": 0.25}
+        opt = Lion(model.params, **hypers) if kind == "lion" else AdamW(model.params, eps=0.125, **hypers)
+        for _ in range(2):
+            for _, p in model.parameters():
+                p.grad = np.ones(p.shape)
+            opt.step()
+        lines = checkpoint_text(model, vocab, opt).splitlines()
+        block = lines[lines.index(f"[optimizer {kind}]") + 1 : lines.index("[end]")]
+        keys = [line for line in block if "=" in line]
+        buffers = [line.partition("] ")[2] for line in block if line.startswith("[state ")]
+        assert keys == self.HYPER_LINES[kind]
+        assert buffers == [f"{prefix}/{name}" for prefix in self.PREFIXES[kind] for name in model.params]
+        assert block[: len(keys)] == keys
 
 
 class TestValidation:
@@ -118,6 +161,29 @@ class TestValidation:
         text = checkpoint_text(model, vocab, Lion(model.params))
         lines = [l for l in text.splitlines() if not l.startswith("beta1=")]
         with pytest.raises(CheckpointError, match="beta1"):
+            parse_checkpoint("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "kind, line, named",
+        [
+            ("lion", "lr_typo=0x1p-1", "[optimizer lion] lr_typo"),
+            ("lion", "step=7", "[optimizer lion] step"),
+            ("adamw", "momentum=0x1p-1", "[optimizer adamw] momentum"),
+        ],
+    )
+    def test_unknown_optimizer_key_named(self, setup, kind, line, named):
+        model, vocab = setup
+        text = checkpoint_text(model, vocab, OPTIMIZERS[kind](model.params))
+        broken = text.replace(f"[optimizer {kind}]\n", f"[optimizer {kind}]\n{line}\n", 1)
+        with pytest.raises(CheckpointError) as info:
+            parse_checkpoint(broken)
+        assert named in str(info.value)
+
+    def test_missing_adamw_step_named(self, setup):
+        model, vocab = setup
+        text = checkpoint_text(model, vocab, AdamW(model.params))
+        lines = [l for l in text.splitlines() if not l.startswith("step=")]
+        with pytest.raises(CheckpointError, match="step"):
             parse_checkpoint("\n".join(lines) + "\n")
 
     def test_missing_state_buffer_named(self, setup):

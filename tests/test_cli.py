@@ -185,6 +185,38 @@ class TestConfigValidation:
         assert run_cli(command, "--config", config) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "bench-optim"])
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ("base_lr = -1\n", "[train] base_lr"),
+            ("weight_decay = -0.5\n", "[train] weight_decay"),
+            ("schedule = cosine\nwarmup_ratio = 1.5\n", "[train] warmup_ratio"),
+            ("schedule = linear\n", "[train] schedule"),
+            ("\n[lion]\nbase_lr = -1\n", "[lion] base_lr"),
+        ],
+    )
+    def test_bad_train_value_is_config_error(self, tmp_path, synth_dir, capsys, command, extra, named):
+        config = write_config(tmp_path, synth_dir, extra=extra)
+        # the default base_lr is the same 2e-4, so extra may set it again
+        config.write_text(config.read_text().replace("base_lr = 2e-4\n", "", 1), encoding="utf-8")
+        assert run_cli(command, "--config", config) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        # checked before any run trains: bench-optim trains AdamW before Lion
+        assert not list((tmp_path / "out").glob("loss-*.tsv"))
+
+    @pytest.mark.parametrize("command", ["train", "bench-optim"])
+    @pytest.mark.parametrize("where, named", [("flag", "--seed"), ("config", "[run] seed")])
+    def test_negative_seed_is_config_error(self, tmp_path, synth_dir, capsys, command, where, named):
+        config = write_config(tmp_path, synth_dir)
+        argv = [command, "--config", config]
+        if where == "flag":
+            argv += ["--seed", "-3"]
+        else:
+            config.write_text(config.read_text().replace("seed = 12\n", "seed = -3\n"), encoding="utf-8")
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        assert f"{named}: expected a non-negative integer" in capsys.readouterr().err
+
 
 @pytest.fixture
 def trained(tmp_path, synth_dir):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reranklab.optim import AdamW, Lion, ScheduleSpec, lr_at
+from reranklab.optim import OPTIMIZERS, AdamW, Lion, ScheduleSpec, lr_at
 from reranklab.tensor import ShapeError, Tensor
 
 
@@ -96,12 +96,15 @@ class TestLion:
         assert params["b"].data[0] == 2.0
 
     def test_decay_exclusion_list(self):
-        params = make_params({"w": [1.0], "bias": [1.0]})
-        opt = Lion(params, lr=0.1, weight_decay=0.5, decay_exclude=("bias",))
-        set_grads(params, {"w": [0.0], "bias": [0.0]})
-        opt.step()
-        assert params["w"].data[0] == 1.0 - 0.1 * 0.5
-        assert params["bias"].data[0] == 1.0
+        # the exclusion lives on the shared base; with a zero gradient both
+        # kinds move a parameter by lr * weight_decay * theta alone
+        for cls in OPTIMIZERS.values():
+            params = make_params({"w": [1.0], "bias": [1.0]})
+            opt = cls(params, lr=0.1, weight_decay=0.5, decay_exclude=("bias",))
+            set_grads(params, {"w": [0.0], "bias": [0.0]})
+            opt.step()
+            assert params["w"].data[0] == 1.0 - 0.1 * 0.5
+            assert params["bias"].data[0] == 1.0
 
 
 class TestAdamW:
@@ -164,6 +167,43 @@ class TestAdamW:
         params["head"].grad = np.ones(5)
         with pytest.raises(ShapeError, match="head"):
             opt.step()
+
+
+class TestRegistry:
+    def test_kinds_in_cli_order(self):
+        assert list(OPTIMIZERS) == ["lion", "adamw"]
+        assert all(cls.name == kind for kind, cls in OPTIMIZERS.items())
+
+    @pytest.mark.parametrize("kind", list(OPTIMIZERS))
+    def test_step_and_zero_grad_on_the_class_itself(self, kind):
+        # perfbench/tracing.py wraps each class's own step and zero_grad, and
+        # closes a training step's span in zero_grad; inherited ones go untraced.
+        assert "step" in vars(OPTIMIZERS[kind])
+        assert "zero_grad" in vars(OPTIMIZERS[kind])
+
+    @pytest.mark.parametrize("kind", list(OPTIMIZERS))
+    def test_load_state_checks_before_copying(self, kind):
+        params = make_params({"a": [1.0, 2.0], "b": [3.0]})
+        opt = OPTIMIZERS[kind](params)
+        good = {key: np.full_like(buf, 7.0) for key, buf in opt.state_dict()["buffers"].items()}
+        with pytest.raises(ValueError, match="m/b"):
+            opt.load_state({key: buf for key, buf in good.items() if key != "m/b"})
+        with pytest.raises(ShapeError, match="m/b"):
+            opt.load_state({**good, "m/b": np.zeros(2)})
+        assert all((buf == 0.0).all() for buf in opt.state_dict()["buffers"].values())
+        opt.load_state(good, step=5)
+        assert all((buf == 7.0).all() for buf in opt.state_dict()["buffers"].values())
+        if opt.COUNTS_STEPS:
+            assert opt.step_count == 5
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [({"lr": 0.0}, "lr"), ({"weight_decay": -0.1}, "weight_decay"), ({"betas": (0.9, 1.0)}, "betas")],
+    )
+    def test_hyperparameter_checks_every_kind(self, kwargs, named):
+        for cls in OPTIMIZERS.values():
+            with pytest.raises(ValueError, match=named):
+                cls({}, **kwargs)
 
 
 class TestStateBytes:

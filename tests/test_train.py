@@ -129,6 +129,25 @@ def _tiny_setup(n_triplets=24, d_model=16, seed=12):
     return init_params(config), vocab, pairs
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"batch_size": 0}, "batch_size"),
+            ({"epochs": 0}, "epochs"),
+            ({"optimizer": "sgd"}, "optimizer"),
+            ({"schedule": "linear"}, "schedule"),
+            ({"base_lr": -1.0}, "base_lr"),
+            ({"warmup_ratio": 1.5, "schedule": "cosine"}, "warmup_ratio"),
+            ({"weight_decay": -0.5, "optimizer": "adamw"}, "weight_decay"),
+        ],
+    )
+    def test_bad_field_rejected_naming_it_first(self, kwargs, field):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**kwargs)
+        assert str(info.value).split()[0] == field
+
+
 class TestRunTraining:
     def test_step_count_uses_ceil(self):
         model, vocab, pairs = _tiny_setup(n_triplets=5)  # 10 pairs
