@@ -265,6 +265,10 @@ def cmd_train(args) -> int:
         if not parser.has_section("train"):
             parser.add_section("train")
         parser["train"]["epochs"] = str(args.epochs)
+        # The flag also wins over a per-optimizer section's own epochs.
+        for kind in OPTIMIZERS:
+            if parser.has_section(kind):
+                parser.remove_option(kind, "epochs")
 
     # every run's settings are checked before the first one trains
     configs = [_train_config_from_ini(parser, opt, seed) for opt in _select_optimizers(parser, args.optimizer)]

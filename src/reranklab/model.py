@@ -203,10 +203,6 @@ class CrossEncoder:
     def parameter_count(self) -> int:
         return sum(p.size for _, p in self.parameters())
 
-    def zero_grad(self) -> None:
-        for _, p in self.parameters():
-            p.zero_grad()
-
     # -- forward ------------------------------------------------------
 
     def forward(self, seqs: Sequence[TokenSequence]) -> Tensor:
@@ -221,39 +217,30 @@ class CrossEncoder:
             raise ValueError(f"sequence lengths {sorted(lengths)} do not match max_len {cfg.max_len}")
         P = self.params
         ids = np.array([seq.ids for seq in seqs], dtype=np.intp)
-        # Additive key mask, (B, 1, L): 0 on real tokens, -inf on padding.
         real = np.array([seq.attention_mask for seq in seqs]) == 1
-        key_mask = Tensor(np.where(real, 0.0, -np.inf)[:, None, :])
 
         x = T.add(
             T.embedding_lookup(P["token_embedding"], ids),
             T.embedding_lookup(P["position_embedding"], np.arange(cfg.max_len)),
         )
-        dh = cfg.d_model // cfg.n_heads
-        scale = 1.0 / np.sqrt(dh)
         for i in range(cfg.n_layers):
             pre = f"layers.{i}"
+            heads = [f"{pre}.attn.head{h}" for h in range(cfg.n_heads)]
+            # The per-head weights, joined: (d, 3d) as all queries, all keys,
+            # all values, and (d, d) for the output projection.
+            projections = [P[f"{hp}.{w}"] for w in ("w_query", "w_key", "w_value") for hp in heads]
+            w_qkv = T.concat(projections, axis=1)
+            w_out = T.concat([P[f"{hp}.w_out"] for hp in heads], axis=0)
             a = T.layer_norm(x, P[f"{pre}.attn_norm.gain"], P[f"{pre}.attn_norm.bias"])
-            attn_out = None
-            for h in range(cfg.n_heads):
-                hp = f"{pre}.attn.head{h}"
-                q = T.matmul(a, P[f"{hp}.w_query"])
-                k = T.matmul(a, P[f"{hp}.w_key"])
-                v = T.matmul(a, P[f"{hp}.w_value"])
-                scores = T.add(T.mul(T.matmul(q, T.transpose(k)), scale), key_mask)
-                weights = T.softmax(scores, axis=-1)
-                head_out = T.matmul(T.matmul(weights, v), P[f"{hp}.w_out"])
-                attn_out = head_out if attn_out is None else T.add(attn_out, head_out)
-            x = T.add(x, T.add(attn_out, P[f"{pre}.attn.out_bias"]))
+            attended = T.attention(T.linear(a, w_qkv), real, cfg.n_heads)
+            x = T.add(x, T.linear(attended, w_out, P[f"{pre}.attn.out_bias"]))
             f = T.layer_norm(x, P[f"{pre}.ff_norm.gain"], P[f"{pre}.ff_norm.bias"])
-            f = T.relu(T.add(T.matmul(f, P[f"{pre}.ff.w1"]), P[f"{pre}.ff.b1"]))
-            f = T.add(T.matmul(f, P[f"{pre}.ff.w2"]), P[f"{pre}.ff.b2"])
-            x = T.add(x, f)
+            f = T.relu(T.linear(f, P[f"{pre}.ff.w1"], P[f"{pre}.ff.b1"]))
+            x = T.add(x, T.linear(f, P[f"{pre}.ff.w2"], P[f"{pre}.ff.b2"]))
 
         # CLS rows: a one-hot (L, 1) column zeroes the other positions.
         cls_state = T.reduce_sum(T.mul(x, np.eye(cfg.max_len, 1)), axis=1)
-        logit = T.add(T.matmul(cls_state, P["head.weight"]), P["head.bias"])
-        return T.sigmoid(logit)
+        return T.sigmoid(T.linear(cls_state, P["head.weight"], P["head.bias"]))
 
 
 def init_params(config: CrossEncoderConfig) -> CrossEncoder:

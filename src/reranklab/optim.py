@@ -21,6 +21,10 @@ __all__ = ["Optimizer", "Lion", "AdamW", "OPTIMIZERS", "ScheduleSpec", "lr_at"]
 
 FLOAT_BYTES = 8  # float64 buffers everywhere
 COUNTER_BYTES = 8  # step counter, one int64
+# Elements per slice of an AdamW update. Its two scratch arrays stay small
+# (2 x 128 KiB), where scratch sized for the largest parameter (an embedding
+# table) would add to peak memory for the optimizer's whole life.
+_SLICE = 16384
 
 
 class Optimizer:
@@ -190,6 +194,8 @@ class AdamW(Optimizer):
         super().__init__(params, lr, betas, weight_decay, decay_exclude)
         self.eps = eps
         self.moment1, self.moment2 = self.state["m"], self.state["v"]
+        # Update temporaries, not state: see _SLICE.
+        self._scratch = (np.empty(_SLICE), np.empty(_SLICE))
 
     def step(self, lr: float | None = None) -> None:
         eta = self.lr if lr is None else lr
@@ -198,15 +204,25 @@ class AdamW(Optimizer):
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         for name, p, g, wd in self._grads():
-            m = self.moment1[name]
-            v = self.moment2[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            mhat = m / bc1
-            vhat = v / bc2
-            p.data -= eta * (mhat / (np.sqrt(vhat) + self.eps) + wd * p.data)
+            # Flat views of C-contiguous arrays, so the writes reach the parameter and its moments.
+            flat = (p.data.reshape(-1), g.reshape(-1), self.moment1[name].reshape(-1), self.moment2[name].reshape(-1))
+            for start in range(0, p.size, _SLICE):
+                theta, grad, m, v = (a[start : start + _SLICE] for a in flat)
+                s1, s2 = self._scratch[0][: theta.size], self._scratch[1][: theta.size]
+                # In place, keeping the IEEE operation order of the formula above.
+                m *= self.beta1
+                m += np.multiply(1.0 - self.beta1, grad, out=s1)
+                v *= self.beta2
+                np.multiply(1.0 - self.beta2, grad, out=s1)
+                v += np.multiply(s1, grad, out=s1)
+                np.divide(v, bc2, out=s1)
+                np.sqrt(s1, out=s1)
+                s1 += self.eps  # sqrt(vhat) + eps
+                np.divide(m, bc1, out=s2)
+                s2 /= s1
+                s2 += np.multiply(wd, theta, out=s1)
+                s2 *= eta
+                theta -= s2
 
     def zero_grad(self) -> None:
         for p in self.params.values():

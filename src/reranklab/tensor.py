@@ -9,8 +9,10 @@ the tape produced (parameters and inputs), and an intermediate's gradient
 is freed as soon as its node has run. Leaf gradients accumulate across
 backward calls; callers zero them between steps.
 
-Op outputs own fresh, C-contiguous buffers that alias no input; the public
-``Tensor(data)`` constructor copies the data it is given.
+Op outputs own C-contiguous buffers that alias no input; the public
+``Tensor(data)`` constructor copies the data it is given. Inside an active
+:class:`Workspace` an op's output buffer is lent by the workspace and is
+overwritten once the workspace is entered again; outside one it is fresh.
 
 Tensors and tapes are single-context objects: independent tapes may run
 in parallel, but one tape must never be shared across threads.
@@ -26,9 +28,12 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "Tape",
+    "Workspace",
     "as_tensor",
     "matmul",
-    "transpose",
+    "linear",
+    "attention",
+    "concat",
     "add",
     "sub",
     "mul",
@@ -136,6 +141,65 @@ class Tape:
             tensor.grad = grad.copy() if tensor.grad is None else tensor.grad + grad
 
 
+_WORKSPACE_STACK: list["Workspace"] = []
+
+
+class Workspace:
+    """Output buffers that ops reuse from one pass to the next.
+
+    Used as a context manager around a forward pass::
+
+        workspace = Workspace()
+        for batch in batches:
+            with Tape() as tape, workspace:
+                loss = f(params, batch)
+            tape.backward(loss)
+
+    While it is active, every op takes its output buffer (and any
+    activation its backward rule keeps) from here instead of allocating
+    one. Buffers are pooled by shape and lent in request order, so a pass
+    with the same shapes as the last one gets the same buffers back and
+    the memory stays mapped. No buffer is lent twice within one pass. A
+    lent buffer is valid until the workspace is entered again, so run the
+    backward pass and read the loss before the next pass; ``clear`` drops
+    every buffer.
+    """
+
+    def __init__(self):
+        self._pool: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self._lent: dict[tuple[int, ...], int] = {}
+
+    def __enter__(self) -> "Workspace":
+        if self in _WORKSPACE_STACK:
+            raise RuntimeError("workspace is already active")
+        self._lent = {}
+        _WORKSPACE_STACK.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        _WORKSPACE_STACK.pop()
+        return False
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A float64 buffer of ``shape`` not yet lent in this pass (contents undefined)."""
+        pool = self._pool.setdefault(shape, [])
+        index = self._lent.get(shape, 0)
+        if index == len(pool):
+            pool.append(np.empty(shape))
+        self._lent[shape] = index + 1
+        return pool[index]
+
+    def clear(self) -> None:
+        """Drop every pooled buffer."""
+        self._pool = {}
+        self._lent = {}
+
+
+def _buffer(shape: tuple[int, ...]) -> np.ndarray:
+    """An op's output buffer: lent by the active workspace, else fresh."""
+    return _WORKSPACE_STACK[-1].take(shape) if _WORKSPACE_STACK else np.empty(shape)
+
+
 class Tensor:
     """N-dimensional float64 array with an attached gradient slot.
 
@@ -209,7 +273,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _emit(inputs: tuple[Tensor, ...], data: np.ndarray, rule) -> Tensor:
-    # ``data`` is a fresh op result, so it is wrapped without a second copy.
+    # ``data`` is the op's own result buffer, so it is wrapped without a copy.
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64, order="C")
     out.requires_grad = any(t.requires_grad for t in inputs)
@@ -231,9 +295,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...], op: str) -> None:
+def _broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...], op: str) -> tuple[int, ...]:
     try:
-        np.broadcast_shapes(a, b)
+        return np.broadcast_shapes(a, b)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a} and {b} do not broadcast") from None
 
@@ -245,28 +309,16 @@ def _broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...], op: str) -> None:
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes, broadcasting leading axes.
 
-    A 2-D ``b`` (every weight product) folds ``a``'s leading axes into
-    rows, so the forward and each gradient are one GEMM.
+    A 2-D ``b`` (a weight) is :func:`linear` without a bias.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul requires operands of rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    _broadcast_shapes(a.shape[:-2], b.shape[:-2], "matmul batch axes")
-
+    batch = _broadcast_shapes(a.shape[:-2], b.shape[:-2], "matmul batch axes")
     if b.data.ndim == 2:
-        k, n = b.shape
-        a2 = a.data.reshape(-1, k)
-
-        def folded_rule(g):
-            g2 = g.reshape(-1, n)
-            return (
-                (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
-                a2.T @ g2 if b.requires_grad else None,
-            )
-
-        return _emit((a, b), (a2 @ b.data).reshape(a.shape[:-1] + (n,)), folded_rule)
+        return linear(a, b)
 
     def rule(g):
         return (
@@ -274,21 +326,114 @@ def matmul(a, b) -> Tensor:
             _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None,
         )
 
-    return _emit((a, b), a.data @ b.data, rule)
+    out = _buffer(batch + (a.shape[-2], b.shape[-1]))
+    return _emit((a, b), np.matmul(a.data, b.data, out=out), rule)
 
 
-def transpose(a) -> Tensor:
-    """Swap the last two axes of a tensor of rank >= 2."""
-    a = as_tensor(a)
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose requires rank >= 2, got {a.shape}")
+def linear(x, w, b=None) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``, as one node.
+
+    ``x`` is (..., K), ``w`` is (K, N) and the optional bias ``b`` is (N,).
+    The leading axes of ``x`` fold into rows, so the forward and each
+    gradient are one GEMM (general matrix multiply); the bias gradient is
+    a column sum.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    bias = None if b is None else as_tensor(b)
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
+    k, n = w.shape
+    if bias is not None and bias.shape != (n,):
+        raise ShapeError(f"linear: bias {bias.shape} does not match weight {w.shape}")
+    x2 = x.data.reshape(-1, k)
+    out = _buffer(x.shape[:-1] + (n,))
+    np.matmul(x2, w.data, out=out.reshape(-1, n))
+    if bias is not None:
+        out += bias.data
 
     def rule(g):
-        return (np.swapaxes(g, -1, -2),)
+        g2 = g.reshape(-1, n)
+        dx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        dw = x2.T @ g2 if w.requires_grad else None
+        if bias is None:
+            return dx, dw
+        return dx, dw, g2.sum(axis=0) if bias.requires_grad else None
 
-    # Copied here: a swap with a size-1 axis is already C-contiguous, and
-    # ``_emit`` would keep it as a view of ``a``.
-    return _emit((a,), np.swapaxes(a.data, -1, -2).copy(), rule)
+    return _emit((x, w) if bias is None else (x, w, bias), out, rule)
+
+
+def concat(tensors, axis: int) -> Tensor:
+    """Join tensors along ``axis``; each gets its slice of the gradient."""
+    tensors = tuple(as_tensor(t) for t in tensors)
+    if not tensors:
+        raise ValueError("concat requires at least one tensor")
+    ndim = tensors[0].data.ndim
+    axis = _normalize_axis(axis, ndim)
+    if axis is None or any(t.data.ndim != ndim for t in tensors):
+        raise ShapeError(f"concat: axis {axis} invalid for shapes {[t.shape for t in tensors]}")
+    shape = list(tensors[0].shape)
+    shape[axis] = sum(t.shape[axis] for t in tensors)
+    if any(t.shape[:axis] + t.shape[axis + 1 :] != tuple(shape[:axis] + shape[axis + 1 :]) for t in tensors):
+        raise ShapeError(f"concat: shapes {[t.shape for t in tensors]} differ off axis {axis}")
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def rule(g):
+        return tuple(np.split(g, bounds, axis=axis))
+
+    out = _buffer(tuple(shape))
+    return _emit(tensors, np.concatenate([t.data for t in tensors], axis=axis, out=out), rule)
+
+
+def attention(qkv, key_mask, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention, all heads in one node.
+
+    ``qkv`` is (B, L, 3d): the query, key and value projections side by
+    side, each split into ``n_heads`` consecutive blocks of d / n_heads
+    columns, one per head. ``key_mask`` is a (B, L) array, true on real
+    tokens; padded keys get zero weight, and every sequence needs at least
+    one real token. Returns the heads' outputs side by side, (B, L, d).
+    The backward rule is written out by hand, softmax and mask included.
+    """
+    qkv = as_tensor(qkv)
+    if n_heads < 1 or qkv.data.ndim != 3 or qkv.shape[-1] % (3 * n_heads):
+        raise ShapeError(f"attention: shape {qkv.shape} does not split into q, k, v of {n_heads} heads")
+    batch, length, width = qkv.shape
+    d = width // 3
+    dh = d // n_heads
+    real = np.asarray(key_mask, dtype=bool)
+    if real.shape != (batch, length):
+        raise ShapeError(f"attention: key mask {real.shape} does not match (B, L) = {(batch, length)}")
+    if not real.any(axis=1).all():
+        raise ValueError("attention: a sequence has no real token to attend to")
+    # (B, L, 3, H, dh) -> three (B, H, L, dh) views
+    q, k, v = qkv.data.reshape(batch, length, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    scale = 1.0 / np.sqrt(dh)
+
+    weights = _buffer((batch, n_heads, length, length))
+    np.matmul(q, k.swapaxes(-1, -2), out=weights)
+    weights *= scale
+    weights += np.where(real, 0.0, -np.inf)[:, None, None, :]
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = _buffer((batch, length, d))
+    np.matmul(weights, v, out=out.reshape(batch, length, n_heads, dh).swapaxes(1, 2))
+
+    def rule(g):
+        g_heads = g.reshape(batch, length, n_heads, dh).swapaxes(1, 2)
+        dqkv = np.empty((batch, length, 3, n_heads, dh))
+        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(weights.swapaxes(-1, -2), g_heads, out=dv)
+        # softmax backward, (dw - sum(dw * w)) * w; masked keys have w = 0
+        dscores = g_heads @ v.swapaxes(-1, -2)
+        dscores -= np.sum(dscores * weights, axis=-1, keepdims=True)
+        dscores *= weights
+        dscores *= scale
+        np.matmul(dscores, k, out=dq)
+        np.matmul(dscores.swapaxes(-1, -2), q, out=dk)
+        return (dqkv.reshape(batch, length, width),)
+
+    return _emit((qkv,), out, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -297,27 +442,27 @@ def transpose(a) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shapes(a.shape, b.shape, "add")
+    shape = _broadcast_shapes(a.shape, b.shape, "add")
 
     def rule(g):
         return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
 
-    return _emit((a, b), a.data + b.data, rule)
+    return _emit((a, b), np.add(a.data, b.data, out=_buffer(shape)), rule)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shapes(a.shape, b.shape, "sub")
+    shape = _broadcast_shapes(a.shape, b.shape, "sub")
 
     def rule(g):
         return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
 
-    return _emit((a, b), a.data - b.data, rule)
+    return _emit((a, b), np.subtract(a.data, b.data, out=_buffer(shape)), rule)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shapes(a.shape, b.shape, "mul")
+    shape = _broadcast_shapes(a.shape, b.shape, "mul")
 
     def rule(g):
         return (
@@ -325,7 +470,7 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
         )
 
-    return _emit((a, b), a.data * b.data, rule)
+    return _emit((a, b), np.multiply(a.data, b.data, out=_buffer(shape)), rule)
 
 
 def relu(a) -> Tensor:
@@ -334,14 +479,14 @@ def relu(a) -> Tensor:
     def rule(g):
         return (g * (a.data > 0),)
 
-    return _emit((a,), np.maximum(a.data, 0.0), rule)
+    return _emit((a,), np.maximum(a.data, 0.0, out=_buffer(a.shape)), rule)
 
 
 def sigmoid(a) -> Tensor:
     """Logistic function, numerically stable for large |x|."""
     a = as_tensor(a)
     x = a.data
-    out = np.empty_like(x)
+    out = _buffer(x.shape)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -355,7 +500,7 @@ def sigmoid(a) -> Tensor:
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    out = np.tanh(a.data)
+    out = np.tanh(a.data, out=_buffer(a.shape))
 
     def rule(g):
         return (g * (1.0 - out * out),)
@@ -370,7 +515,7 @@ def log(a) -> Tensor:
     def rule(g):
         return (g / a.data,)
 
-    return _emit((a,), np.log(a.data), rule)
+    return _emit((a,), np.log(a.data, out=_buffer(a.shape)), rule)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -380,7 +525,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
     def rule(g):
         return (g * ((a.data >= lo) & (a.data <= hi)),)
 
-    return _emit((a,), np.clip(a.data, lo, hi), rule)
+    return _emit((a,), np.clip(a.data, lo, hi, out=_buffer(a.shape)), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +537,9 @@ def softmax(a, axis: int) -> Tensor:
     a = as_tensor(a)
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / np.sum(ex, axis=axis, keepdims=True)
+    out = np.subtract(a.data, np.max(a.data, axis=axis, keepdims=True), out=_buffer(a.shape))
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
 
     def rule(g):
         inner = np.sum(g * out, axis=axis, keepdims=True)
@@ -413,27 +558,29 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} do not match axis length {n}"
         )
-    mu = np.mean(a.data, axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    xhat = np.subtract(a.data, np.mean(a.data, axis=-1, keepdims=True), out=_buffer(a.shape))
+    out = np.multiply(xhat, xhat, out=_buffer(a.shape))  # squared deviations, then the output
+    inv = 1.0 / np.sqrt(np.mean(out, axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def rule(g):
-        dgain = (g * xhat).reshape(-1, n).sum(axis=0) if gain.requires_grad else None
+        g_xhat = g * xhat
+        dgain = g_xhat.reshape(-1, n).sum(axis=0) if gain.requires_grad else None
         dbias = g.reshape(-1, n).sum(axis=0) if bias.requires_grad else None
-        if a.requires_grad:
-            dxhat = g * gain.data
-            dvar = np.sum(dxhat * centered, axis=-1, keepdims=True) * (-0.5) * inv**3
-            dmu = -np.sum(dxhat, axis=-1, keepdims=True) * inv + dvar * np.mean(
-                -2.0 * centered, axis=-1, keepdims=True
-            )
-            da = dxhat * inv + dvar * 2.0 * centered / n + dmu / n
-        else:
-            da = None
+        if not a.requires_grad:
+            return (None, dgain, dbias)
+        # With dxhat = g * gain: da = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
+        da = g * gain.data
+        da -= np.mean(da, axis=-1, keepdims=True)
+        g_xhat *= gain.data
+        np.multiply(xhat, np.mean(g_xhat, axis=-1, keepdims=True), out=g_xhat)
+        da -= g_xhat
+        da *= inv
         return (da, dgain, dbias)
 
-    return _emit((a, gain, bias), xhat * gain.data + bias.data, rule)
+    return _emit((a, gain, bias), out, rule)
 
 
 def embedding_lookup(table, ids) -> Tensor:
@@ -453,7 +600,9 @@ def embedding_lookup(table, ids) -> Tensor:
         np.add.at(dt, ids, g)
         return (dt,)
 
-    return _emit((table,), table.data[ids], rule)
+    # mode="clip" skips numpy's own bounds pass (and its buffered copy); ids are checked above.
+    out = _buffer(ids.shape + table.shape[1:])
+    return _emit((table,), np.take(table.data, ids, axis=0, out=out, mode="clip"), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +613,12 @@ def _normalize_axis(axis, ndim):
     if axis is None:
         return None
     if not -ndim <= axis < ndim:
-        raise ShapeError(f"reduction axis {axis} invalid for rank {ndim}")
+        raise ShapeError(f"axis {axis} invalid for rank {ndim}")
     return axis % ndim
+
+
+def _reduced_shape(shape: tuple[int, ...], axis) -> tuple[int, ...]:
+    return () if axis is None else shape[:axis] + shape[axis + 1 :]
 
 
 def reduce_sum(a, axis=None) -> Tensor:
@@ -477,7 +630,7 @@ def reduce_sum(a, axis=None) -> Tensor:
             return (np.broadcast_to(g, a.shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
 
-    return _emit((a,), np.sum(a.data, axis=axis), rule)
+    return _emit((a,), np.sum(a.data, axis=axis, out=_buffer(_reduced_shape(a.shape, axis))), rule)
 
 
 def reduce_mean(a, axis=None) -> Tensor:
@@ -490,7 +643,7 @@ def reduce_mean(a, axis=None) -> Tensor:
             return (np.broadcast_to(g, a.shape).copy() / n,)
         return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy() / n,)
 
-    return _emit((a,), np.mean(a.data, axis=axis), rule)
+    return _emit((a,), np.mean(a.data, axis=axis, out=_buffer(_reduced_shape(a.shape, axis))), rule)
 
 
 # ---------------------------------------------------------------------------

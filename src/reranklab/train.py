@@ -20,7 +20,7 @@ from reranklab import tensor as T
 from reranklab.checkpoint import checkpoint_text
 from reranklab.model import CrossEncoder, Vocab, tokenize_pair
 from reranklab.optim import OPTIMIZERS, ScheduleSpec, lr_at
-from reranklab.tensor import Tape, Tensor
+from reranklab.tensor import Tape, Tensor, Workspace
 
 logger = logging.getLogger(__name__)
 
@@ -236,6 +236,8 @@ def run_training(
     step_times_ms: list[float] = []
     update_times_ms: list[float] = []
     global_step = 0
+    # Forward activations are reused from step to step; see the README.
+    workspace = Workspace()
 
     for epoch_index in range(config.epochs):
         epoch = epoch_index + 1
@@ -247,7 +249,7 @@ def run_training(
             batch_ids = order[start : start + config.batch_size]
             lr = lr_at(spec, global_step)
             t0 = time.perf_counter()
-            with Tape() as tape:
+            with Tape() as tape, workspace:
                 batch = [sequences[i] for i in batch_ids]
                 batch_loss = bce_loss(model.forward(batch), labels[batch_ids])
             loss_value = batch_loss.item()
@@ -261,6 +263,8 @@ def run_training(
             step_times_ms.append((time.perf_counter() - t0) * 1000.0)
             loss_log.append(LossRecord(step=global_step, epoch=epoch, lr=lr, loss=loss_value))
             global_step += 1
+        # The held buffers would otherwise add to the checkpoint text's peak memory.
+        workspace.clear()
         name = f"{run_name}-{config.optimizer}-epoch{epoch}"
         checkpoints.append((name, checkpoint_text(model, vocab, optimizer)))
         logger.info(

@@ -114,6 +114,14 @@ class TestTrain:
         assert (out / "stats-adamw.txt").exists()
         assert len(list(out.glob("*.ckpt"))) == 6
 
+    def test_epochs_flag_wins_over_optimizer_section(self, tmp_path, synth_dir):
+        config = write_config(tmp_path, synth_dir, extra="\n[lion]\nepochs = 3\n")
+        assert run_cli("train", "--config", config, "--epochs", 1) == 0
+        out = tmp_path / "out"
+        epochs = {line.split("\t")[1] for line in (out / "loss-lion.tsv").read_text().splitlines()}
+        assert epochs == {"1"}
+        assert [p.name for p in out.glob("*.ckpt")] == ["toy-lion-epoch1.ckpt"]
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert run_cli("train", "--config", tmp_path / "nope.ini") == cli.EXIT_CONFIG
 

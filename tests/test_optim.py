@@ -161,6 +161,29 @@ class TestAdamW:
             results.append(params["w"].data.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
+    def test_in_place_update_matches_plain_formula_bit_for_bit(self, rng):
+        # 205 * 97 elements span one full update slice and part of a second
+        shapes = {"table": (205, 97), "bias": (3,)}
+        params = make_params({name: rng.normal(size=shape) for name, shape in shapes.items()})
+        opt = AdamW(params, lr=1e-3, weight_decay=0.01, decay_exclude=("bias",))
+        ref = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            set_grads(params, grads)
+            opt.step(lr=1e-3 * t)
+            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for name, g in grads.items():
+                wd = 0.0 if name == "bias" else 0.01
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+                step = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8) + wd * ref[name]
+                ref[name] = ref[name] - 1e-3 * t * step
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, ref[name], err_msg=name)
+            np.testing.assert_array_equal(opt.moment2[name], v[name], err_msg=name)
+
     def test_shape_mismatch_names_parameter(self):
         params = make_params({"head": np.ones(4)})
         opt = AdamW(params)

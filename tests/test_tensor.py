@@ -91,23 +91,140 @@ class TestMatmul:
         with pytest.raises(ShapeError, match="batch axes.*do not broadcast"):
             T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
 
-    def test_transpose_swaps_last_two_axes(self, rng):
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        out = T.transpose(a)
-        np.testing.assert_array_equal(out.data, np.swapaxes(a.data, 1, 2))
-        weights = rng.normal(size=(2, 4, 3))
-        with Tape() as tape:
-            loss = T.mul(T.transpose(a), weights).sum()
-        tape.backward(loss)
-        np.testing.assert_array_equal(a.grad, np.swapaxes(weights, 1, 2))
 
-    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 1)])
-    def test_transpose_owns_its_buffer(self, rng, shape):
-        x = Tensor(rng.normal(size=shape))
-        out = T.transpose(x)
-        before = out.data.copy()
-        x.data += 1.0
-        np.testing.assert_array_equal(out.data, before)
+class TestLinear:
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_forward_and_backward_on_3d_input(self, rng, with_bias):
+        x = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=6), requires_grad=True) if with_bias else None
+        out = T.linear(x, w, b)
+        expected = np.matmul(x.data, w.data) + (b.data if with_bias else 0.0)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+        weights = rng.normal(size=(3, 5, 6))
+        with Tape() as tape:
+            loss = T.mul(T.linear(x, w, b), weights).sum()
+        tape.backward(loss)
+        leaves = {"x": x, "w": w} if b is None else {"x": x, "w": w, "b": b}
+        for name, leaf in leaves.items():
+            args = {"x": x, "w": w, "b": b}
+
+            def f(t, name=name, args=args):
+                return T.mul(T.linear(**{**args, name: t}), weights).sum()
+
+            assert max_rel_err(leaf.grad, finite_diff_grad(f, leaf).data) < 1e-4, name
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ShapeError, match="bias"):
+            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+
+
+class TestConcat:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_forward_and_backward(self, rng, axis):
+        sizes = (2, 3, 1)
+        parts = [
+            Tensor(rng.normal(size=(n, 4) if axis == 0 else (4, n)), requires_grad=True) for n in sizes
+        ]
+        out = T.concat(parts, axis=axis)
+        np.testing.assert_array_equal(out.data, np.concatenate([p.data for p in parts], axis=axis))
+        weights = rng.normal(size=out.shape)
+        with Tape() as tape:
+            loss = T.mul(T.concat(parts, axis=axis), weights).sum()
+        tape.backward(loss)
+        for i, part in enumerate(parts):
+
+            def f(t, i=i):
+                return T.mul(T.concat(parts[:i] + [t] + parts[i + 1 :], axis=axis), weights).sum()
+
+            assert part.grad.shape == part.shape
+            assert max_rel_err(part.grad, finite_diff_grad(f, part).data) < 1e-4, i
+
+    def test_shapes_off_axis_must_match(self):
+        with pytest.raises(ShapeError, match="differ off axis"):
+            T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
+
+
+def _per_head_block(a, w_query, w_key_t, w_value, w_out, a_t, real):
+    """The encoder's attention as it was composed of separate ops, one head at a time.
+
+    Keys come in transposed, as leaves of their own (``w_key_t``, ``a_t``),
+    because there is no transpose op.
+    """
+    scale = 1.0 / np.sqrt(w_query[0].shape[1])
+    key_mask = np.where(real, 0.0, -np.inf)[:, None, :]
+    total = None
+    for wq, wkt, wv, wo in zip(w_query, w_key_t, w_value, w_out):
+        scores = T.add(T.mul(T.matmul(T.matmul(a, wq), T.matmul(wkt, a_t)), scale), key_mask)
+        head = T.matmul(T.matmul(T.softmax(scores, axis=-1), T.matmul(a, wv)), wo)
+        total = head if total is None else T.add(total, head)
+    return total
+
+
+class TestAttention:
+    B, L, H, DH = 3, 5, 2, 2
+    REAL_LENGTHS = (5, 3, 2)
+
+    def _mask(self):
+        return np.arange(self.L)[None, :] < np.array(self.REAL_LENGTHS)[:, None]
+
+    def test_backward_matches_finite_differences(self, rng):
+        real = self._mask()
+        qkv = Tensor(rng.normal(size=(self.B, self.L, 3 * self.H * self.DH)), requires_grad=True)
+        weights = rng.normal(size=(self.B, self.L, self.H * self.DH))
+        with Tape() as tape:
+            loss = T.mul(T.attention(qkv, real, self.H), weights).sum()
+        tape.backward(loss)
+        fd = finite_diff_grad(lambda t: T.mul(T.attention(t, real, self.H), weights).sum(), qkv)
+        assert max_rel_err(qkv.grad, fd.data) < 1e-4
+        # padded keys get no weight, so their key and value columns get no gradient
+        d = self.H * self.DH
+        for b, n in enumerate(self.REAL_LENGTHS):
+            assert not qkv.grad[b, n:, d:].any()
+
+    def test_matches_per_head_composition(self, rng):
+        d = self.H * self.DH
+        real = self._mask()
+        a = Tensor(rng.normal(size=(self.B, self.L, d)), requires_grad=True)
+        heads = {
+            name: [Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(self.H)]
+            for name, shape in (("q", (d, self.DH)), ("k", (d, self.DH)), ("v", (d, self.DH)), ("o", (self.DH, d)))
+        }
+        weights = rng.normal(size=(self.B, self.L, d))
+        with Tape() as tape:
+            w_qkv = T.concat(heads["q"] + heads["k"] + heads["v"], axis=1)
+            fused = T.linear(T.attention(T.linear(a, w_qkv), real, self.H), T.concat(heads["o"], axis=0))
+            loss = T.mul(fused, weights).sum()
+        tape.backward(loss)
+
+        a_t = Tensor(np.swapaxes(a.data, 1, 2), requires_grad=True)
+        w_key_t = [Tensor(w.data.T, requires_grad=True) for w in heads["k"]]
+        ref_a = Tensor(a.data, requires_grad=True)
+        ref = {name: [Tensor(w.data, requires_grad=True) for w in ws] for name, ws in heads.items()}
+        with Tape() as tape:
+            composed = _per_head_block(ref_a, ref["q"], w_key_t, ref["v"], ref["o"], a_t, real)
+            ref_loss = T.mul(composed, weights).sum()
+        tape.backward(ref_loss)
+
+        np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.grad, ref_a.grad + np.swapaxes(a_t.grad, 1, 2), rtol=0, atol=1e-12)
+        for name in ("q", "v", "o"):
+            for w, r in zip(heads[name], ref[name]):
+                np.testing.assert_allclose(w.grad, r.grad, rtol=0, atol=1e-12)
+        for w, r in zip(heads["k"], w_key_t):
+            np.testing.assert_allclose(w.grad, r.grad.T, rtol=0, atol=1e-12)
+
+    def test_sequence_without_real_token_rejected(self):
+        real = self._mask()
+        real[1] = False
+        with pytest.raises(ValueError, match="no real token"):
+            T.attention(Tensor(np.zeros((self.B, self.L, 3 * self.H * self.DH))), real, self.H)
+
+    def test_shapes_checked(self):
+        with pytest.raises(ShapeError, match="heads"):
+            T.attention(Tensor(np.zeros((self.B, self.L, 10))), self._mask(), self.H)
+        with pytest.raises(ShapeError, match="key mask"):
+            T.attention(Tensor(np.zeros((self.B, self.L, 12))), self._mask()[:, :3], self.H)
 
 
 class TestElementwise:

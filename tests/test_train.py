@@ -8,8 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, init_params, tokenize_pair
-from reranklab.tensor import Tape, Tensor
+from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
+from reranklab.tensor import Tape, Tensor, Workspace
 from reranklab.train import (
     NonFiniteLossError,
     ParseError,
@@ -264,6 +264,116 @@ class TestStepGraph:
             assert tape_ref() is None
         finally:
             gc.enable()
+
+
+    def test_desk_step_records_at_most_30_nodes(self):
+        vocab = Vocab([f"t{i}" for i in range(16)])
+        model = init_params(
+            CrossEncoderConfig(vocab_size=vocab.size, d_model=64, n_layers=1, n_heads=2, d_ff=128, max_len=16)
+        )
+        seqs = [tokenize_pair(vocab, f"t{i % 16}", f"t{i % 7} t{i % 5}", 16) for i in range(64)]
+        with Tape() as tape:
+            bce_loss(model.forward(seqs), np.arange(64) % 2)
+        assert len(tape) <= 30
+
+
+def _lending(monkeypatch):
+    """Record every buffer a workspace lends, in order."""
+    lent = []
+    take = Workspace.take
+
+    def recording(self, shape):
+        buf = take(self, shape)
+        lent.append(buf)
+        return buf
+
+    monkeypatch.setattr(Workspace, "take", recording)
+    return lent
+
+
+def _step(model, seqs, labels, workspace=None):
+    """One training step's forward, loss and backward, as run_training does it."""
+    with Tape() as tape:
+        if workspace is None:
+            loss = bce_loss(model.forward(seqs), labels)
+        else:
+            with workspace:
+                loss = bce_loss(model.forward(seqs), labels)
+    value = loss.item()
+    tape.backward(loss)
+    return value
+
+
+class TestWorkspace:
+    def _batches(self):
+        model, vocab, pairs = _tiny_setup(n_triplets=12)
+        seqs = [tokenize_pair(vocab, p.query, p.passage, model.config.max_len) for p in pairs]
+        labels = np.array([p.label for p in pairs])
+        return model, (seqs[:8], labels[:8]), (seqs[8:16], labels[8:16])
+
+    def test_no_buffer_lent_twice_in_one_pass(self, monkeypatch):
+        lent = _lending(monkeypatch)
+        model, first, second = self._batches()
+        workspace = Workspace()
+        _step(model, *first, workspace)
+        n = len(lent)
+        assert n > 0
+        for i in range(n):
+            for j in range(i):
+                assert not np.shares_memory(lent[i], lent[j]), (i, j)
+        # a pass of the same shapes gets the same buffers back, in order
+        _step(model, *second, workspace)
+        assert [id(buf) for buf in lent[n:]] == [id(buf) for buf in lent[:n]]
+
+    def test_step_bit_identical_with_and_without_workspace(self):
+        runs = []
+        for workspace in (None, Workspace()):
+            model, first, second = self._batches()
+            losses = [_step(model, *first, workspace)]
+            for p in model.params.values():
+                p.zero_grad()
+            losses.append(_step(model, *second, workspace))  # a pass on reused buffers
+            runs.append((losses, {name: p.grad for name, p in model.parameters()}))
+        assert runs[0][0] == runs[1][0]
+        for name, grad in runs[0][1].items():
+            np.testing.assert_array_equal(runs[1][1][name], grad, err_msg=name)
+
+    def test_scores_and_leaf_gradients_own_their_memory(self, monkeypatch):
+        lent = _lending(monkeypatch)
+        model, first, _ = self._batches()
+        workspace = Workspace()
+        _step(model, *first, workspace)
+        with workspace:
+            scores = score_batch(model, first[0])
+        assert lent
+        for name, p in model.parameters():
+            assert not any(np.shares_memory(p.grad, buf) for buf in lent), name
+            assert not any(np.shares_memory(p.data, buf) for buf in lent), name
+        # scores are plain floats: overwriting every lent buffer leaves them as they were
+        kept = list(scores)
+        for buf in lent:
+            buf.fill(np.nan)
+        assert scores == kept == score_batch(model, first[0])
+
+    def test_clear_drops_every_buffer(self, monkeypatch):
+        lent = _lending(monkeypatch)
+        model, first, _ = self._batches()
+        workspace = Workspace()
+        with Tape() as tape, workspace:
+            loss = bce_loss(model.forward(first[0]), first[1])
+        refs = [weakref.ref(buf) for buf in lent]
+        del tape, loss
+        lent.clear()
+        assert all(ref() is not None for ref in refs)
+        workspace.clear()
+        assert all(ref() is None for ref in refs)
+
+    def test_nested_entry_rejected(self):
+        workspace = Workspace()
+        with workspace:
+            with pytest.raises(RuntimeError, match="already active"):
+                with workspace:
+                    pass
 
 
 class TestEfficiencyGain:
