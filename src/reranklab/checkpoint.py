@@ -21,6 +21,7 @@ Save followed by load reproduces every buffer bit-exactly.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,6 +58,8 @@ def _parse_value(parse, text: str, field: str):
         return parse(text)
     except ValueError:
         raise CheckpointError(f"{field}: malformed value {text!r}") from None
+    except OverflowError:
+        raise CheckpointError(f"{field}: value {text!r} is out of float range") from None
 
 
 def _parse_dims(text: str, name: str) -> tuple[int, ...]:
@@ -128,14 +131,18 @@ class _Reader:
 
 
 def _read_array(reader: _Reader, dims: tuple[int, ...], name: str) -> np.ndarray:
-    n_rows = 1 if len(dims) < 2 else int(np.prod(dims[:-1]))
+    n_rows = math.prod(dims[:-1])  # Python ints: a huge header cannot wrap to a small count
     row_len = dims[-1] if dims else 1
     values = []
     for _ in range(n_rows):
         parts = reader.next().split()
         if len(parts) != row_len:
             raise CheckpointError(f"{name}: expected {row_len} values per row, got {len(parts)}")
-        values.append([_parse_value(float.fromhex, p, name) for p in parts])
+        try:
+            values.append(list(map(float.fromhex, parts)))
+        except (ValueError, OverflowError):
+            # parse again value by value, to name the bad one
+            values.append([_parse_value(float.fromhex, p, name) for p in parts])
     return np.array(values, dtype=np.float64).reshape(dims)
 
 

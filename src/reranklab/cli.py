@@ -304,6 +304,9 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    for flag, value in (("--k", args.k), ("--binarize-at", args.binarize_at)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     run = ir_eval.read_run(_require_file(args.run, "run"))
     qrels = ir_eval.read_qrels(_require_file(args.qrels, "qrels"))
     report = ir_eval.evaluate(

@@ -1,10 +1,11 @@
 """TREC-format parsing, reranking, and the six-metric evaluation suite.
 
 Run files hold ``qid Q0 docid rank score tag`` lines; qrels hold
-``qid 0 docid rel``. Evaluation re-sorts every query's entries by score
-descending with ties broken by docid descending, so results do not
-depend on input line order, and computes NDCG@k, MAP, MRR@k, Recall@k,
-R-Prec, and P@k per query with arithmetic-mean aggregates.
+``qid 0 docid rel``. Evaluation sorts every query's entries once by
+(score, docid) descending, so results do not depend on input line order,
+and computes NDCG@k, MAP, MRR@k, Recall@k, R-Prec, and P@k per query with
+arithmetic-mean aggregates. The five binary metrics come from one walk of
+each query's ranking.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class ParseError(ValueError):
     """Malformed run/qrels/corpus content; message lists line numbers."""
 
 
-@dataclass
+@dataclass(slots=True)
 class RunEntry:
     """One ranked result row of a TREC run file."""
 
@@ -110,10 +111,9 @@ def parse_run(lines: Iterable[str], source: str = "<run>") -> list[RunEntry]:
     entries: list[RunEntry] = []
     bad: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 6:
             bad.append(lineno)
             continue
@@ -127,7 +127,7 @@ def parse_run(lines: Iterable[str], source: str = "<run>") -> list[RunEntry]:
         if rank < 1 or not math.isfinite(value):
             bad.append(lineno)
             continue
-        entries.append(RunEntry(qid=qid, docid=docid, rank=rank, score=value, tag=tag))
+        entries.append(RunEntry(qid, docid, rank, value, tag))
     if bad:
         raise ParseError(f"{source}: malformed run lines {bad}")
     return entries
@@ -136,13 +136,13 @@ def parse_run(lines: Iterable[str], source: str = "<run>") -> list[RunEntry]:
 def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> Qrels:
     """Parse ``qid 0 docid rel`` lines; duplicate judgments keep the last."""
     qrels = Qrels()
+    grades = qrels._grades
     bad: list[int] = []
     duplicates = 0
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 4:
             bad.append(lineno)
             continue
@@ -155,8 +155,12 @@ def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> Qrels:
         if rel < 0:
             bad.append(lineno)
             continue
-        if qrels.set(qid, docid, rel):
+        per_query = grades.get(qid)
+        if per_query is None:
+            per_query = grades[qid] = {}
+        elif docid in per_query:
             duplicates += 1
+        per_query[docid] = rel
     if bad:
         raise ParseError(f"{source}: malformed qrels lines {bad}")
     if duplicates:
@@ -211,11 +215,10 @@ def read_corpus_tsv(path) -> dict[str, str]:
 # reranking
 
 
-def _sorted_by_score(pairs: list[tuple[str, float]]) -> list[tuple[str, float]]:
-    """Order by score descending, ties by docid descending lexicographic."""
-    ordered = sorted(pairs, key=lambda item: item[0], reverse=True)
-    ordered.sort(key=lambda item: item[1], reverse=True)
-    return ordered
+def _sort_by_score(pairs: list[tuple[float, str]]) -> list[tuple[float, str]]:
+    """Sort ``(score, docid)`` pairs in place: score descending, ties by docid descending."""
+    pairs.sort(reverse=True)
+    return pairs
 
 
 def rerank(
@@ -244,14 +247,21 @@ def rerank(
         if missing:
             raise ValueError(f"rerank: passage id {missing[0]!r} (query {qid!r}) has no text")
         seqs = [tokenize_pair(vocab, queries[qid], passages[d], model.config.max_len) for d in docids]
-        scored = list(zip(docids, score_batch(model, seqs)))
-        for rank, (docid, value) in enumerate(_sorted_by_score(scored), start=1):
+        scored = list(zip(score_batch(model, seqs), docids))
+        for rank, (value, docid) in enumerate(_sort_by_score(scored), start=1):
             out.append(RunEntry(qid=qid, docid=docid, rank=rank, score=value, tag=tag))
     return out
 
 
 # ---------------------------------------------------------------------------
 # per-query metrics (None marks "undefined for this query")
+
+
+def _check_cutoffs(k: int, binarize_at: int = 1) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if binarize_at < 1:
+        raise ValueError(f"binarize_at must be >= 1, got {binarize_at}")
 
 
 def _gain(grade: int, exponential: bool) -> float:
@@ -262,6 +272,13 @@ def _dcg(grades: Sequence[int], k: int, exponential: bool) -> float:
     return sum(
         _gain(g, exponential) / math.log2(i + 2) for i, g in enumerate(grades[:k])
     )
+
+
+def _ndcg(ranking: Sequence[str], grades: Mapping[str, int], k: int, exponential: bool) -> Optional[float]:
+    idcg = _dcg(sorted(grades.values(), reverse=True), k, exponential)
+    if idcg == 0.0:
+        return None
+    return _dcg([grades.get(docid, 0) for docid in ranking[:k]], k, exponential) / idcg
 
 
 def ndcg_at_k(
@@ -275,81 +292,89 @@ def ndcg_at_k(
     The ideal DCG comes from the best ordering of all judged documents,
     retrieved or not. Returns None when the ideal DCG is zero.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    ideal = sorted(grades.values(), reverse=True)
-    idcg = _dcg(ideal, k, exponential)
-    if idcg == 0.0:
-        return None
-    got = [grades.get(docid, 0) for docid in ranking]
-    return _dcg(got, k, exponential) / idcg
+    _check_cutoffs(k)
+    return _ndcg(ranking, grades, k, exponential)
 
 
 def _relevant_set(grades: Mapping[str, int], binarize_at: int) -> set[str]:
-    if binarize_at < 1:
-        raise ValueError(f"binarize_at must be >= 1, got {binarize_at}")
     return {docid for docid, grade in grades.items() if grade >= binarize_at}
+
+
+_BINARY_METRICS = METRIC_NAMES[1:]
+
+
+def _binary_metrics(
+    ranking: Sequence[str], relevant: set[str], k: int
+) -> Optional[tuple[float, float, float, float, float]]:
+    """MAP, MRR@k, Recall@k, R-Prec and P@k from one walk of ``ranking``.
+
+    Values come in :data:`METRIC_NAMES` order; None when nothing is
+    relevant. Every occurrence of a relevant docid counts as a hit.
+    """
+    n_relevant = len(relevant)
+    if not n_relevant:
+        return None
+    hits = hits_at_k = hits_at_r = first_hit = 0
+    total = 0.0
+    for i, docid in enumerate(ranking, start=1):
+        if docid in relevant:
+            hits += 1
+            total += hits / i
+            if not first_hit:
+                first_hit = i
+            if i <= k:
+                hits_at_k = hits
+            if i <= n_relevant:
+                hits_at_r = hits
+    return (
+        total / n_relevant,
+        1.0 / first_hit if 0 < first_hit <= k else 0.0,
+        hits_at_k / n_relevant,
+        hits_at_r / n_relevant,
+        hits_at_k / k,
+    )
+
+
+def _binary_metric(
+    name: str, ranking: Sequence[str], grades: Mapping[str, int], k: int, binarize_at: int
+) -> Optional[float]:
+    """One value of :func:`_binary_metrics`; MAP and R-Prec ignore ``k``."""
+    _check_cutoffs(k, binarize_at)
+    values = _binary_metrics(ranking, _relevant_set(grades, binarize_at), k)
+    return None if values is None else values[_BINARY_METRICS.index(name)]
 
 
 def average_precision(
     ranking: Sequence[str], grades: Mapping[str, int], binarize_at: int = 1
 ) -> Optional[float]:
     """Mean of precision at each relevant retrieved rank, over total relevant."""
-    relevant = _relevant_set(grades, binarize_at)
-    if not relevant:
-        return None
-    hits = 0
-    total = 0.0
-    for i, docid in enumerate(ranking, start=1):
-        if docid in relevant:
-            hits += 1
-            total += hits / i
-    return total / len(relevant)
+    return _binary_metric("map", ranking, grades, 1, binarize_at)
 
 
 def reciprocal_rank_at_k(
     ranking: Sequence[str], grades: Mapping[str, int], k: int = 10, binarize_at: int = 1
 ) -> Optional[float]:
     """1/rank of the first relevant document within the top k, else 0."""
-    relevant = _relevant_set(grades, binarize_at)
-    if not relevant:
-        return None
-    for i, docid in enumerate(ranking[:k], start=1):
-        if docid in relevant:
-            return 1.0 / i
-    return 0.0
+    return _binary_metric("mrr@10", ranking, grades, k, binarize_at)
 
 
 def precision_at_k(
     ranking: Sequence[str], grades: Mapping[str, int], k: int = 10, binarize_at: int = 1
 ) -> Optional[float]:
-    relevant = _relevant_set(grades, binarize_at)
-    if not relevant:
-        return None
-    hits = sum(1 for docid in ranking[:k] if docid in relevant)
-    return hits / k
+    return _binary_metric("p@10", ranking, grades, k, binarize_at)
 
 
 def recall_at_k(
     ranking: Sequence[str], grades: Mapping[str, int], k: int = 10, binarize_at: int = 1
 ) -> Optional[float]:
-    relevant = _relevant_set(grades, binarize_at)
-    if not relevant:
-        return None
-    hits = sum(1 for docid in ranking[:k] if docid in relevant)
-    return hits / len(relevant)
+    return _binary_metric("recall@10", ranking, grades, k, binarize_at)
 
 
 def r_precision(
     ranking: Sequence[str], grades: Mapping[str, int], binarize_at: int = 1
 ) -> Optional[float]:
     """Precision at rank R, where R is the query's total relevant count."""
-    relevant = _relevant_set(grades, binarize_at)
-    if not relevant:
-        return None
-    r = len(relevant)
-    hits = sum(1 for docid in ranking[:r] if docid in relevant)
-    return hits / r
+    return _binary_metric("r_prec", ranking, grades, 1, binarize_at)
 
 
 # ---------------------------------------------------------------------------
@@ -388,28 +413,31 @@ def evaluate(
     Run queries absent from the qrels are skipped with a counted
     warning. Entries are re-sorted by (score desc, docid desc) before
     metrics are computed, matching reference-evaluator behavior.
+    Raises ValueError when ``k`` or ``binarize_at`` is below 1.
     """
-    per_query_entries: dict[str, list[tuple[str, float]]] = {}
+    _check_cutoffs(k, binarize_at)
+    per_query_pairs: dict[str, list[tuple[float, str]]] = {}
     for entry in run:
-        per_query_entries.setdefault(entry.qid, []).append((entry.docid, entry.score))
+        per_query_pairs.setdefault(entry.qid, []).append((entry.score, entry.docid))
 
     per_query: dict[str, dict[str, Optional[float]]] = {m: {} for m in METRIC_NAMES}
+    ndcg_column = per_query["ndcg@10"]
+    binary_columns = [per_query[m] for m in _BINARY_METRICS]
+    undefined = (None,) * len(_BINARY_METRICS)
     skipped = 0
     evaluated_ids: list[str] = []
-    for qid in sorted(per_query_entries):
-        if qid not in qrels:
+    for qid in sorted(per_query_pairs):
+        grades = qrels._grades.get(qid)
+        if grades is None:
             skipped += 1
             logger.warning("query %r missing from qrels; skipped", qid)
             continue
         evaluated_ids.append(qid)
-        ranking = [docid for docid, _ in _sorted_by_score(per_query_entries[qid])]
-        grades = qrels.grades(qid)
-        per_query["ndcg@10"][qid] = ndcg_at_k(ranking, grades, k, exponential_gain)
-        per_query["map"][qid] = average_precision(ranking, grades, binarize_at)
-        per_query["mrr@10"][qid] = reciprocal_rank_at_k(ranking, grades, k, binarize_at)
-        per_query["recall@10"][qid] = recall_at_k(ranking, grades, k, binarize_at)
-        per_query["r_prec"][qid] = r_precision(ranking, grades, binarize_at)
-        per_query["p@10"][qid] = precision_at_k(ranking, grades, k, binarize_at)
+        ranking = [docid for _, docid in _sort_by_score(per_query_pairs[qid])]
+        ndcg_column[qid] = _ndcg(ranking, grades, k, exponential_gain)
+        values = _binary_metrics(ranking, _relevant_set(grades, binarize_at), k) or undefined
+        for column, value in zip(binary_columns, values):
+            column[qid] = value
 
     aggregates: dict[str, Optional[float]] = {}
     for metric in METRIC_NAMES:

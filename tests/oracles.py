@@ -114,3 +114,21 @@ def random_case(rng, max_docs=8, max_grade=3, zero_bias=True):
     for i in range(int(rng.integers(0, 3))):
         ranked.insert(int(rng.integers(0, len(ranked) + 1)), f"u{i}")
     return ranked, grades
+
+
+def brute_ranking(pairs):
+    """Docids of ``(docid, score)`` pairs, score descending, ties by docid descending.
+
+    Selection by pairwise comparison: each round takes the pair no other
+    remaining pair beats. ``0.0`` and ``-0.0`` compare equal, so they tie.
+    """
+    remaining = list(pairs)
+    ranking = []
+    while remaining:
+        best = remaining[0]
+        for docid, value in remaining[1:]:
+            if value > best[1] or (value == best[1] and docid > best[0]):
+                best = (docid, value)
+        remaining.remove(best)
+        ranking.append(best[0])
+    return ranking

@@ -207,3 +207,38 @@ class TestValidation:
         del lines[start : start + 2]
         with pytest.raises(CheckpointError, match="head.bias"):
             parse_checkpoint("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("name", ["head.weight", "m/head.weight"])
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ("0x1.0000000000000p+1024", "value '0x1.0000000000000p+1024' is out of float range"),
+            ("0x1.8q+2", "malformed value '0x1.8q+2'"),
+        ],
+    )
+    def test_bad_row_value_named(self, setup, name, value, problem):
+        model, vocab = setup
+        lines = checkpoint_text(model, vocab, Lion(model.params)).splitlines()
+        row = next(i for i, l in enumerate(lines) if l.endswith(f"] {name}")) + 1
+        parts = lines[row].split()
+        parts[-1] = value
+        lines[row] = " ".join(parts)
+        with pytest.raises(CheckpointError) as info:
+            parse_checkpoint("\n".join(lines) + "\n")
+        assert str(info.value) == f"{name}: {problem}"
+
+    def test_row_count_beyond_int64_named(self, setup):
+        model, vocab = setup
+        text = checkpoint_text(model, vocab)
+        huge = text.replace("[param 1] head.bias", "[param 4294967296x4294967296x1] head.bias", 1)
+        with pytest.raises(CheckpointError, match="head.bias"):
+            parse_checkpoint(huge)
+
+    @pytest.mark.parametrize("kind", ["lion", "adamw"])
+    def test_hyperparameter_out_of_float_range_named(self, setup, kind):
+        model, vocab = setup
+        text = checkpoint_text(model, vocab, OPTIMIZERS[kind](model.params))
+        lr_line = next(l for l in text.splitlines() if l.startswith("lr="))
+        with pytest.raises(CheckpointError) as info:
+            parse_checkpoint(text.replace(lr_line, "lr=0x1p+1024", 1))
+        assert str(info.value) == f"[optimizer {kind}] lr: value '0x1p+1024' is out of float range"

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior at tiny scale: commands, files, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -284,7 +285,63 @@ class TestRerank:
         assert code == cli.EXIT_PARSE
 
 
+    def test_checkpoint_value_out_of_float_range_is_config_error(self, tmp_path, synth_dir, trained, capsys):
+        lines = trained.read_text(encoding="utf-8").splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("[param ")) + 1
+        lines[row] = " ".join(["0x1.0000000000000p+1024"] + lines[row].split()[1:])
+        broken = tmp_path / "broken.ckpt"
+        broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_cli(
+            "rerank",
+            "--checkpoint", broken,
+            "--queries", synth_dir / "queries.tsv",
+            "--passages", synth_dir / "passages.tsv",
+            "--candidates", synth_dir / "candidates.run",
+            "--out", tmp_path / "o.run",
+        )
+        assert code == cli.EXIT_CONFIG
+        name = lines[row - 1].partition("] ")[2]
+        assert f"{name}: value '0x1.0000000000000p+1024' is out of float range" in capsys.readouterr().err
+
+
 class TestEval:
+    # sha256 of metrics.tsv for the seed-12 synthetic first-stage run
+    # (200 queries x 100 candidates), fixed before the one-walk evaluation
+    GOLDEN_TSV = {
+        (): "2a83d4f9d447d2fe77c538dbaf0f0644606d5418e758e02715b904f204e2c7b1",
+        ("--k", "5", "--binarize-at", "2"): "c1aae1122f608caeb4d6bfd5caa2dfce2fd9f54819b949695d846628e56eeb36",
+        ("--k", "20", "--exponential-gain"): "89ba2ee0c90a69969354d3f050dbb88c2f2eaf2599a7fe063cc0c8154be0416f",
+    }
+
+    @pytest.mark.parametrize("flags", list(GOLDEN_TSV))
+    def test_metrics_tsv_golden_digest(self, tmp_path, flags):
+        data = tmp_path / "data"
+        assert run_cli("synthetic-data", "--out", data, "--seed", "12", "--eval-queries", "200",
+                       "--candidates", "100") == 0
+        report_dir = tmp_path / "report"
+        assert run_cli("eval", "--run", data / "candidates.run", "--qrels", data / "qrels.txt",
+                       *flags, "--out", report_dir) == 0
+        digest = hashlib.sha256((report_dir / "metrics.tsv").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_TSV[flags]
+
+    @pytest.mark.parametrize("flag", ["--k", "--binarize-at"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cutoff_below_one_is_config_error(self, tmp_path, capsys, flag, value):
+        run = tmp_path / "x.run"
+        qrels = tmp_path / "qrels.txt"
+        run.write_text("q1 Q0 a 1 1.000000 t\n", encoding="utf-8")
+        qrels.write_text("q1 0 a 1\n", encoding="utf-8")
+        empty = tmp_path / "empty.run"
+        empty.write_text("", encoding="utf-8")
+        missing = tmp_path / "missing.run"
+        # the same answer whether a query is evaluated, none is, or no file exists
+        for run_path in (run, empty, missing):
+            report_dir = tmp_path / "report"
+            code = run_cli("eval", "--run", run_path, "--qrels", qrels, flag, value, "--out", report_dir)
+            assert code == cli.EXIT_CONFIG
+            assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+            assert not report_dir.exists()
+
     def test_ideal_fixture_scores_one(self, tmp_path, capsys):
         run = tmp_path / "ideal.run"
         qrels = tmp_path / "qrels.txt"

@@ -2,9 +2,12 @@
 
 import logging
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reranklab.ir_eval import (
     ParseError,
@@ -29,6 +32,10 @@ from reranklab.model import CrossEncoderConfig, init_params, score, tokenize_pai
 
 import oracles
 
+# No per-example deadline: example times swing with machine load.
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+ID_TOKENS = st.text(string.ascii_letters + string.digits + "-_.", min_size=1, max_size=6)
+
 
 class TestParseRun:
     def test_format_definition(self):
@@ -47,6 +54,47 @@ class TestParseRun:
     def test_nonpositive_rank_rejected(self):
         with pytest.raises(ParseError):
             parse_run(["q1 Q0 d1 0 1.0 t"])
+
+    def test_whitespace_variants_accepted(self):
+        lines = [
+            "q1\tQ0\td1\t1\t2.5\tt\n",
+            "   q1 Q0  d2 2 -0.0 t   \n",
+            "\n",
+            " \t \r\n",
+            "q1 Q0 d3 3 1e-3 t\r\n",
+            "\x0bq2\x0cQ0 d1 1 -1.25 run-a",
+        ]
+        assert parse_run(lines) == [
+            RunEntry("q1", "d1", 1, 2.5, "t"),
+            RunEntry("q1", "d2", 2, -0.0, "t"),
+            RunEntry("q1", "d3", 3, 1e-3, "t"),
+            RunEntry("q2", "d1", 1, -1.25, "run-a"),
+        ]
+
+    def test_bad_lines_listed_in_order(self):
+        lines = [
+            "q1 Q0 d1 1 1.0 t",
+            "q1 Q0 d2 2 1.0",  # 5 fields
+            "q1 Q0 d3 3 1.0 t extra",  # 7 fields
+            "",
+            "q1 Q0 d4 0 1.0 t",  # rank 0
+            "q1 Q0 d5 5 nan t",
+            "q1 Q0 d6 6 inf t",
+            "q1 Q0 d7 7 -inf t",
+            "q1 Q0 d8 1.0 1.0 t",  # non-integer rank
+            "q1 Q0 d9 9 ten t",
+            "   ",
+            "q1 Q0 d10 10 1.0 t",
+        ]
+        with pytest.raises(ParseError) as info:
+            parse_run(lines, source="x.run")
+        assert str(info.value) == "x.run: malformed run lines [2, 3, 5, 6, 7, 8, 9, 10]"
+
+    def test_entries_have_no_instance_dict(self):
+        entry = RunEntry("q1", "d1", 1, 1.0, "t")
+        assert not hasattr(entry, "__dict__")
+        assert entry == RunEntry(qid="q1", docid="d1", rank=1, score=1.0, tag="t")
+        assert entry != RunEntry("q1", "d1", 2, 1.0, "t")
 
 
 class TestParseQrels:
@@ -70,6 +118,27 @@ class TestParseQrels:
         with pytest.raises(ParseError, match=r"\[2\]"):
             parse_qrels(["q1 0 d1 1", "q1 0 d1"])
 
+    def test_whitespace_variants_accepted(self):
+        qrels = parse_qrels(["q1\t0\td1\t2\n", "  q1 0 d2 0  \r\n", "\t\n", "", "q2 0 d1 1"])
+        assert qrels == parse_qrels(["q1 0 d1 2", "q1 0 d2 0", "q2 0 d1 1"])
+        assert qrels.query_ids() == ["q1", "q2"]
+        assert qrels.grades("q1") == {"d1": 2, "d2": 0}
+
+    def test_bad_lines_listed_in_order(self):
+        lines = ["q1 0 d1 1", "q1 0 d2 1.5", "q1 0 d3 x", "q1 0 d4 -1", "q1 0 d5", "q1 0 d6 1 extra", " "]
+        with pytest.raises(ParseError) as info:
+            parse_qrels(lines, source="x.qrels")
+        assert str(info.value) == "x.qrels: malformed qrels lines [2, 3, 4, 5, 6]"
+
+    def test_duplicates_counted_in_one_warning(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            qrels = parse_qrels(["q1 0 d1 1", "q1 0 d1 2", "q2 0 d1 1", "q1 0 d1 3"], source="x.qrels")
+        assert qrels.grades("q1") == {"d1": 3}
+        assert len(qrels) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "x.qrels: 2 duplicate (qid, docid) judgment(s), last value kept"
+        ]
+
 
 class TestRoundTrips:
     def test_run_round_trip(self):
@@ -88,6 +157,24 @@ class TestRoundTrips:
             qrels = parse_qrels(["q1 0 d1 1", "q1 0 d1 2"])
         again = parse_qrels(format_qrels(qrels).splitlines())
         assert again.get("q1", "d1") == 2
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.lists(
+            st.builds(
+                RunEntry,
+                qid=ID_TOKENS,
+                docid=ID_TOKENS,
+                rank=st.integers(1, 10**6),
+                # multiples of 1e-6 survive the 6-decimal format exactly
+                score=st.integers(-10**9, 10**9).map(lambda n: n / 10**6),
+                tag=ID_TOKENS,
+            ),
+            max_size=20,
+        )
+    )
+    def test_format_then_parse_returns_entries(self, entries):
+        assert parse_run(format_run(entries).splitlines()) == entries
 
     def test_run_scores_six_decimals(self):
         text = format_run([RunEntry("q1", "d1", 1, 1 / 3, "t")])
@@ -324,6 +411,13 @@ class TestEvaluate:
         for metric, value in base.aggregates.items():
             assert squashed.aggregates[metric] == value
 
+    @pytest.mark.parametrize("kwargs, named", [({"k": 0}, "k"), ({"binarize_at": 0}, "binarize_at")])
+    def test_cutoffs_below_one_rejected_whatever_the_run(self, kwargs, named):
+        qrels = parse_qrels(["q1 0 a 1"])
+        for run in ([], _run_from("qX", ["a"], [1.0]), _run_from("q1", ["a"], [1.0])):
+            with pytest.raises(ValueError, match=rf"^{named} must be >= 1, got 0$"):
+                evaluate(run, qrels, **kwargs)
+
     def test_report_outputs_cover_six_metrics(self):
         qrels = parse_qrels(["q1 0 a 1"])
         report = evaluate(_run_from("q1", ["a"], [1.0]), qrels)
@@ -369,6 +463,61 @@ class TestOracleEquivalence:
                 else:
                     assert got is not None and abs(got - expected) < 1e-12
                     assert 0.0 <= got <= 1.0
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_evaluate_matches_brute_force(self, data):
+        qids = ["q0", "q1", "q2", "q3"]
+        # d0..d5 may be judged, d6/d7 never are; at most six judged docs per
+        # query keep the oracle's permutation search small
+        tied = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0])
+        score = tied | st.floats(-4.0, 4.0, allow_nan=False)
+        run = []
+        for qid in data.draw(st.lists(st.sampled_from(qids), unique=True)):
+            docids = data.draw(st.lists(st.sampled_from([f"d{i}" for i in range(8)]), unique=True, min_size=1))
+            run += [RunEntry(qid, d, rank, data.draw(score), "t") for rank, d in enumerate(docids, start=1)]
+        run = data.draw(st.permutations(run))
+        grades_by_qid = {
+            qid: data.draw(st.dictionaries(st.sampled_from([f"d{i}" for i in range(6)]), st.integers(0, 3), min_size=1))
+            for qid in data.draw(st.lists(st.sampled_from(qids), unique=True))
+        }
+        qrels = Qrels()
+        for qid, grades in grades_by_qid.items():
+            for docid, grade in grades.items():
+                qrels.set(qid, docid, grade)
+        k = data.draw(st.sampled_from([1, 5, 10, 20]))
+        binarize_at = data.draw(st.sampled_from([1, 2]))
+        exponential = data.draw(st.booleans())
+
+        report = evaluate(run, qrels, k=k, binarize_at=binarize_at, exponential_gain=exponential)
+
+        run_qids = sorted({e.qid for e in run})
+        expected_ids = [q for q in run_qids if q in grades_by_qid]
+        assert report.query_ids == expected_ids
+        assert (report.n_queries, report.n_skipped) == (len(expected_ids), len(run_qids) - len(expected_ids))
+        oracle = {
+            "ndcg@10": lambda r, g: oracles.brute_ndcg(r, g, k, exponential),
+            "map": lambda r, g: oracles.brute_average_precision(r, g, binarize_at),
+            "mrr@10": lambda r, g: oracles.brute_reciprocal_rank(r, g, k, binarize_at),
+            "recall@10": lambda r, g: oracles.brute_recall_at_k(r, g, k, binarize_at),
+            "r_prec": lambda r, g: oracles.brute_r_precision(r, g, binarize_at),
+            "p@10": lambda r, g: oracles.brute_precision_at_k(r, g, k, binarize_at),
+        }
+        for metric, brute in oracle.items():
+            expected = {}
+            for qid in expected_ids:
+                ranking = oracles.brute_ranking([(e.docid, e.score) for e in run if e.qid == qid])
+                expected[qid] = brute(ranking, grades_by_qid[qid])
+            assert set(report.per_query[metric]) == set(expected_ids)
+            for qid, value in expected.items():
+                got = report.per_query[metric][qid]
+                assert (got is None) if value is None else abs(got - value) < 1e-12
+            defined = [v for v in expected.values() if v is not None]
+            aggregate = report.aggregates[metric]
+            if defined:
+                assert abs(aggregate - sum(defined) / len(defined)) < 1e-12
+            else:
+                assert aggregate is None
 
     def test_ndcg_exponential_matches_brute_force(self):
         rng = np.random.default_rng(778)
