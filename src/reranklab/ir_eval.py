@@ -31,6 +31,7 @@ __all__ = [
     "read_run",
     "read_qrels",
     "read_corpus_tsv",
+    "line_list",
     "rerank",
     "ndcg_at_k",
     "average_precision",
@@ -54,6 +55,18 @@ def _metric_labels(k: int) -> tuple[str, ...]:
 
 class ParseError(ValueError):
     """Malformed run/qrels/corpus content; message lists line numbers."""
+
+
+# A ParseError lists at most this many line numbers, then the total count.
+_MAX_LISTED_LINES = 10
+
+
+def line_list(linenos: Sequence[int]) -> str:
+    """``[3, 7]`` for a ParseError message; past 10 numbers, the first 10 and the count."""
+    if len(linenos) <= _MAX_LISTED_LINES:
+        return str(list(linenos))
+    listed = ", ".join(map(str, linenos[:_MAX_LISTED_LINES]))
+    return f"[{listed}, ...] ({len(linenos)} lines)"
 
 
 @dataclass(slots=True)
@@ -129,7 +142,7 @@ def parse_run(lines: Iterable[str], source: str = "<run>") -> list[RunEntry]:
             continue
         entries.append(RunEntry(qid, docid, rank, value, tag))
     if bad:
-        raise ParseError(f"{source}: malformed run lines {bad}")
+        raise ParseError(f"{source}: malformed run lines {line_list(bad)}")
     return entries
 
 
@@ -162,7 +175,7 @@ def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> Qrels:
             duplicates += 1
         per_query[docid] = rel
     if bad:
-        raise ParseError(f"{source}: malformed qrels lines {bad}")
+        raise ParseError(f"{source}: malformed qrels lines {line_list(bad)}")
     if duplicates:
         logger.warning("%s: %d duplicate (qid, docid) judgment(s), last value kept", source, duplicates)
     return qrels
@@ -207,7 +220,7 @@ def read_corpus_tsv(path) -> dict[str, str]:
                 continue
             out[parts[0]] = parts[1]
     if bad:
-        raise ParseError(f"{path}: malformed id<TAB>text lines {bad}")
+        raise ParseError(f"{path}: malformed id<TAB>text lines {line_list(bad)}")
     return out
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from reranklab import tensor as T
 from reranklab.checkpoint import checkpoint_text
+from reranklab.ir_eval import line_list
 from reranklab.model import CrossEncoder, Vocab, tokenize_pair
 from reranklab.optim import OPTIMIZERS, ScheduleSpec, lr_at
 from reranklab.tensor import Tape, Tensor, Workspace
@@ -155,7 +156,7 @@ def load_triplets(path) -> list[Triplet]:
                 continue
             triplets.append(Triplet(*parts))
     if bad:
-        raise ParseError(f"{path}: expected 3 tab-separated fields on lines {bad}")
+        raise ParseError(f"{path}: expected 3 tab-separated fields on lines {line_list(bad)}")
     return triplets
 
 

@@ -1,9 +1,11 @@
-"""Brute-force reference implementations of the ranking metrics.
+"""Brute-force reference implementations of the ranking metrics and of the
+checkpoint array writer.
 
 Deliberately naive and independent of the production code paths: the
 ideal DCG is found by enumerating orderings of the positively judged
-documents, and precision values are recounted from scratch at every
-rank. Only suitable for small cases.
+documents, precision values are recounted from scratch at every rank, and
+checkpoint values are printed with one float.hex() call each. Only suitable
+for small cases.
 """
 
 import itertools
@@ -132,3 +134,16 @@ def brute_ranking(pairs):
         remaining.remove(best)
         ranking.append(best[0])
     return ranking
+
+
+def float_hex_section(header, name, data):
+    """One ``[<header> <dims>] <name>`` checkpoint section, one float.hex() call per value.
+
+    A 0-d array is one row of one value; an n-d array is one row per
+    index of its leading dimensions.
+    """
+    dims = "x".join(str(n) for n in data.shape) if data.shape else "scalar"
+    rows = data.reshape(-1, data.shape[-1]) if data.ndim > 1 else data.reshape(1, -1)
+    lines = [f"[{header} {dims}] {name}"]
+    lines += [" ".join(v.hex() for v in row.tolist()) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -1,8 +1,16 @@
 """Checkpoint round trips must be bit-exact, including optimizer state."""
 
+import hashlib
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from reranklab import checkpoint
 from reranklab.checkpoint import (
     CheckpointError,
     checkpoint_text,
@@ -12,6 +20,8 @@ from reranklab.checkpoint import (
 )
 from reranklab.model import CrossEncoderConfig, Vocab, init_params
 from reranklab.optim import OPTIMIZERS, AdamW, Lion
+
+import oracles
 
 
 @pytest.fixture
@@ -97,6 +107,108 @@ class TestRoundTrip:
             for (name, p), (_, q) in zip(model.parameters(), bundle.model.parameters()):
                 np.testing.assert_array_equal(p.data, q.data)
             assert checkpoint_text(bundle.model, vocab, bundle.optimizer) == checkpoint_text(model, vocab, opt)
+
+
+# float64 bit patterns that float.hex() prints specially or that sit at the
+# edge of a field: signed zeros, the extreme subnormals and normals, 1.0, the
+# infinities, and NaNs of either sign, quiet and signalling.
+EDGE_BITS = [
+    0x0000_0000_0000_0000,
+    0x8000_0000_0000_0000,
+    0x0000_0000_0000_0001,
+    0x800F_FFFF_FFFF_FFFF,
+    0x0010_0000_0000_0000,
+    0x7FEF_FFFF_FFFF_FFFF,
+    0x3FF0_0000_0000_0000,
+    0x7FF0_0000_0000_0000,
+    0xFFF0_0000_0000_0000,
+    0x7FF8_0000_0000_0000,
+    0xFFF8_0000_0000_0001,
+    0x7FF0_0000_0000_0001,
+]
+
+
+def assert_writes_float_hex(data):
+    """The array's section equals the reference writer's, compared line by line."""
+    out = io.StringIO()
+    checkpoint._write_array(out, "state", "x", data)
+    # Lists of lines: a failure then names the first bad line, where a diff
+    # of two long strings would take minutes to print.
+    assert out.getvalue().split("\n") == oracles.float_hex_section("state", "x", data).split("\n")
+
+
+@st.composite
+def float_arrays(draw):
+    """float64 arrays of shape (n,), (r, c) or (a, b, c) from arbitrary 64-bit patterns."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9))
+    bits = st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_BITS)
+    return draw(hnp.arrays(np.uint64, shape, elements=bits)).view(np.float64)
+
+
+class TestWriter:
+    """The block writer prints exactly what float.hex() prints, value by value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=float_arrays(), block=st.integers(1, 40))
+    def test_matches_float_hex(self, data, block):
+        # Small blocks put block edges inside rows, on row ends, and past the array.
+        with mock.patch.object(checkpoint, "_BLOCK", block):
+            assert_writes_float_hex(data)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (checkpoint._BLOCK - 1, 1),
+            (checkpoint._BLOCK + 1, 1),
+            (3, checkpoint._BLOCK // 2 + 1),
+            (checkpoint._BLOCK + 1,),
+        ],
+    )
+    def test_matches_float_hex_at_block_size(self, shape, rng):
+        bits = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+        edges = rng.random(shape) < 0.1
+        bits[edges] = rng.choice(np.array(EDGE_BITS, dtype=np.uint64), size=int(edges.sum()))
+        data = bits.view(np.float64)
+        assert_writes_float_hex(data)
+
+    def test_scalar_and_float32(self):
+        for data in (np.float64(-2.5).reshape(()), np.arange(6, dtype=np.float32).reshape(2, 3) / 3):
+            assert_writes_float_hex(data)
+
+
+class TestGoldenDigests:
+    """sha256 of whole checkpoints, taken with the per-value float.hex() writer.
+
+    The state comes from optimizer steps on seeded gradients, not from a
+    training run: steps are elementwise IEEE arithmetic and give the same bits
+    on every machine, while a forward pass goes through BLAS, whose last bits
+    can differ between CPUs. Every other embedding row gets no gradient, as
+    for tokens a batch does not hold, so the state has runs of zeros.
+    """
+
+    DIGESTS = {
+        "lion": "93aefc4929276c55ad5c2a4e12af8321486edaaafc34cba459c616121e20e0b4",
+        "adamw": "6db5588096e4b48763bccbab1f98d4a22cd03dc2453d0afe459befba22060cda",
+    }
+
+    @pytest.mark.parametrize("kind", ["lion", "adamw"])
+    def test_desk_model_after_three_steps(self, kind):
+        vocab = Vocab([f"w{i}" for i in range(96)])
+        config = CrossEncoderConfig(
+            vocab_size=vocab.size, d_model=64, n_layers=1, n_heads=2, d_ff=128, max_len=16, seed=12
+        )
+        model = init_params(config)
+        opt = OPTIMIZERS[kind](model.params, lr=2e-4, weight_decay=0.01)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            for name, p in model.parameters():
+                grad = rng.normal(size=p.shape)
+                if name == "token_embedding":
+                    grad[::2] = 0.0
+                p.grad = grad
+            opt.step()
+        text = checkpoint_text(model, vocab, opt)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[kind]
 
 
 class TestOptimizerBlock:
@@ -214,6 +326,9 @@ class TestValidation:
         [
             ("0x1.0000000000000p+1024", "value '0x1.0000000000000p+1024' is out of float range"),
             ("0x1.8q+2", "malformed value '0x1.8q+2'"),
+            ("nan", "value 'nan' is not finite"),
+            ("inf", "value 'inf' is not finite"),
+            ("-inf", "value '-inf' is not finite"),
         ],
     )
     def test_bad_row_value_named(self, setup, name, value, problem):
@@ -242,3 +357,23 @@ class TestValidation:
         with pytest.raises(CheckpointError) as info:
             parse_checkpoint(text.replace(lr_line, "lr=0x1p+1024", 1))
         assert str(info.value) == f"[optimizer {kind}] lr: value '0x1p+1024' is out of float range"
+
+    @pytest.mark.parametrize("kind", ["lion", "adamw"])
+    def test_non_finite_hyperparameter_named(self, setup, kind):
+        model, vocab = setup
+        text = checkpoint_text(model, vocab, OPTIMIZERS[kind](model.params))
+        lr_line = next(l for l in text.splitlines() if l.startswith("lr="))
+        with pytest.raises(CheckpointError) as info:
+            parse_checkpoint(text.replace(lr_line, "lr=nan", 1))
+        assert str(info.value) == f"[optimizer {kind}] lr: value 'nan' is not finite"
+
+    def test_non_finite_value_named_in_later_row(self, setup):
+        model, vocab = setup
+        lines = checkpoint_text(model, vocab).splitlines()
+        row = next(i for i, l in enumerate(lines) if l.endswith("] token_embedding")) + 3
+        parts = lines[row].split()
+        parts[2] = "-inf"
+        lines[row] = " ".join(parts)
+        with pytest.raises(CheckpointError) as info:
+            parse_checkpoint("\n".join(lines) + "\n")
+        assert str(info.value) == "token_embedding: value '-inf' is not finite"

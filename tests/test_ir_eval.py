@@ -90,6 +90,12 @@ class TestParseRun:
             parse_run(lines, source="x.run")
         assert str(info.value) == "x.run: malformed run lines [2, 3, 5, 6, 7, 8, 9, 10]"
 
+    def test_many_bad_lines_counted(self):
+        lines = ["q1 Q0 d1 1 1.0 t"] + [f"q1 Q0 d{i} {i} nan t" for i in range(2, 1002)]
+        with pytest.raises(ParseError) as info:
+            parse_run(lines, source="x.run")
+        assert str(info.value) == "x.run: malformed run lines [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, ...] (1000 lines)"
+
     def test_entries_have_no_instance_dict(self):
         entry = RunEntry("q1", "d1", 1, 1.0, "t")
         assert not hasattr(entry, "__dict__")
@@ -129,6 +135,11 @@ class TestParseQrels:
         with pytest.raises(ParseError) as info:
             parse_qrels(lines, source="x.qrels")
         assert str(info.value) == "x.qrels: malformed qrels lines [2, 3, 4, 5, 6]"
+
+    def test_many_bad_lines_counted(self):
+        with pytest.raises(ParseError) as info:
+            parse_qrels([f"q1 0 d{i}" for i in range(11)], source="x.qrels")
+        assert str(info.value) == "x.qrels: malformed qrels lines [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (11 lines)"
 
     def test_duplicates_counted_in_one_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
@@ -547,3 +558,29 @@ class TestCorpusTsv:
         path.write_text("q1\tok\nno-tab-line\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"\[2\]"):
             read_corpus_tsv(path)
+
+    def test_many_bad_lines_counted(self, tmp_path):
+        from reranklab.ir_eval import read_corpus_tsv
+
+        path = tmp_path / "c.tsv"
+        path.write_text("no-tab-line\n" * 25, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_corpus_tsv(path)
+        assert str(info.value) == f"{path}: malformed id<TAB>text lines [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (25 lines)"
+
+
+class TestLineList:
+    @pytest.mark.parametrize(
+        "count, text",
+        [
+            (0, "[]"),
+            (1, "[1]"),
+            (10, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+            (11, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (11 lines)"),
+            (20000, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (20000 lines)"),
+        ],
+    )
+    def test_first_ten_then_count(self, count, text):
+        from reranklab.ir_eval import line_list
+
+        assert line_list(list(range(1, count + 1))) == text

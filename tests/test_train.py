@@ -70,6 +70,15 @@ class TestLoadTriplets:
         with pytest.raises(ParseError, match=r"\[2, 3\]"):
             load_triplets(path)
 
+    def test_many_bad_lines_counted(self, tmp_path):
+        path = tmp_path / "triplets.tsv"
+        path.write_text("q\tp\tn\n" + "q only\n" * 12, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_triplets(path)
+        assert str(info.value) == (
+            f"{path}: expected 3 tab-separated fields on lines [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, ...] (12 lines)"
+        )
+
 
 class TestBCELoss:
     def test_half_prediction_is_ln2(self):
