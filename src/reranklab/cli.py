@@ -260,6 +260,8 @@ def _run_one_training(parser, config: TrainConfig, name, triplets_path, out_dir)
 
 
 def cmd_train(args) -> int:
+    if args.epochs is not None and args.epochs < 1:
+        raise ConfigError(f"--epochs: expected a positive integer, got {args.epochs}")
     parser, seed, name, out_dir, triplets_path = _load_run_config(args)
     if args.epochs is not None:
         if not parser.has_section("train"):
@@ -289,12 +291,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_rerank(args) -> int:
+    # Run lines are whitespace-separated, so a tag holding whitespace would
+    # write a run that eval cannot parse.
+    tag = Path(args.checkpoint).stem if args.tag is None else args.tag
+    if not tag or any(ch.isspace() for ch in tag):
+        default = "" if args.tag is not None else " (the checkpoint file stem, used when --tag is not given)"
+        raise ConfigError(f"--tag: expected a non-empty run tag without whitespace, got {tag!r}{default}")
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     bundle = load_checkpoint(ckpt_path)
     queries = ir_eval.read_corpus_tsv(_require_file(args.queries, "queries"))
     passages = ir_eval.read_corpus_tsv(_require_file(args.passages, "passages"))
     candidates = ir_eval.read_run(_require_file(args.candidates, "candidates run"))
-    tag = args.tag or ckpt_path.stem
     reranked = ir_eval.rerank(bundle.model, bundle.vocab, queries, passages, candidates, tag=tag)
     out_path = _resolve_out(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -346,6 +353,8 @@ def _bench_import(path: Path) -> str:
                 adamw_mean, lion_mean = float(parts[1]), float(parts[2])
             except ValueError:
                 raise ir_eval.ParseError(f"{path}: non-numeric means on line {lineno}") from None
+            if adamw_mean <= 0:
+                raise ir_eval.ParseError(f"{path}: adamw_mean must be positive on line {lineno}, got {parts[1]}")
             rows.append([parts[0], f"{adamw_mean:.2f}", f"{lion_mean:.2f}",
                          f"{efficiency_gain(adamw_mean, lion_mean):.2f}%"])
     return _align_table(["label", "adamw_mean", "lion_mean", "efficiency_gain"], rows)
@@ -528,7 +537,7 @@ def main(argv=None) -> int:
     except (ConfigError, CheckpointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (train_mod.ParseError, ir_eval.ParseError) as exc:
+    except ir_eval.ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NonFiniteLossError as exc:

@@ -54,7 +54,7 @@ def _metric_labels(k: int) -> tuple[str, ...]:
 
 
 class ParseError(ValueError):
-    """Malformed run/qrels/corpus content; message lists line numbers."""
+    """Malformed input file; the message names the file and the offending lines."""
 
 
 # A ParseError lists at most this many line numbers, then the total count.

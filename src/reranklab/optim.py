@@ -51,7 +51,6 @@ class Optimizer:
         lr: float,
         betas: tuple[float, float],
         weight_decay: float,
-        decay_exclude: tuple[str, ...] = (),
     ):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
@@ -63,7 +62,6 @@ class Optimizer:
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.decay_exclude = frozenset(decay_exclude)
         self.state = {
             prefix: {name: np.zeros_like(p.data) for name, p in self.params.items()} for prefix in self.BUFFERS
         }
@@ -71,14 +69,14 @@ class Optimizer:
             self.step_count = 0
 
     def _grads(self):
-        """Yield ``(name, param, grad, weight decay)`` for each parameter holding a gradient."""
+        """Yield ``(name, param, grad)`` for each parameter holding a gradient."""
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} mismatches parameter {name!r} {p.data.shape}")
-            yield name, p, g, 0.0 if name in self.decay_exclude else self.weight_decay
+            yield name, p, g
 
     def _buffers(self) -> dict[str, np.ndarray]:
         """Every state buffer under its checkpoint key ``<prefix>/<param>``."""
@@ -142,18 +140,17 @@ class Lion(Optimizer):
         lr: float = 1e-4,
         betas: tuple[float, float] = (0.9, 0.99),
         weight_decay: float = 0.01,
-        decay_exclude: tuple[str, ...] = (),
     ):
-        super().__init__(params, lr, betas, weight_decay, decay_exclude)
+        super().__init__(params, lr, betas, weight_decay)
         self.momentum = self.state["m"]
 
     def step(self, lr: float | None = None) -> None:
         """Apply one update from the gradients currently on the params."""
         eta = self.lr if lr is None else lr
-        for name, p, g, wd in self._grads():
+        for name, p, g in self._grads():
             m = self.momentum[name]
             c = self.beta1 * m + (1.0 - self.beta1) * g
-            p.data -= eta * (np.sign(c) + wd * p.data)
+            p.data -= eta * (np.sign(c) + self.weight_decay * p.data)
             m *= self.beta2
             m += (1.0 - self.beta2) * g
 
@@ -187,11 +184,10 @@ class AdamW(Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.01,
-        decay_exclude: tuple[str, ...] = (),
     ):
         if eps < 0:
             raise ValueError(f"eps must be >= 0, got {eps}")
-        super().__init__(params, lr, betas, weight_decay, decay_exclude)
+        super().__init__(params, lr, betas, weight_decay)
         self.eps = eps
         self.moment1, self.moment2 = self.state["m"], self.state["v"]
         # Update temporaries, not state: see _SLICE.
@@ -203,7 +199,7 @@ class AdamW(Optimizer):
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p, g, wd in self._grads():
+        for name, p, g in self._grads():
             # Flat views of C-contiguous arrays, so the writes reach the parameter and its moments.
             flat = (p.data.reshape(-1), g.reshape(-1), self.moment1[name].reshape(-1), self.moment2[name].reshape(-1))
             for start in range(0, p.size, _SLICE):
@@ -220,7 +216,7 @@ class AdamW(Optimizer):
                 s1 += self.eps  # sqrt(vhat) + eps
                 np.divide(m, bc1, out=s2)
                 s2 /= s1
-                s2 += np.multiply(wd, theta, out=s1)
+                s2 += np.multiply(self.weight_decay, theta, out=s1)
                 s2 *= eta
                 theta -= s2
 

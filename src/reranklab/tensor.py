@@ -35,18 +35,14 @@ __all__ = [
     "attention",
     "concat",
     "add",
-    "sub",
     "mul",
     "relu",
     "sigmoid",
-    "tanh",
-    "log",
-    "clip",
     "softmax",
     "layer_norm",
     "embedding_lookup",
     "reduce_sum",
-    "reduce_mean",
+    "bce",
     "finite_diff_grad",
 ]
 
@@ -234,20 +230,11 @@ class Tensor:
     def sum(self, axis=None) -> "Tensor":
         return reduce_sum(self, axis)
 
-    def mean(self, axis=None) -> "Tensor":
-        return reduce_mean(self, axis)
-
     def __add__(self, other):
         return add(self, other)
 
     def __radd__(self, other):
         return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -450,16 +437,6 @@ def add(a, b) -> Tensor:
     return _emit((a, b), np.add(a.data, b.data, out=_buffer(shape)), rule)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    shape = _broadcast_shapes(a.shape, b.shape, "sub")
-
-    def rule(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
-
-    return _emit((a, b), np.subtract(a.data, b.data, out=_buffer(shape)), rule)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     shape = _broadcast_shapes(a.shape, b.shape, "mul")
@@ -496,36 +473,6 @@ def sigmoid(a) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return _emit((a,), out, rule)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data, out=_buffer(a.shape))
-
-    def rule(g):
-        return (g * (1.0 - out * out),)
-
-    return _emit((a,), out, rule)
-
-
-def log(a) -> Tensor:
-    """Natural logarithm; caller is responsible for positive inputs."""
-    a = as_tensor(a)
-
-    def rule(g):
-        return (g / a.data,)
-
-    return _emit((a,), np.log(a.data, out=_buffer(a.shape)), rule)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes through inside the interval."""
-    a = as_tensor(a)
-
-    def rule(g):
-        return (g * ((a.data >= lo) & (a.data <= hi)),)
-
-    return _emit((a,), np.clip(a.data, lo, hi, out=_buffer(a.shape)), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +564,6 @@ def _normalize_axis(axis, ndim):
     return axis % ndim
 
 
-def _reduced_shape(shape: tuple[int, ...], axis) -> tuple[int, ...]:
-    return () if axis is None else shape[:axis] + shape[axis + 1 :]
-
-
 def reduce_sum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     axis = _normalize_axis(axis, a.data.ndim)
@@ -630,20 +573,41 @@ def reduce_sum(a, axis=None) -> Tensor:
             return (np.broadcast_to(g, a.shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
 
-    return _emit((a,), np.sum(a.data, axis=axis, out=_buffer(_reduced_shape(a.shape, axis))), rule)
+    shape = () if axis is None else a.shape[:axis] + a.shape[axis + 1 :]
+    return _emit((a,), np.sum(a.data, axis=axis, out=_buffer(shape)), rule)
 
 
-def reduce_mean(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    axis = _normalize_axis(axis, a.data.ndim)
-    n = a.size if axis is None else a.shape[axis]
+# ---------------------------------------------------------------------------
+# loss
+
+
+def bce(p, labels, eps: float) -> Tensor:
+    """Mean binary cross-entropy -mean(y log(q) + (1-y) log(1-q)), as one node.
+
+    ``labels`` is a 0/1 array of p's shape, and ``q`` is ``p`` clamped to
+    [eps, 1 - eps], so the loss stays finite; the gradient is zero where
+    ``p`` lies outside that interval. Keep the order of the arithmetic in
+    both passes: it is that of a clamp -> log -> mul -> add -> mean ->
+    negate graph of separate ops, so loss logs and checkpoints stay
+    byte-identical to those such a graph wrote.
+    """
+    p = as_tensor(p)
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != p.shape:
+        raise ShapeError(f"bce: labels {y.shape} do not match predictions {p.shape}")
+    lo, hi = eps, 1.0 - eps
+    q = np.clip(p.data, lo, hi)
+    q_neg = 1.0 - q
+    y_neg = 1.0 - y
+    out = np.mean(y * np.log(q) + y_neg * np.log(q_neg), out=_buffer(()))
+    out *= -1.0
 
     def rule(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy() / n,)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy() / n,)
+        g_pair = g * -1.0 / p.size
+        dq = g_pair * y / q - g_pair * y_neg / q_neg
+        return (dq * ((p.data >= lo) & (p.data <= hi)),)
 
-    return _emit((a,), np.mean(a.data, axis=axis, out=_buffer(_reduced_shape(a.shape, axis))), rule)
+    return _emit((p,), out, rule)
 
 
 # ---------------------------------------------------------------------------

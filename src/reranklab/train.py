@@ -18,7 +18,7 @@ import numpy as np
 
 from reranklab import tensor as T
 from reranklab.checkpoint import checkpoint_text
-from reranklab.ir_eval import line_list
+from reranklab.ir_eval import ParseError, line_list
 from reranklab.model import CrossEncoder, Vocab, tokenize_pair
 from reranklab.optim import OPTIMIZERS, ScheduleSpec, lr_at
 from reranklab.tensor import Tape, Tensor, Workspace
@@ -45,10 +45,6 @@ __all__ = [
 ]
 
 BCE_EPS = 1e-12
-
-
-class ParseError(ValueError):
-    """Malformed input file; message names the offending line."""
 
 
 class NonFiniteLossError(RuntimeError):
@@ -186,15 +182,15 @@ def bce_loss(y_hat, y) -> Tensor:
     """Mean binary cross-entropy -[y log(p) + (1-y) log(1-p)], one 0/1 label per p.
 
     The prediction is clamped to [1e-12, 1 - 1e-12] before the logs so
-    the loss stays finite; gradients flow through the clamp interior.
+    the loss stays finite; gradients flow through the clamp interior. The
+    loss is one ``tensor.bce`` node.
     """
-    p = T.clip(T.as_tensor(y_hat), BCE_EPS, 1.0 - BCE_EPS)
+    p = T.as_tensor(y_hat)
     y = np.asarray(y, dtype=np.float64)
     if not np.isin(y, (0, 1)).all():
         raise ValueError(f"labels must be 0 or 1, got {y}")
     y = y.reshape(p.shape)  # a label count that differs from p's raises ValueError
-    per_pair = T.add(T.mul(y, T.log(p)), T.mul(1.0 - y, T.log(T.sub(1.0, p))))
-    return -T.reduce_mean(per_pair)
+    return T.bce(p, y, BCE_EPS)
 
 
 # ---------------------------------------------------------------------------

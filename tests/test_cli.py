@@ -123,6 +123,12 @@ class TestTrain:
         assert epochs == {"1"}
         assert [p.name for p in out.glob("*.ckpt")] == ["toy-lion-epoch1.ckpt"]
 
+    def test_epochs_flag_below_one_names_the_flag(self, tmp_path, synth_dir, capsys):
+        config = write_config(tmp_path, synth_dir)
+        assert run_cli("train", "--config", config, "--epochs", 0) == cli.EXIT_CONFIG
+        assert "--epochs: expected a positive integer, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert run_cli("train", "--config", tmp_path / "nope.ini") == cli.EXIT_CONFIG
 
@@ -270,6 +276,37 @@ class TestRerank:
         )
         entries = read_run(out_run)
         assert all(e.tag == "toy-lion-epoch3" for e in entries)
+
+    @pytest.mark.parametrize("tag", ["my run", "", "tab\there"])
+    def test_tag_with_whitespace_is_config_error(self, tmp_path, capsys, tag):
+        # checked before any file is read: none of these exist
+        code = run_cli(
+            "rerank",
+            "--checkpoint", tmp_path / "toy.ckpt",
+            "--queries", tmp_path / "q.tsv",
+            "--passages", tmp_path / "p.tsv",
+            "--candidates", tmp_path / "c.run",
+            "--out", tmp_path / "o.run",
+            "--tag", tag,
+        )
+        assert code == cli.EXIT_CONFIG
+        assert f"--tag: expected a non-empty run tag without whitespace, got {tag!r}" in capsys.readouterr().err
+
+    def test_default_tag_with_whitespace_is_config_error(self, tmp_path, synth_dir, trained, capsys):
+        spaced = tmp_path / "my ckpt.ckpt"
+        spaced.write_bytes(trained.read_bytes())
+        code = run_cli(
+            "rerank",
+            "--checkpoint", spaced,
+            "--queries", synth_dir / "queries.tsv",
+            "--passages", synth_dir / "passages.tsv",
+            "--candidates", synth_dir / "candidates.run",
+            "--out", tmp_path / "o.run",
+        )
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--tag" in err and "'my ckpt'" in err
+        assert not (tmp_path / "o.run").exists()
 
     def test_unresolvable_docid_exit_code(self, tmp_path, synth_dir, trained):
         bad = tmp_path / "bad.run"
@@ -434,6 +471,13 @@ class TestBenchOptim:
         assert "2.66%" in out
         assert "10.32%" in out
         assert "3.49%" in out
+
+    @pytest.mark.parametrize("mean", ["0", "-1.5"])
+    def test_import_nonpositive_adamw_mean_names_file_and_line(self, tmp_path, capsys, mean):
+        means = tmp_path / "means.tsv"
+        means.write_text(f"# label\tadamw\tlion\nencoder-small\t33.09\t32.21\nbroken\t{mean}\t1.0\n", encoding="utf-8")
+        assert run_cli("bench-optim", "--import", means) == cli.EXIT_PARSE
+        assert f"{means}: adamw_mean must be positive on line 3, got {mean}" in capsys.readouterr().err
 
     def test_config_mode_compares_both(self, tmp_path, synth_dir, capsys):
         config = write_config(tmp_path, synth_dir)

@@ -95,16 +95,15 @@ class TestLion:
         opt.step()
         assert params["b"].data[0] == 2.0
 
-    def test_decay_exclusion_list(self):
-        # the exclusion lives on the shared base; with a zero gradient both
-        # kinds move a parameter by lr * weight_decay * theta alone
+    def test_zero_gradient_decays_every_parameter(self):
+        # weight decay lives on the shared base; with a zero gradient both
+        # kinds move every parameter by lr * weight_decay * theta alone
         for cls in OPTIMIZERS.values():
             params = make_params({"w": [1.0], "bias": [1.0]})
-            opt = cls(params, lr=0.1, weight_decay=0.5, decay_exclude=("bias",))
+            opt = cls(params, lr=0.1, weight_decay=0.5)
             set_grads(params, {"w": [0.0], "bias": [0.0]})
             opt.step()
-            assert params["w"].data[0] == 1.0 - 0.1 * 0.5
-            assert params["bias"].data[0] == 1.0
+            assert params["w"].data[0] == params["bias"].data[0] == 1.0 - 0.1 * 0.5
 
 
 class TestAdamW:
@@ -165,7 +164,7 @@ class TestAdamW:
         # 205 * 97 elements span one full update slice and part of a second
         shapes = {"table": (205, 97), "bias": (3,)}
         params = make_params({name: rng.normal(size=shape) for name, shape in shapes.items()})
-        opt = AdamW(params, lr=1e-3, weight_decay=0.01, decay_exclude=("bias",))
+        opt = AdamW(params, lr=1e-3, weight_decay=0.01)
         ref = {name: p.data.copy() for name, p in params.items()}
         m = {name: np.zeros(shape) for name, shape in shapes.items()}
         v = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -175,10 +174,9 @@ class TestAdamW:
             opt.step(lr=1e-3 * t)
             bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
             for name, g in grads.items():
-                wd = 0.0 if name == "bias" else 0.01
                 m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
                 v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
-                step = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8) + wd * ref[name]
+                step = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8) + 0.01 * ref[name]
                 ref[name] = ref[name] - 1e-3 * t * step
         for name, p in params.items():
             np.testing.assert_array_equal(p.data, ref[name], err_msg=name)

@@ -254,7 +254,6 @@ class TestElementwise:
 
     def test_operator_sugar(self):
         x = Tensor([1.0, 2.0])
-        np.testing.assert_array_equal((1.0 - x).data, [0.0, -1.0])
         np.testing.assert_array_equal((x * 2.0 + 1.0).data, [3.0, 5.0])
         np.testing.assert_array_equal((-x).data, [-1.0, -2.0])
 
@@ -262,7 +261,6 @@ class TestElementwise:
         "op,shapes",
         [
             (T.add, ((3, 4), (4,))),
-            (T.sub, ((3, 4), (3, 4))),
             (T.mul, ((3, 4), (4,))),
         ],
     )
@@ -277,7 +275,7 @@ class TestElementwise:
         assert max_rel_err(a.grad, fd_a.data) < 1e-4
         assert max_rel_err(b.grad, fd_b.data) < 1e-4
 
-    @pytest.mark.parametrize("op", [T.relu, T.sigmoid, T.tanh])
+    @pytest.mark.parametrize("op", [T.relu, T.sigmoid])
     def test_unary_backward_matches_oracle(self, rng, op):
         x = Tensor(rng.normal(size=(3, 5)) + 0.3, requires_grad=True)
         with Tape() as tape:
@@ -285,16 +283,6 @@ class TestElementwise:
         tape.backward(loss)
         fd = finite_diff_grad(lambda t: op(t).sum(), x)
         assert max_rel_err(x.grad, fd.data) < 1e-4
-
-    def test_log_and_clip_backward(self, rng):
-        x = Tensor(rng.uniform(0.2, 0.8, size=6), requires_grad=True)
-        with Tape() as tape:
-            loss = T.log(T.clip(x, 0.3, 0.7)).sum()
-        tape.backward(loss)
-        fd = finite_diff_grad(lambda t: T.log(T.clip(t, 0.3, 0.7)).sum(), x)
-        assert max_rel_err(x.grad, fd.data) < 1e-4
-        clamped = (x.data < 0.3) | (x.data > 0.7)
-        np.testing.assert_array_equal(x.grad[clamped], 0.0)
 
 
 class TestSoftmax:
@@ -411,18 +399,6 @@ class TestReduce:
     def test_sum(self):
         assert T.reduce_sum(Tensor([1.0, 2.0, 3.0])).item() == 6.0
 
-    def test_mean_of_constant(self):
-        assert T.reduce_mean(Tensor(np.full((3, 4), 2.5))).item() == 2.5
-
-    def test_mean_gradient_distributes(self, rng):
-        x = Tensor(rng.normal(size=6), requires_grad=True)
-        with Tape() as tape:
-            loss = x.mean()
-        tape.backward(loss)
-        np.testing.assert_allclose(x.grad, 1 / 6, atol=1e-12)
-        fd = finite_diff_grad(lambda t: t.mean(), x)
-        assert max_rel_err(x.grad, fd.data) < 1e-4
-
     def test_axis_reduction_backward(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         with Tape() as tape:
@@ -430,6 +406,43 @@ class TestReduce:
         tape.backward(loss)
         fd = finite_diff_grad(lambda t: (t.sum(axis=0) * t.sum(axis=0)).sum(), x)
         assert max_rel_err(x.grad, fd.data) < 1e-4
+
+
+class TestBCE:
+    def test_value_is_mean_pair_loss_in_one_node(self, rng):
+        p = rng.uniform(0.05, 0.95, size=(6, 1))
+        y = np.array([[1.0], [0.0], [0.0], [1.0], [1.0], [0.0]])
+        x = Tensor(p, requires_grad=True)
+        with Tape() as tape:
+            loss = T.bce(x, y, 1e-12)
+        assert len(tape) == 1
+        expected = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+        assert abs(loss.item() - expected) < 1e-15
+
+    def test_backward_matches_oracle_under_upstream_gradient(self, rng):
+        x = Tensor(rng.uniform(0.05, 0.95, size=(4, 3)), requires_grad=True)
+        y = (rng.uniform(size=(4, 3)) < 0.5).astype(float)
+        with Tape() as tape:
+            loss = T.bce(x, y, 1e-12) * 3.0
+        tape.backward(loss)
+        fd = finite_diff_grad(lambda t: T.bce(t, y, 1e-12) * 3.0, x)
+        assert max_rel_err(x.grad, fd.data) < 1e-6
+
+    def test_wide_clamp_zeroes_gradient_outside(self, rng):
+        x = Tensor([0.05, 0.2, 0.5, 0.8, 0.95], requires_grad=True)
+        y = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        with Tape() as tape:
+            loss = T.bce(x, y, 0.1)
+        tape.backward(loss)
+        # clamped to 0.1 and 0.9, whatever lies past them
+        assert loss.item() == T.bce(Tensor([0.1, 0.2, 0.5, 0.8, 0.9]), y, 0.1).item()
+        np.testing.assert_array_equal(x.grad[[0, 4]], 0.0)
+        fd = finite_diff_grad(lambda t: T.bce(t, y, 0.1), x)
+        assert max_rel_err(x.grad[1:4], fd.data[1:4]) < 1e-6
+
+    def test_label_shape_must_match(self):
+        with pytest.raises(ShapeError, match=r"\(2,\).*\(2, 1\)"):
+            T.bce(Tensor(np.full((2, 1), 0.5)), np.array([1.0, 0.0]), 1e-12)
 
 
 class TestBackward:
@@ -489,7 +502,7 @@ class TestBackward:
         w2 = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
 
         def f(_=None):
-            return T.sigmoid(T.matmul(T.relu(T.matmul(x, w1)), w2)).mean()
+            return T.sigmoid(T.matmul(T.relu(T.matmul(x, w1)), w2)).sum()
 
         with Tape() as tape:
             loss = f()
@@ -534,7 +547,7 @@ class TestFiniteDiff:
         x = Tensor(rng.normal(size=(5, 4)))
 
         def f(_):
-            hidden = T.tanh(T.matmul(x, w1))
+            hidden = T.sigmoid(T.matmul(x, w1))
             return T.sigmoid(T.matmul(hidden, w2)).sum()
 
         with Tape() as tape:

@@ -8,8 +8,9 @@ import weakref
 import numpy as np
 import pytest
 
+from reranklab import ir_eval
 from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
-from reranklab.tensor import Tape, Tensor, Workspace
+from reranklab.tensor import Tape, Tensor, Workspace, finite_diff_grad
 from reranklab.train import (
     NonFiniteLossError,
     ParseError,
@@ -70,6 +71,9 @@ class TestLoadTriplets:
         with pytest.raises(ParseError, match=r"\[2, 3\]"):
             load_triplets(path)
 
+    def test_parse_error_is_the_one_ir_eval_class(self):
+        assert ParseError is ir_eval.ParseError
+
     def test_many_bad_lines_counted(self, tmp_path):
         path = tmp_path / "triplets.tsv"
         path.write_text("q\tp\tn\n" + "q only\n" * 12, encoding="utf-8")
@@ -111,8 +115,6 @@ class TestBCELoss:
             bce_loss(np.full((3, 1), 0.5), [1, 0])
 
     def test_gradient_formula(self, rng):
-        from reranklab.tensor import Tape, finite_diff_grad
-
         for y in (0, 1):
             for p in rng.uniform(0.1, 0.9, size=5):
                 y_hat = Tensor([p], requires_grad=True)
@@ -123,6 +125,29 @@ class TestBCELoss:
                 assert max_rel_err(y_hat.grad, [analytic]) < 1e-6
                 fd = finite_diff_grad(lambda t: bce_loss(t, y).item(), y_hat)
                 assert max_rel_err(y_hat.grad, fd.data) < 1e-6
+
+    def test_mixed_batch_at_and_past_the_clamp(self):
+        # Predictions on both clamp edges, past them, and inside, each with both labels.
+        edges = [0.0, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13, 1.0]
+        preds = np.array(edges * 2 + [0.2, 0.7, 0.4, 0.9]).reshape(-1, 1)
+        labels = np.array([1, 0] * 3 + [0, 1] * 3 + [1, 0, 0, 1])
+        y_hat = Tensor(preds, requires_grad=True)
+        with Tape() as tape:
+            loss = bce_loss(y_hat, labels)
+        tape.backward(loss)
+        assert math.isfinite(loss.item())
+        outside = (preds < 1e-12) | (preds > 1.0 - 1e-12)
+        assert outside.sum() == 8
+        np.testing.assert_array_equal(y_hat.grad[outside], 0.0)
+        # Central differences straddle the clamp on its edges, so those two
+        # values are checked against the closed form (p - y) / (p (1 - p)) / n.
+        on_edge = (preds[:, 0] == 1e-12) | (preds[:, 0] == 1.0 - 1e-12)
+        p, y = preds[on_edge, 0], labels[on_edge]
+        assert max_rel_err(y_hat.grad[on_edge, 0], (p - y) / (p * (1.0 - p)) / len(labels)) < 1e-6
+        inside = ~outside[:, 0] & ~on_edge
+        assert inside.sum() == 4
+        fd = finite_diff_grad(lambda t: bce_loss(t, labels), y_hat)
+        assert max_rel_err(y_hat.grad[inside], fd.data[inside]) < 1e-6
 
 
 def _tiny_setup(n_triplets=24, d_model=16, seed=12):
@@ -275,15 +300,18 @@ class TestStepGraph:
             gc.enable()
 
 
-    def test_desk_step_records_at_most_30_nodes(self):
+    def test_desk_step_records_at_most_20_nodes(self):
         vocab = Vocab([f"t{i}" for i in range(16)])
         model = init_params(
             CrossEncoderConfig(vocab_size=vocab.size, d_model=64, n_layers=1, n_heads=2, d_ff=128, max_len=16)
         )
         seqs = [tokenize_pair(vocab, f"t{i % 16}", f"t{i % 7} t{i % 5}", 16) for i in range(64)]
         with Tape() as tape:
-            bce_loss(model.forward(seqs), np.arange(64) % 2)
-        assert len(tape) <= 30
+            scores = model.forward(seqs)
+            forward_nodes = len(tape)
+            bce_loss(scores, np.arange(64) % 2)
+        assert len(tape) <= 20
+        assert len(tape) == forward_nodes + 1  # the loss is one node
 
 
 def _lending(monkeypatch):
