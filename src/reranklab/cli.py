@@ -11,6 +11,7 @@ import argparse
 import configparser
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -353,6 +354,9 @@ def _bench_import(path: Path) -> str:
                 adamw_mean, lion_mean = float(parts[1]), float(parts[2])
             except ValueError:
                 raise ir_eval.ParseError(f"{path}: non-numeric means on line {lineno}") from None
+            for column, text, value in (("adamw_mean", parts[1], adamw_mean), ("lion_mean", parts[2], lion_mean)):
+                if not math.isfinite(value):
+                    raise ir_eval.ParseError(f"{path}: {column} must be finite on line {lineno}, got {text}")
             if adamw_mean <= 0:
                 raise ir_eval.ParseError(f"{path}: adamw_mean must be positive on line {lineno}, got {parts[1]}")
             rows.append([parts[0], f"{adamw_mean:.2f}", f"{lion_mean:.2f}",

@@ -1,8 +1,12 @@
 """Lion and AdamW optimizers plus step-indexed learning-rate schedules.
 
 Both optimizers consume gradients left on the parameter tensors by the
-autodiff backward pass and mutate parameter buffers in place. ``step``
-accepts an effective learning rate so an external schedule can drive it.
+autodiff backward pass and mutate parameter buffers in place, slice by
+slice through two small scratch arrays, so a step allocates no
+parameter-sized temporary. A :class:`~reranklab.tensor.RowGrad` gradient
+costs the touched rows plus one zero-gradient pass over the table, with
+the same bits as its dense gradient. ``step`` accepts an effective
+learning rate so an external schedule can drive it.
 ``OPTIMIZERS`` maps each kind name to its class; other modules ask it
 rather than naming kinds.
 """
@@ -15,16 +19,19 @@ from typing import Mapping
 
 import numpy as np
 
-from reranklab.tensor import ShapeError, Tensor
+from reranklab.tensor import RowGrad, ShapeError, Tensor
 
 __all__ = ["Optimizer", "Lion", "AdamW", "OPTIMIZERS", "ScheduleSpec", "lr_at"]
 
 FLOAT_BYTES = 8  # float64 buffers everywhere
 COUNTER_BYTES = 8  # step counter, one int64
-# Elements per slice of an AdamW update. Its two scratch arrays stay small
+# Elements per slice of an update. The two scratch arrays stay small
 # (2 x 128 KiB), where scratch sized for the largest parameter (an embedding
 # table) would add to peak memory for the optimizer's whole life.
 _SLICE = 16384
+# The gradient of the rows a RowGrad leaves out: +0.0, as in a dense one.
+_ZEROS = np.zeros(_SLICE)
+_ZEROS.flags.writeable = False
 
 
 class Optimizer:
@@ -33,11 +40,12 @@ class Optimizer:
     A subclass declares its checkpointed hyperparameters in file order
     (``HYPERS``), its buffer prefixes (``BUFFERS``; one zero buffer per
     parameter each), and whether it counts steps (``COUNTS_STEPS``).
-    Beyond that it holds only its update rule, in ``step``. Each subclass
-    also defines its own ``zero_grad``: ``perfbench/tracing.py`` wraps the
-    ``step`` and ``zero_grad`` in each class's own ``__dict__`` and closes
-    a training step's span in ``zero_grad``, so one inherited from here
-    would silently go untraced.
+    Beyond that it holds only its per-slice arithmetic, which its ``step``
+    hands to :meth:`_update`. Each subclass defines its own ``step`` and
+    ``zero_grad``: ``perfbench/tracing.py`` wraps the ``step`` and
+    ``zero_grad`` in each class's own ``__dict__`` and closes a training
+    step's span in ``zero_grad``, so one inherited from here would
+    silently go untraced.
     """
 
     name: str
@@ -67,6 +75,8 @@ class Optimizer:
         }
         if self.COUNTS_STEPS:
             self.step_count = 0
+        # Update temporaries, not state: see _SLICE.
+        self._scratch = (np.empty(_SLICE), np.empty(_SLICE))
 
     def _grads(self):
         """Yield ``(name, param, grad)`` for each parameter holding a gradient."""
@@ -77,6 +87,44 @@ class Optimizer:
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} mismatches parameter {name!r} {p.data.shape}")
             yield name, p, g
+
+    def _update(self, rule) -> None:
+        """Apply ``rule`` in place to every parameter holding a gradient.
+
+        ``rule(theta, grad, *buffers, s1, s2)`` updates one slice of at
+        most ``_SLICE`` elements of a parameter and of its state buffers
+        (in ``BUFFERS`` order), with ``s1`` and ``s2`` as scratch. For a
+        ``RowGrad`` the touched rows of the parameter and its buffers are
+        gathered first; the rule then runs over the whole table with a zero
+        gradient, which is what the dense gradient holds outside those rows,
+        and over the gathered rows with ``values``, which are scattered
+        back. Each element thus sees the arithmetic, and gets the bits, of
+        the dense update.
+        """
+        for name, p, g in self._grads():
+            arrays = (p.data, *(self.state[prefix][name] for prefix in self.BUFFERS))
+            if not isinstance(g, RowGrad):
+                self._sweep(rule, arrays, g)
+            elif g.rows.size == g.shape[0]:
+                self._sweep(rule, arrays, g.values)  # every row touched: values is the dense gradient
+            else:
+                touched = tuple(a[g.rows] for a in arrays)
+                self._sweep(rule, arrays, None)
+                self._sweep(rule, touched, g.values)
+                for a, rows in zip(arrays, touched):
+                    a[g.rows] = rows
+
+    def _sweep(self, rule, arrays: tuple[np.ndarray, ...], grad: np.ndarray | None) -> None:
+        """Run ``rule`` slice by slice over ``arrays``; a None ``grad`` is all +0.0."""
+        # Flat views of C-contiguous arrays, so the writes reach the parameter and its buffers.
+        flat = [a.reshape(-1) for a in arrays]
+        grad = None if grad is None else grad.reshape(-1)
+        s1, s2 = self._scratch
+        for start in range(0, flat[0].size, _SLICE):
+            views = [a[start : start + _SLICE] for a in flat]
+            n = views[0].size
+            g = _ZEROS[:n] if grad is None else grad[start : start + _SLICE]
+            rule(views[0], g, *views[1:], s1[:n], s2[:n])
 
     def _buffers(self) -> dict[str, np.ndarray]:
         """Every state buffer under its checkpoint key ``<prefix>/<param>``."""
@@ -147,12 +195,22 @@ class Lion(Optimizer):
     def step(self, lr: float | None = None) -> None:
         """Apply one update from the gradients currently on the params."""
         eta = self.lr if lr is None else lr
-        for name, p, g in self._grads():
-            m = self.momentum[name]
-            c = self.beta1 * m + (1.0 - self.beta1) * g
-            p.data -= eta * (np.sign(c) + self.weight_decay * p.data)
-            m *= self.beta2
-            m += (1.0 - self.beta2) * g
+        beta1, beta2, weight_decay = self.beta1, self.beta2, self.weight_decay
+
+        def rule(theta, grad, m, s1, s2):
+            # In place, keeping the IEEE operation order of the formula above.
+            np.multiply(beta1, m, out=s1)
+            s1 += np.multiply(1.0 - beta1, grad, out=s2)  # c
+            # Never np.sign(s1, out=s1): on mixed-sign input numpy's aliased
+            # path is about 5x slower than writing to a separate array.
+            np.sign(s1, out=s2)
+            s2 += np.multiply(weight_decay, theta, out=s1)
+            s2 *= eta
+            theta -= s2
+            m *= beta2
+            m += np.multiply(1.0 - beta2, grad, out=s1)
+
+        self._update(rule)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -190,35 +248,33 @@ class AdamW(Optimizer):
         super().__init__(params, lr, betas, weight_decay)
         self.eps = eps
         self.moment1, self.moment2 = self.state["m"], self.state["v"]
-        # Update temporaries, not state: see _SLICE.
-        self._scratch = (np.empty(_SLICE), np.empty(_SLICE))
 
     def step(self, lr: float | None = None) -> None:
+        """Apply one update from the gradients currently on the params."""
         eta = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        for name, p, g in self._grads():
-            # Flat views of C-contiguous arrays, so the writes reach the parameter and its moments.
-            flat = (p.data.reshape(-1), g.reshape(-1), self.moment1[name].reshape(-1), self.moment2[name].reshape(-1))
-            for start in range(0, p.size, _SLICE):
-                theta, grad, m, v = (a[start : start + _SLICE] for a in flat)
-                s1, s2 = self._scratch[0][: theta.size], self._scratch[1][: theta.size]
-                # In place, keeping the IEEE operation order of the formula above.
-                m *= self.beta1
-                m += np.multiply(1.0 - self.beta1, grad, out=s1)
-                v *= self.beta2
-                np.multiply(1.0 - self.beta2, grad, out=s1)
-                v += np.multiply(s1, grad, out=s1)
-                np.divide(v, bc2, out=s1)
-                np.sqrt(s1, out=s1)
-                s1 += self.eps  # sqrt(vhat) + eps
-                np.divide(m, bc1, out=s2)
-                s2 /= s1
-                s2 += np.multiply(self.weight_decay, theta, out=s1)
-                s2 *= eta
-                theta -= s2
+        beta1, beta2, eps, weight_decay = self.beta1, self.beta2, self.eps, self.weight_decay
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+
+        def rule(theta, grad, m, v, s1, s2):
+            # In place, keeping the IEEE operation order of the formula above.
+            m *= beta1
+            m += np.multiply(1.0 - beta1, grad, out=s1)
+            v *= beta2
+            np.multiply(1.0 - beta2, grad, out=s1)
+            v += np.multiply(s1, grad, out=s1)
+            np.divide(v, bc2, out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += eps  # sqrt(vhat) + eps
+            np.divide(m, bc1, out=s2)
+            s2 /= s1
+            s2 += np.multiply(weight_decay, theta, out=s1)
+            s2 *= eta
+            theta -= s2
+
+        self._update(rule)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

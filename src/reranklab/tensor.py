@@ -9,6 +9,12 @@ the tape produced (parameters and inputs), and an intermediate's gradient
 is freed as soon as its node has run. Leaf gradients accumulate across
 backward calls; callers zero them between steps.
 
+A leaf's ``.grad`` is an ndarray, or a :class:`RowGrad` when the leaf is a
+table read only by one ``embedding_lookup``: the rows that lookup touched
+and their summed gradients, so the backward pass and an optimizer update
+cost the rows a batch touches rather than the whole table. ``np.asarray``
+of a ``RowGrad`` is the dense gradient.
+
 Op outputs own C-contiguous buffers that alias no input; the public
 ``Tensor(data)`` constructor copies the data it is given. Inside an active
 :class:`Workspace` an op's output buffer is lent by the workspace and is
@@ -27,6 +33,7 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "Tensor",
+    "RowGrad",
     "Tape",
     "Workspace",
     "as_tensor",
@@ -102,6 +109,12 @@ class Tape:
         produced. Op outputs get no ``.grad``: each one's gradient is
         dropped once its node has passed it on. ``loss`` must be a
         single-element tensor produced on this tape.
+
+        A leaf whose only gradient is one lookup's :class:`RowGrad` keeps
+        it as ``.grad``. Any sum with another gradient, from a second
+        lookup of the same table on this tape or from an earlier backward
+        call not cleared by ``zero_grad``, is dense, and equal bit for bit
+        to summing the dense gradients.
         """
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -132,9 +145,15 @@ class Tape:
                 else:
                     pending[id(tensor)] = (tensor, prev[1] + grad)
 
-        # Every op output has been popped, so what is left are the leaves.
+        # Every op output has been popped, so what is left are the leaves. A
+        # RowGrad's values are its rule's own array, so it needs no copy.
         for tensor, grad in pending.values():
-            tensor.grad = grad.copy() if tensor.grad is None else tensor.grad + grad
+            if tensor.grad is not None:
+                tensor.grad = tensor.grad + grad
+            elif isinstance(grad, RowGrad):
+                tensor.grad = grad
+            else:
+                tensor.grad = grad.copy()
 
 
 _WORKSPACE_STACK: list["Workspace"] = []
@@ -200,7 +219,8 @@ class Tensor:
     """N-dimensional float64 array with an attached gradient slot.
 
     The shape is fixed at construction. ``grad`` starts as None and is
-    filled (and thereafter accumulated into) by ``Tape.backward``.
+    filled (and thereafter accumulated into) by ``Tape.backward``, with an
+    ndarray or a :class:`RowGrad`.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node_id")
@@ -208,7 +228,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64, order="C")
         self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
+        self.grad: Optional[np.ndarray | RowGrad] = None
         self.node_id: Optional[int] = None
 
     @property
@@ -230,26 +250,34 @@ class Tensor:
     def sum(self, axis=None) -> "Tensor":
         return reduce_sum(self, axis)
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+class RowGrad:
+    """Gradient of a rank-2 table that is zero outside some rows.
+
+    ``rows`` holds the touched row indices, sorted and unique; ``values``
+    is their (len(rows), d) block of gradients; ``shape`` is the table's.
+    ``np.asarray`` gives the dense gradient, and adding another gradient
+    gives a dense sum.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple[int, int]):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    def __array__(self, dtype=None, copy=None):
+        # ``copy`` is numpy 2's protocol argument; the result is always new.
+        dense = np.zeros(self.shape)
+        dense[self.rows] = self.values
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def __add__(self, other):
+        return np.asarray(self) + np.asarray(other)
 
 
 def as_tensor(x) -> Tensor:
@@ -531,7 +559,12 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def embedding_lookup(table, ids) -> Tensor:
-    """Gather rows of a rank-2 table, keeping the shape of ``ids``; backward scatter-adds."""
+    """Gather rows of a rank-2 table, keeping the shape of ``ids``.
+
+    The backward rule returns a :class:`RowGrad` over the looked-up rows,
+    each the sum of its ids' gradients in id order: the order, and so the
+    bits, of a scatter-add into a dense zero table.
+    """
     table = as_tensor(table)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_lookup requires a rank-2 table, got {table.shape}")
@@ -543,9 +576,11 @@ def embedding_lookup(table, ids) -> Tensor:
             raise IndexError(f"embedding_lookup: id {int(bad[0])} out of range [0, {rows})")
 
     def rule(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, ids, g)
-        return (dt,)
+        # Flat ids: numpy 2.0 changed return_inverse's shape for n-d input.
+        touched, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+        values = np.zeros((touched.size, table.shape[1]))
+        np.add.at(values, inverse, g.reshape(-1, table.shape[1]))
+        return (RowGrad(touched, values, table.shape),)
 
     # mode="clip" skips numpy's own bounds pass (and its buffered copy); ids are checked above.
     out = _buffer(ids.shape + table.shape[1:])

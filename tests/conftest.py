@@ -12,6 +12,12 @@ def max_rel_err(a, b, floor=1e-8):
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
+def same_bits(a, b):
+    """Equal as IEEE bit patterns: unlike ==, tells -0.0 from 0.0."""
+    a, b = np.ascontiguousarray(a, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12)

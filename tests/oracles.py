@@ -1,15 +1,19 @@
-"""Brute-force reference implementations of the ranking metrics and of the
-checkpoint array writer.
+"""Brute-force reference implementations of the ranking metrics, of the
+checkpoint array writer, and of the optimizer updates and embedding gradient.
 
 Deliberately naive and independent of the production code paths: the
 ideal DCG is found by enumerating orderings of the positively judged
-documents, precision values are recounted from scratch at every rank, and
-checkpoint values are printed with one float.hex() call each. Only suitable
-for small cases.
+documents, precision values are recounted from scratch at every rank,
+checkpoint values are printed with one float.hex() call each, optimizer
+updates are the plain whole-array formulas with fresh temporaries, and an
+embedding gradient is a dense zero table that each id's gradient row is
+added to in turn. Only suitable for small cases.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def dcg(grades_in_rank_order, k, exponential=False):
@@ -147,3 +151,27 @@ def float_hex_section(header, name, data):
     lines = [f"[{header} {dims}] {name}"]
     lines += [" ".join(v.hex() for v in row.tolist()) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def dense_scatter(shape, ids, grad):
+    """Gradient of a (rows, d) table looked up at ``ids``: row by row, in id order."""
+    table = np.zeros(shape)
+    for row, g in zip(np.asarray(ids).reshape(-1).tolist(), np.asarray(grad).reshape(-1, shape[1])):
+        table[row] = table[row] + g
+    return table
+
+
+def lion_dense(theta, m, g, lr, beta1, beta2, weight_decay):
+    """One Lion step as the whole-array formula; returns the new (theta, m)."""
+    c = beta1 * m + (1.0 - beta1) * g
+    theta = theta - lr * (np.sign(c) + weight_decay * theta)
+    m = beta2 * m + (1.0 - beta2) * g
+    return theta, m
+
+
+def adamw_dense(theta, m, v, g, t, lr, beta1, beta2, eps, weight_decay):
+    """AdamW step ``t`` (1-based) as the whole-array formula; returns the new (theta, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    step = (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps) + weight_decay * theta
+    return theta - lr * step, m, v

@@ -479,6 +479,23 @@ class TestBenchOptim:
         assert run_cli("bench-optim", "--import", means) == cli.EXIT_PARSE
         assert f"{means}: adamw_mean must be positive on line 3, got {mean}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, column, value",
+        [
+            ("x\tnan\t1.0", "adamw_mean", "nan"),
+            ("y\tinf\t2", "adamw_mean", "inf"),
+            ("z\t1\tnan", "lion_mean", "nan"),
+            ("w\t1\t-inf", "lion_mean", "-inf"),
+        ],
+    )
+    def test_import_non_finite_mean_names_file_line_and_column(self, tmp_path, capsys, row, column, value):
+        means = tmp_path / "means.tsv"
+        means.write_text(f"encoder-small\t33.09\t32.21\n{row}\n", encoding="utf-8")
+        assert run_cli("bench-optim", "--import", means) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert f"{means}: {column} must be finite on line 2, got {value}" in captured.err
+        assert "%" not in captured.out
+
     def test_config_mode_compares_both(self, tmp_path, synth_dir, capsys):
         config = write_config(tmp_path, synth_dir)
         out_dir = tmp_path / "bench"

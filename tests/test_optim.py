@@ -1,10 +1,16 @@
 """Optimizer update rules and learning-rate schedules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
+from reranklab import tensor as T
 from reranklab.optim import OPTIMIZERS, AdamW, Lion, ScheduleSpec, lr_at
-from reranklab.tensor import ShapeError, Tensor
+from reranklab.tensor import RowGrad, ShapeError, Tape, Tensor
+
+from conftest import same_bits
 
 
 def make_params(values):
@@ -188,6 +194,91 @@ class TestAdamW:
         params["head"].grad = np.ones(5)
         with pytest.raises(ShapeError, match="head"):
             opt.step()
+
+
+def lookup_backward(table, ids, upstream):
+    """Backward of sum(lookup(table, ids) * upstream): the table's gradient is the scatter of ``upstream``."""
+    with Tape() as tape:
+        loss = T.mul(T.embedding_lookup(table, ids), upstream).sum()
+    tape.backward(loss)
+
+
+class TestRowGradUpdate:
+    # 19,200 elements: the update's slice boundary (16,384) falls at row 256.
+    SHAPE = (300, 64)
+
+    def _ids(self, rng, extra):
+        # repeated ids, on both sides of the slice boundary and at both ends
+        ids = np.concatenate([[255, 256, 255, 256, 0, 299, 0], rng.integers(0, 300, size=9)])
+        return np.concatenate([ids, rng.permutation(300)[:extra]]).reshape(2, -1)
+
+    # 280 extra rows make the gathered block itself longer than one slice;
+    # 300 touch every row, whose values are the dense gradient
+    @pytest.mark.parametrize("extra", [0, 280, 300])
+    @pytest.mark.parametrize("kind", list(OPTIMIZERS))
+    def test_matches_dense_formula_bit_for_bit(self, rng, kind, extra):
+        table = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
+        bias = Tensor(rng.normal(size=5), requires_grad=True)  # a dense gradient alongside
+        opt = OPTIMIZERS[kind]({"table": table, "bias": bias}, lr=1e-3, weight_decay=0.01)
+        # Untouched rows start with momentum -0.0 (which the dense formula
+        # turns into +0.0) and a negative subnormal (whose sign moves theta).
+        buffers = {key: buf.copy() for key, buf in opt.state_dict()["buffers"].items()}
+        buffers["m/table"][0::2] = -0.0
+        buffers["m/table"][1::2] = -5e-324
+        if kind == "adamw":
+            buffers["v/table"][0::3] = -0.0
+        opt.load_state(buffers)
+        ref = {"table": table.data.copy(), "bias": bias.data.copy(), **buffers}
+        for t in range(1, 6):
+            ids = self._ids(rng, extra)
+            upstream = rng.normal(size=ids.shape + (self.SHAPE[1],))
+            lookup_backward(table, ids, upstream)
+            bias.grad = rng.normal(size=5)
+            assert isinstance(table.grad, RowGrad)
+            assert (table.grad.rows.size == self.SHAPE[0]) == (extra == 300)
+            grads = {"table": oracles.dense_scatter(self.SHAPE, ids, upstream), "bias": bias.grad.copy()}
+            assert same_bits(np.asarray(table.grad), grads["table"])
+            lr = 1e-3 * t
+            opt.step(lr=lr)
+            opt.zero_grad()
+            for name, g in grads.items():
+                m, v = f"m/{name}", f"v/{name}"
+                if kind == "lion":
+                    ref[name], ref[m] = oracles.lion_dense(
+                        ref[name], ref[m], g, lr, opt.beta1, opt.beta2, opt.weight_decay
+                    )
+                else:
+                    ref[name], ref[m], ref[v] = oracles.adamw_dense(
+                        ref[name], ref[m], ref[v], g, t, lr, opt.beta1, opt.beta2, opt.eps, opt.weight_decay
+                    )
+        state = opt.state_dict()["buffers"]
+        got = {"table": table.data, "bias": bias.data, **state}
+        for key, want in ref.items():
+            assert same_bits(got[key], want), key
+
+
+class TestAllocation:
+    """An update allocates no parameter-sized temporary (one is 1.28 MB here)."""
+
+    @pytest.mark.parametrize("form", ["rows", "dense"])
+    @pytest.mark.parametrize("kind", list(OPTIMIZERS))
+    def test_step_peak_below_512_kib(self, rng, kind, form):
+        table = Tensor(rng.normal(size=(2500, 64)), requires_grad=True)
+        opt = OPTIMIZERS[kind]({"table": table}, lr=1e-3)
+        for _ in range(2):  # the second step runs on warm state
+            ids = rng.integers(0, 2500, size=(4, 16))
+            lookup_backward(table, ids, rng.normal(size=(4, 16, 64)))
+            assert isinstance(table.grad, RowGrad)
+            if form == "dense":
+                table.grad = np.asarray(table.grad)
+            tracemalloc.start()
+            try:
+                opt.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            opt.zero_grad()
+            assert peak < 512 * 1024, peak
 
 
 class TestRegistry:

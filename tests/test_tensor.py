@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from reranklab import tensor as T
-from reranklab.tensor import ShapeError, Tape, Tensor, finite_diff_grad
+from reranklab.tensor import RowGrad, ShapeError, Tape, Tensor, finite_diff_grad
 
-from conftest import max_rel_err
+from conftest import max_rel_err, same_bits
 
 
 class TestMatmul:
@@ -252,10 +253,10 @@ class TestElementwise:
         with pytest.raises(ShapeError, match=r"\(2, 3\) and \(2,\)"):
             T.add(Tensor(np.ones((2, 3))), Tensor(np.ones(2)))
 
-    def test_operator_sugar(self):
+    def test_scalar_operands(self):
         x = Tensor([1.0, 2.0])
-        np.testing.assert_array_equal((x * 2.0 + 1.0).data, [3.0, 5.0])
-        np.testing.assert_array_equal((-x).data, [-1.0, -2.0])
+        np.testing.assert_array_equal(T.add(T.mul(x, 2.0), 1.0).data, [3.0, 5.0])
+        np.testing.assert_array_equal(T.mul(x, -1.0).data, [-1.0, -2.0])
 
     @pytest.mark.parametrize(
         "op,shapes",
@@ -268,10 +269,10 @@ class TestElementwise:
         a = Tensor(rng.normal(size=shapes[0]), requires_grad=True)
         b = Tensor(rng.normal(size=shapes[1]), requires_grad=True)
         with Tape() as tape:
-            loss = (op(a, b) * op(a, b)).sum()
+            loss = T.mul(op(a, b), op(a, b)).sum()
         tape.backward(loss)
-        fd_a = finite_diff_grad(lambda t: (op(t, b) * op(t, b)).sum(), a)
-        fd_b = finite_diff_grad(lambda t: (op(a, t) * op(a, t)).sum(), b)
+        fd_a = finite_diff_grad(lambda t: T.mul(op(t, b), op(t, b)).sum(), a)
+        fd_b = finite_diff_grad(lambda t: T.mul(op(a, t), op(a, t)).sum(), b)
         assert max_rel_err(a.grad, fd_a.data) < 1e-4
         assert max_rel_err(b.grad, fd_b.data) < 1e-4
 
@@ -314,7 +315,7 @@ class TestSoftmax:
         w = Tensor(rng.normal(size=(3, 4)))
 
         def f(t):
-            return (T.softmax(t, axis=1) * w).sum()
+            return T.mul(T.softmax(t, axis=1), w).sum()
 
         with Tape() as tape:
             loss = f(x)
@@ -348,7 +349,7 @@ class TestLayerNorm:
         w = Tensor(rng.normal(size=(4, 6)))
 
         def f(_):
-            return (T.layer_norm(x, gain, bias) * w).sum()
+            return T.mul(T.layer_norm(x, gain, bias), w).sum()
 
         with Tape() as tape:
             loss = f(None)
@@ -374,7 +375,7 @@ class TestEmbeddingLookup:
         with Tape() as tape:
             loss = T.embedding_lookup(table, ids).sum()
         tape.backward(loss)
-        np.testing.assert_array_equal(table.grad[:, 0], [2.0, 1.0, 1.0, 0.0, 2.0])
+        np.testing.assert_array_equal(np.asarray(table.grad)[:, 0], [2.0, 1.0, 1.0, 0.0, 2.0])
 
     def test_empty_ids(self, rng):
         out = T.embedding_lookup(Tensor(rng.normal(size=(5, 3))), [])
@@ -390,9 +391,68 @@ class TestEmbeddingLookup:
             loss = T.embedding_lookup(table, [1, 1]).sum()
         tape.backward(loss)
         fd = finite_diff_grad(lambda t: T.embedding_lookup(t, [1, 1]).sum(), table)
-        assert max_rel_err(table.grad, fd.data) < 1e-4
-        np.testing.assert_array_equal(table.grad[1], [2.0, 2.0, 2.0])
-        np.testing.assert_array_equal(table.grad[0], 0.0)
+        assert max_rel_err(np.asarray(table.grad), fd.data) < 1e-4
+        np.testing.assert_array_equal(np.asarray(table.grad)[1], [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(np.asarray(table.grad)[0], 0.0)
+
+
+class TestRowGrad:
+    """An embedding table's gradient, against a dense scatter row by row in id order."""
+
+    SHAPE = (40, 6)
+
+    def _upstream(self, rng, shape):
+        g = rng.normal(size=shape + (self.SHAPE[1],))
+        g[..., 0] = -0.0  # 0.0 + -0.0 is +0.0, so the sign of a sum depends on its start
+        return g
+
+    def test_one_lookup_holds_touched_rows(self, rng):
+        table = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
+        ids = np.array([[7, 3, 7, 39], [0, 7, 3, 7], [12, 12, 12, 12]])
+        g = self._upstream(rng, ids.shape)
+        with Tape() as tape:
+            loss = T.mul(T.embedding_lookup(table, ids), g).sum()
+        tape.backward(loss)
+        grad = table.grad
+        assert isinstance(grad, RowGrad)
+        np.testing.assert_array_equal(grad.rows, [0, 3, 7, 12, 39])
+        assert grad.values.shape == (5, self.SHAPE[1]) and grad.shape == self.SHAPE
+        assert same_bits(np.asarray(grad), oracles.dense_scatter(self.SHAPE, ids, g))
+
+    def test_table_looked_up_twice_on_one_tape(self, rng):
+        table = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
+        ids1, ids2 = rng.integers(0, 40, size=(3, 5)), rng.integers(0, 40, size=7)
+        g1, g2 = self._upstream(rng, ids1.shape), self._upstream(rng, ids2.shape)
+        with Tape() as tape:
+            loss = T.add(
+                T.mul(T.embedding_lookup(table, ids1), g1).sum(),
+                T.mul(T.embedding_lookup(table, ids2), g2).sum(),
+            )
+        tape.backward(loss)
+        want = oracles.dense_scatter(self.SHAPE, ids1, g1) + oracles.dense_scatter(self.SHAPE, ids2, g2)
+        assert same_bits(table.grad, want)
+
+    def test_table_also_read_densely_on_one_tape(self, rng):
+        table = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
+        ids, w = rng.integers(0, 40, size=9), rng.normal(size=self.SHAPE)
+        g = self._upstream(rng, ids.shape)
+        with Tape() as tape:
+            loss = T.add(T.mul(T.embedding_lookup(table, ids), g).sum(), T.mul(table, w).sum())
+        tape.backward(loss)
+        assert same_bits(table.grad, w + oracles.dense_scatter(self.SHAPE, ids, g))
+
+    def test_two_backward_calls_without_zero_grad(self, rng):
+        table = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
+        want = None
+        for _ in range(3):
+            ids = rng.integers(0, 40, size=(2, 6))
+            g = self._upstream(rng, ids.shape)
+            with Tape() as tape:
+                loss = T.mul(T.embedding_lookup(table, ids), g).sum()
+            tape.backward(loss)
+            scatter = oracles.dense_scatter(self.SHAPE, ids, g)
+            want = scatter if want is None else want + scatter
+        assert same_bits(table.grad, want)
 
 
 class TestReduce:
@@ -402,9 +462,9 @@ class TestReduce:
     def test_axis_reduction_backward(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         with Tape() as tape:
-            loss = (x.sum(axis=0) * x.sum(axis=0)).sum()
+            loss = T.mul(x.sum(axis=0), x.sum(axis=0)).sum()
         tape.backward(loss)
-        fd = finite_diff_grad(lambda t: (t.sum(axis=0) * t.sum(axis=0)).sum(), x)
+        fd = finite_diff_grad(lambda t: T.mul(t.sum(axis=0), t.sum(axis=0)).sum(), x)
         assert max_rel_err(x.grad, fd.data) < 1e-4
 
 
@@ -423,9 +483,9 @@ class TestBCE:
         x = Tensor(rng.uniform(0.05, 0.95, size=(4, 3)), requires_grad=True)
         y = (rng.uniform(size=(4, 3)) < 0.5).astype(float)
         with Tape() as tape:
-            loss = T.bce(x, y, 1e-12) * 3.0
+            loss = T.mul(T.bce(x, y, 1e-12), 3.0)
         tape.backward(loss)
-        fd = finite_diff_grad(lambda t: T.bce(t, y, 1e-12) * 3.0, x)
+        fd = finite_diff_grad(lambda t: T.mul(T.bce(t, y, 1e-12), 3.0), x)
         assert max_rel_err(x.grad, fd.data) < 1e-6
 
     def test_wide_clamp_zeroes_gradient_outside(self, rng):
@@ -456,14 +516,14 @@ class TestBackward:
     def test_square_sum_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = (x * x).sum()
+            loss = T.mul(x, x).sum()
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
     def test_backward_twice_doubles(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = (x * x).sum()
+            loss = T.mul(x, x).sum()
         tape.backward(loss)
         first = x.grad.copy()
         tape.backward(loss)
@@ -472,7 +532,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = x * x
+            y = T.mul(x, x)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
@@ -484,7 +544,7 @@ class TestBackward:
         x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         with Tape() as tape:
             y = T.sigmoid(T.matmul(x, x))
-            loss = (y * y).sum()
+            loss = T.mul(y, y).sum()
         calls = [0] * len(tape.nodes)
         for idx, node in enumerate(tape.nodes):
 
@@ -516,7 +576,7 @@ class TestBackward:
     def test_shared_input_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            loss = (x * x + x).sum()  # d/dx = 2x + 1
+            loss = T.add(T.mul(x, x), x).sum()  # d/dx = 2x + 1
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [7.0], atol=1e-12)
 
@@ -528,13 +588,13 @@ class TestFiniteDiff:
         np.testing.assert_allclose(fd.data, 1.0, atol=1e-8)
 
     def test_square_at_three(self):
-        fd = finite_diff_grad(lambda t: (t * t).item(), Tensor(3.0), h=1e-4)
+        fd = finite_diff_grad(lambda t: T.mul(t, t).item(), Tensor(3.0), h=1e-4)
         assert abs(fd.item() - 6.0) < 1e-6
 
     def test_restores_input(self, rng):
         x = Tensor(rng.normal(size=4))
         before = x.data.copy()
-        finite_diff_grad(lambda t: (t * t).sum(), x)
+        finite_diff_grad(lambda t: T.mul(t, t).sum(), x)
         np.testing.assert_array_equal(x.data, before)
 
     def test_invalid_h(self):
@@ -583,16 +643,16 @@ class TestTensorBasics:
     def test_tensor_backward_method(self):
         x = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
-            loss = (x * x).sum()
+            loss = T.mul(x, x).sum()
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [4.0], atol=1e-12)
 
     def test_backward_off_tape_rejected(self):
         x = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
-            (x * x).sum()
+            T.mul(x, x).sum()
         with Tape():
-            other = (x * x).sum()
+            other = T.mul(x, x).sum()
         for loss in (Tensor(1.0), other):
             with pytest.raises(ValueError, match="this tape"):
                 tape.backward(loss)

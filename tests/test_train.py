@@ -10,7 +10,7 @@ import pytest
 
 from reranklab import ir_eval
 from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
-from reranklab.tensor import Tape, Tensor, Workspace, finite_diff_grad
+from reranklab.tensor import RowGrad, Tape, Tensor, Workspace, finite_diff_grad
 from reranklab.train import (
     NonFiniteLossError,
     ParseError,
@@ -383,8 +383,11 @@ class TestWorkspace:
         with workspace:
             scores = score_batch(model, first[0])
         assert lent
+        # np.asarray of a RowGrad is a fresh dense copy, so check the array it holds
+        assert isinstance(model.params["token_embedding"].grad, RowGrad)
         for name, p in model.parameters():
-            assert not any(np.shares_memory(p.grad, buf) for buf in lent), name
+            grad = p.grad.values if isinstance(p.grad, RowGrad) else p.grad
+            assert not any(np.shares_memory(grad, buf) for buf in lent), name
             assert not any(np.shares_memory(p.data, buf) for buf in lent), name
         # scores are plain floats: overwriting every lent buffer leaves them as they were
         kept = list(scores)
