@@ -15,8 +15,10 @@ Layout (UTF-8, line oriented):
     [state <dims>] <key>     optimizer buffers, same encoding as params
     [end]
 
-Save followed by load reproduces every buffer bit-exactly. Loading rejects a
-non-finite value (inf, nan) in any array or hyperparameter.
+Arrays go in the order and under the names of ``model.checkpoint_views``:
+each layer's fused attention weights as per-head blocks. Save followed by load
+reproduces every buffer bit-exactly. Loading rejects a non-finite value (inf,
+nan) in any array or hyperparameter, and a name given twice.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab
+from reranklab.ir_eval import open_utf8
+from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, checkpoint_views
 from reranklab.optim import OPTIMIZERS, Optimizer
 
 __all__ = ["CheckpointError", "CheckpointBundle", "save_checkpoint", "load_checkpoint", "checkpoint_text"]
@@ -160,8 +163,9 @@ def checkpoint_text(model: CrossEncoder, vocab: Vocab, optimizer: Optimizer | No
     out.write("[vocab]\n")
     for tok in vocab.tokens:
         out.write(f"tok {tok}\n")
-    for name, p in model.parameters():
-        _write_array(out, "param", name, p.data)
+    n_heads = model.config.n_heads
+    for name, data in checkpoint_views({n: p.data for n, p in model.parameters()}, n_heads).items():
+        _write_array(out, "param", name, data)
     if optimizer is not None:
         state = optimizer.state_dict()
         out.write(f"[optimizer {state['kind']}]\n")
@@ -169,7 +173,7 @@ def checkpoint_text(model: CrossEncoder, vocab: Vocab, optimizer: Optimizer | No
             out.write(_float_kv(key, state[key]) + "\n")
         if "step" in state:
             out.write(f"step={state['step']}\n")
-        for key, buf in state["buffers"].items():
+        for key, buf in checkpoint_views(state["buffers"], n_heads).items():
             _write_array(out, "state", key, buf)
     out.write("[end]\n")
     return out.getvalue()
@@ -185,15 +189,16 @@ class _Reader:
         self.lines = lines
         self.pos = 0
 
-    def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
     def next(self) -> str:
-        line = self.peek()
-        if line is None:
+        if self.pos == len(self.lines):
             raise CheckpointError("unexpected end of checkpoint")
         self.pos += 1
-        return line
+        return self.lines[self.pos - 1]
+
+    def section(self):
+        """Yield the lines up to the next ``[`` header or the end."""
+        while self.pos < len(self.lines) and not self.lines[self.pos].startswith("["):
+            yield self.next()
 
 
 def _read_array(reader: _Reader, dims: tuple[int, ...], name: str) -> np.ndarray:
@@ -226,12 +231,14 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
     if reader.next() != "[config]":
         raise CheckpointError("missing [config] section")
     config_kv: dict[str, int] = {}
-    while True:
-        line = reader.peek()
-        if line is None or line.startswith("["):
-            break
-        key, _, value = reader.next().partition("=")
-        config_kv[key] = _parse_value(int, value, f"[config] {key}")
+    for line in reader.section():
+        key, _, value = line.partition("=")
+        field = f"[config] {key}"
+        if key not in _CONFIG_FIELDS:
+            raise CheckpointError(f"{field}: unknown key")
+        if key in config_kv:
+            raise CheckpointError(f"{field}: repeated key")
+        config_kv[key] = _parse_value(int, value, field)
     missing = [f for f in _CONFIG_FIELDS if f not in config_kv]
     if missing:
         raise CheckpointError(f"config section missing fields: {missing}")
@@ -243,11 +250,7 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
     if reader.next() != "[vocab]":
         raise CheckpointError("missing [vocab] section")
     tokens = []
-    while True:
-        line = reader.peek()
-        if line is None or line.startswith("["):
-            break
-        line = reader.next()
+    for line in reader.section():
         if not line.startswith("tok "):
             raise CheckpointError(f"malformed vocab line: {line!r}")
         tokens.append(line[4:])
@@ -261,51 +264,39 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
         )
 
     model = CrossEncoder(config)
-    params: dict[str, np.ndarray] = {}
+    arrays: dict[str, np.ndarray] = {}  # by "[param] <name>" or "[state] <key>"
     opt_kind = None
     opt_hypers: dict[str, float] = {}
-    opt_buffers: dict[str, np.ndarray] = {}
     while True:
         line = reader.next()
         if line == "[end]":
             break
-        if line.startswith("[param "):
+        if line.startswith(("[param ", "[state ")):
             header, _, name = line.partition("] ")
-            dims = _parse_dims(header[len("[param "):], name)
-            params[name] = _read_array(reader, dims, name)
+            kind, _, dims = header[1:].partition(" ")
+            label = f"[{kind}] {name}"
+            if label in arrays:
+                raise CheckpointError(f"{name}: repeated [{kind}] block")
+            arrays[label] = _read_array(reader, _parse_dims(dims, name), name)
         elif line.startswith("[optimizer "):
+            if opt_kind is not None:
+                raise CheckpointError(f"{line}: a second optimizer section")
             opt_kind = line[len("[optimizer "):-1]
-            while True:
-                nxt = reader.peek()
-                if nxt is None or nxt.startswith("["):
-                    break
-                key, _, value = reader.next().partition("=")
+            for key_line in reader.section():
+                key, _, value = key_line.partition("=")
                 field = f"[optimizer {opt_kind}] {key}"
+                if key in opt_hypers:
+                    raise CheckpointError(f"{field}: repeated key")
                 parse = int if key == "step" else float.fromhex
                 opt_hypers[key] = _parse_value(parse, value, field)
                 if not math.isfinite(opt_hypers[key]):
                     raise CheckpointError(f"{field}: value {value!r} is not finite")
-        elif line.startswith("[state "):
-            header, _, name = line.partition("] ")
-            dims = _parse_dims(header[len("[state "):], name)
-            opt_buffers[name] = _read_array(reader, dims, name)
         else:
             raise CheckpointError(f"unexpected line in checkpoint: {line!r}")
 
-    expected = set(model.params)
-    if set(params) != expected:
-        raise CheckpointError(
-            f"parameter names mismatch config: missing {sorted(expected - set(params))}, "
-            f"extra {sorted(set(params) - expected)}"
-        )
-    for name, p in model.parameters():
-        if params[name].shape != p.data.shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {params[name].shape}, expected {p.data.shape}"
-            )
-        p.data[...] = params[name]
-
     optimizer = None
+    views = checkpoint_views({name: p.data for name, p in model.parameters()}, config.n_heads)
+    targets = {f"[param] {name}": data for name, data in views.items()}
     if opt_kind is not None:
         cls = OPTIMIZERS.get(opt_kind)
         if cls is None:
@@ -321,13 +312,27 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
         betas = (kwargs.pop("beta1"), kwargs.pop("beta2"))
         try:
             optimizer = cls(model.params, betas=betas, **kwargs)
-            optimizer.load_state(opt_buffers, step=opt_hypers.get("step", 0))
         except ValueError as exc:
             raise CheckpointError(f"[optimizer {opt_kind}] {exc}") from None
+        if cls.COUNTS_STEPS:
+            optimizer.step_count = opt_hypers["step"]
+        views = checkpoint_views(optimizer.state_dict()["buffers"], config.n_heads)
+        targets.update({f"[state] {key}": buf for key, buf in views.items()})
 
+    # Parameters and optimizer buffers alike: check every name and shape, then copy.
+    if arrays.keys() != targets.keys():
+        raise CheckpointError(
+            f"arrays mismatch the config: missing {sorted(targets.keys() - arrays.keys())}, "
+            f"extra {sorted(arrays.keys() - targets.keys())}"
+        )
+    for key, target in targets.items():
+        if arrays[key].shape != target.shape:
+            raise CheckpointError(f"{key} has shape {arrays[key].shape}, expected {target.shape}")
+    for key, target in targets.items():
+        target[...] = arrays[key]
     return CheckpointBundle(model=model, vocab=vocab, optimizer=optimizer)
 
 
 def load_checkpoint(path) -> CheckpointBundle:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path, CheckpointError) as fh:
         return parse_checkpoint(fh.read())

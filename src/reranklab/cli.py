@@ -110,7 +110,7 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
     """Parse a run config, rejecting sections and keys no command reads."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with ir_eval.open_utf8(path, ConfigError) as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -342,7 +342,7 @@ def cmd_eval(args) -> int:
 
 def _bench_import(path: Path) -> str:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with ir_eval.open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

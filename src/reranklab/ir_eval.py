@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -31,6 +32,7 @@ __all__ = [
     "read_run",
     "read_qrels",
     "read_corpus_tsv",
+    "open_utf8",
     "line_list",
     "rerank",
     "ndcg_at_k",
@@ -55,6 +57,17 @@ def _metric_labels(k: int) -> tuple[str, ...]:
 
 class ParseError(ValueError):
     """Malformed input file; the message names the file and the offending lines."""
+
+
+@contextmanager
+def open_utf8(path, error: type[ValueError] = ParseError):
+    """``path`` opened as UTF-8 text; a byte that does not decode raises ``error`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise error(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
 
 
 # A ParseError lists at most this many line numbers, then the total count.
@@ -196,12 +209,12 @@ def format_qrels(qrels: Qrels) -> str:
 
 
 def read_run(path) -> list[RunEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         return parse_run(fh, source=str(path))
 
 
 def read_qrels(path) -> Qrels:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         return parse_qrels(fh, source=str(path))
 
 
@@ -209,7 +222,7 @@ def read_corpus_tsv(path) -> dict[str, str]:
     """Read an ``id<TAB>text`` corpus file into an id -> text map."""
     out: dict[str, str] = {}
     bad: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:

@@ -9,7 +9,7 @@ head with a sigmoid, producing a relevance score in (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "TokenSequence",
     "CrossEncoderConfig",
     "CrossEncoder",
+    "checkpoint_views",
     "normalize_text",
     "tokenize_pair",
     "init_params",
@@ -148,6 +149,34 @@ class CrossEncoderConfig:
             raise ValueError(f"max_len must be >= 8, got {self.max_len}")
 
 
+def checkpoint_views(arrays: Mapping[str, np.ndarray], n_heads: int) -> dict[str, np.ndarray]:
+    """``arrays`` under their checkpoint v1 names, in file order, as views.
+
+    A layer's ``<pre>.attn.w_qkv`` (d, 3d) holds every head's query
+    columns, then key, then value columns; ``<pre>.attn.w_out`` (d, d)
+    holds one block of rows per head. v1 stores both per head, where
+    ``w_qkv`` stands: ``<pre>.attn.head<h>.w_query``, ``w_key``,
+    ``w_value`` (d, d / n_heads) and ``w_out`` (d / n_heads, d). ``<pre>``
+    may start with an optimizer buffer's prefix (``m/``). Other arrays
+    pass through as themselves.
+    """
+    views = {}
+    for name, data in arrays.items():
+        if name.endswith(".attn.w_qkv"):
+            pre = name[: -len("w_qkv")]
+            w_out = arrays[pre + "w_out"]
+            d = len(w_out)
+            dh = d // n_heads
+            for h in range(n_heads):
+                lo = h * dh
+                for j, kind in enumerate(("w_query", "w_key", "w_value")):
+                    views[f"{pre}head{h}.{kind}"] = data[:, j * d + lo : j * d + lo + dh]
+                views[f"{pre}head{h}.w_out"] = w_out[lo : lo + dh]
+        elif not name.endswith(".attn.w_out"):  # a w_out goes with its layer's w_qkv
+            views[name] = data
+    return views
+
+
 class CrossEncoder:
     """Pre-norm transformer encoder with a sigmoid relevance head.
 
@@ -172,18 +201,19 @@ class CrossEncoder:
 
     def _build(self, rng) -> None:
         cfg = self.config
-        d, dh = cfg.d_model, cfg.d_model // cfg.n_heads
+        d = cfg.d_model
         self._param("token_embedding", self._uniform(rng, (cfg.vocab_size, d), d))
         self._param("position_embedding", rng.uniform(-0.02, 0.02, size=(cfg.max_len, d)))
         for i in range(cfg.n_layers):
             pre = f"layers.{i}"
             self._param(f"{pre}.attn_norm.gain", np.ones(d))
             self._param(f"{pre}.attn_norm.bias", np.zeros(d))
-            for h in range(cfg.n_heads):
-                self._param(f"{pre}.attn.head{h}.w_query", self._uniform(rng, (d, dh), d))
-                self._param(f"{pre}.attn.head{h}.w_key", self._uniform(rng, (d, dh), d))
-                self._param(f"{pre}.attn.head{h}.w_value", self._uniform(rng, (d, dh), d))
-                self._param(f"{pre}.attn.head{h}.w_out", self._uniform(rng, (dh, d), dh))
+            self._param(f"{pre}.attn.w_qkv", np.empty((d, 3 * d)))
+            self._param(f"{pre}.attn.w_out", np.empty((d, d)))
+            # Drawn block by block in checkpoint v1 order; a block's fan-in is its row count.
+            attn = {name: self.params[name].data for name in (f"{pre}.attn.w_qkv", f"{pre}.attn.w_out")}
+            for block in checkpoint_views(attn, cfg.n_heads).values():
+                block[...] = self._uniform(rng, block.shape, block.shape[0])
             self._param(f"{pre}.attn.out_bias", np.zeros(d))
             self._param(f"{pre}.ff_norm.gain", np.ones(d))
             self._param(f"{pre}.ff_norm.bias", np.zeros(d))
@@ -225,15 +255,9 @@ class CrossEncoder:
         )
         for i in range(cfg.n_layers):
             pre = f"layers.{i}"
-            heads = [f"{pre}.attn.head{h}" for h in range(cfg.n_heads)]
-            # The per-head weights, joined: (d, 3d) as all queries, all keys,
-            # all values, and (d, d) for the output projection.
-            projections = [P[f"{hp}.{w}"] for w in ("w_query", "w_key", "w_value") for hp in heads]
-            w_qkv = T.concat(projections, axis=1)
-            w_out = T.concat([P[f"{hp}.w_out"] for hp in heads], axis=0)
             a = T.layer_norm(x, P[f"{pre}.attn_norm.gain"], P[f"{pre}.attn_norm.bias"])
-            attended = T.attention(T.linear(a, w_qkv), real, cfg.n_heads)
-            x = T.add(x, T.linear(attended, w_out, P[f"{pre}.attn.out_bias"]))
+            attended = T.attention(T.linear(a, P[f"{pre}.attn.w_qkv"]), real, cfg.n_heads)
+            x = T.add(x, T.linear(attended, P[f"{pre}.attn.w_out"], P[f"{pre}.attn.out_bias"]))
             f = T.layer_norm(x, P[f"{pre}.ff_norm.gain"], P[f"{pre}.ff_norm.bias"])
             f = T.relu(T.linear(f, P[f"{pre}.ff.w1"], P[f"{pre}.ff.b1"]))
             x = T.add(x, T.linear(f, P[f"{pre}.ff.w2"], P[f"{pre}.ff.b2"]))

@@ -143,26 +143,6 @@ class Optimizer:
         state["buffers"] = self._buffers()
         return state
 
-    def load_state(self, buffers: Mapping[str, np.ndarray], step: int = 0) -> None:
-        """Restore every buffer (keys as in ``state_dict``) and the step counter.
-
-        Raises ValueError, before changing anything, if a buffer is missing,
-        extra, or mis-shaped.
-        """
-        own = self._buffers()
-        if set(buffers) != set(own):
-            raise ValueError(
-                f"optimizer state names mismatch parameters: "
-                f"missing {sorted(set(own) - set(buffers))}, extra {sorted(set(buffers) - set(own))}"
-            )
-        for key, buf in own.items():
-            if buffers[key].shape != buf.shape:
-                raise ShapeError(f"optimizer state {key!r} has shape {buffers[key].shape}, expected {buf.shape}")
-        for key, buf in own.items():
-            buf[...] = buffers[key]
-        if self.COUNTS_STEPS:
-            self.step_count = step
-
 
 class Lion(Optimizer):
     """Sign-momentum optimizer.

@@ -40,7 +40,6 @@ __all__ = [
     "matmul",
     "linear",
     "attention",
-    "concat",
     "add",
     "mul",
     "relu",
@@ -375,28 +374,6 @@ def linear(x, w, b=None) -> Tensor:
         return dx, dw, g2.sum(axis=0) if bias.requires_grad else None
 
     return _emit((x, w) if bias is None else (x, w, bias), out, rule)
-
-
-def concat(tensors, axis: int) -> Tensor:
-    """Join tensors along ``axis``; each gets its slice of the gradient."""
-    tensors = tuple(as_tensor(t) for t in tensors)
-    if not tensors:
-        raise ValueError("concat requires at least one tensor")
-    ndim = tensors[0].data.ndim
-    axis = _normalize_axis(axis, ndim)
-    if axis is None or any(t.data.ndim != ndim for t in tensors):
-        raise ShapeError(f"concat: axis {axis} invalid for shapes {[t.shape for t in tensors]}")
-    shape = list(tensors[0].shape)
-    shape[axis] = sum(t.shape[axis] for t in tensors)
-    if any(t.shape[:axis] + t.shape[axis + 1 :] != tuple(shape[:axis] + shape[axis + 1 :]) for t in tensors):
-        raise ShapeError(f"concat: shapes {[t.shape for t in tensors]} differ off axis {axis}")
-    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-    def rule(g):
-        return tuple(np.split(g, bounds, axis=axis))
-
-    out = _buffer(tuple(shape))
-    return _emit(tensors, np.concatenate([t.data for t in tensors], axis=axis, out=out), rule)
 
 
 def attention(qkv, key_mask, n_heads: int) -> Tensor:

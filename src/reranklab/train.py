@@ -18,7 +18,7 @@ import numpy as np
 
 from reranklab import tensor as T
 from reranklab.checkpoint import checkpoint_text
-from reranklab.ir_eval import ParseError, line_list
+from reranklab.ir_eval import ParseError, line_list, open_utf8
 from reranklab.model import CrossEncoder, Vocab, tokenize_pair
 from reranklab.optim import OPTIMIZERS, ScheduleSpec, lr_at
 from reranklab.tensor import Tape, Tensor, Workspace
@@ -141,7 +141,7 @@ def load_triplets(path) -> list[Triplet]:
     """Read a UTF-8 TSV of query<TAB>positive<TAB>negative lines."""
     triplets = []
     bad: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

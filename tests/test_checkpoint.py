@@ -18,7 +18,7 @@ from reranklab.checkpoint import (
     parse_checkpoint,
     save_checkpoint,
 )
-from reranklab.model import CrossEncoderConfig, Vocab, init_params
+from reranklab.model import CrossEncoderConfig, Vocab, checkpoint_views, init_params
 from reranklab.optim import OPTIMIZERS, AdamW, Lion
 
 import oracles
@@ -182,8 +182,10 @@ class TestGoldenDigests:
     The state comes from optimizer steps on seeded gradients, not from a
     training run: steps are elementwise IEEE arithmetic and give the same bits
     on every machine, while a forward pass goes through BLAS, whose last bits
-    can differ between CPUs. Every other embedding row gets no gradient, as
-    for tokens a batch does not hold, so the state has runs of zeros.
+    can differ between CPUs. Gradients are drawn one checkpoint array at a
+    time, in file order, so a fused attention weight gets its per-head
+    blocks' draws. Every other embedding row gets no gradient, as for tokens
+    a batch does not hold, so the state has runs of zeros.
     """
 
     DIGESTS = {
@@ -201,11 +203,12 @@ class TestGoldenDigests:
         opt = OPTIMIZERS[kind](model.params, lr=2e-4, weight_decay=0.01)
         rng = np.random.default_rng(12)
         for _ in range(3):
-            for name, p in model.parameters():
-                grad = rng.normal(size=p.shape)
+            for _, p in model.parameters():
+                p.grad = np.empty(p.shape)
+            for name, grad in checkpoint_views({n: p.grad for n, p in model.parameters()}, config.n_heads).items():
+                grad[...] = rng.normal(size=grad.shape)
                 if name == "token_embedding":
                     grad[::2] = 0.0
-                p.grad = grad
             opt.step()
         text = checkpoint_text(model, vocab, opt)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[kind]
@@ -244,9 +247,11 @@ class TestOptimizerBlock:
         lines = checkpoint_text(model, vocab, opt).splitlines()
         block = lines[lines.index(f"[optimizer {kind}]") + 1 : lines.index("[end]")]
         keys = [line for line in block if "=" in line]
+        params = [line.partition("] ")[2] for line in lines if line.startswith("[param ")]
         buffers = [line.partition("] ")[2] for line in block if line.startswith("[state ")]
         assert keys == self.HYPER_LINES[kind]
-        assert buffers == [f"{prefix}/{name}" for prefix in self.PREFIXES[kind] for name in model.params]
+        assert "layers.1.attn.head1.w_out" in params
+        assert buffers == [f"{prefix}/{name}" for prefix in self.PREFIXES[kind] for name in params]
         assert block[: len(keys)] == keys
 
 
@@ -305,6 +310,21 @@ class TestValidation:
         del lines[start : start + 2]
         with pytest.raises(CheckpointError, match="m/head.bias"):
             parse_checkpoint("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("kind", ["lion", "adamw"])
+    def test_misshaped_state_buffer_named(self, setup, kind):
+        model, vocab = setup
+        text = checkpoint_text(model, vocab, OPTIMIZERS[kind](model.params))
+        broken = text.replace("[state 1] m/head.bias\n0x0.0p+0\n", "[state 2] m/head.bias\n0x0.0p+0 0x0.0p+0\n", 1)
+        with pytest.raises(CheckpointError) as info:
+            parse_checkpoint(broken)
+        assert str(info.value) == "[state] m/head.bias has shape (2,), expected (1,)"
+
+    def test_state_block_without_optimizer_named(self, setup):
+        model, vocab = setup
+        text = checkpoint_text(model, vocab).replace("[end]\n", "[state 1] m/head.bias\n0x0.0p+0\n[end]\n")
+        with pytest.raises(CheckpointError, match=r"extra \['\[state\] m/head.bias'\]"):
+            parse_checkpoint(text)
 
     def test_malformed_config_integer_named(self, setup):
         model, vocab = setup

@@ -6,7 +6,10 @@ import json
 import pytest
 
 from reranklab import cli
+from reranklab.checkpoint import CheckpointError, parse_checkpoint, save_checkpoint
 from reranklab.ir_eval import read_qrels, read_run
+from reranklab.model import CrossEncoderConfig, Vocab, init_params
+from reranklab.optim import Lion
 from reranklab.train import NonFiniteLossError, load_triplets
 
 
@@ -339,6 +342,110 @@ class TestRerank:
         assert code == cli.EXIT_CONFIG
         name = lines[row - 1].partition("] ")[2]
         assert f"{name}: value '0x1.0000000000000p+1024' is out of float range" in capsys.readouterr().err
+
+
+def _insert_after(text, anchor, block):
+    """``text`` with ``block`` inserted after the line that equals ``anchor``."""
+    lines = text.splitlines()
+    at = lines.index(anchor) + 1
+    return "\n".join(lines[:at] + block + lines[at:]) + "\n"
+
+
+def _repeat_array(text, name):
+    """``text`` with the one-row block of array ``name`` written twice."""
+    lines = text.splitlines()
+    at = next(i for i, l in enumerate(lines) if l.endswith(f"] {name}"))
+    return "\n".join(lines[: at + 2] + lines[at : at + 2] + lines[at + 2 :]) + "\n"
+
+
+@pytest.fixture
+def tiny_checkpoint(tmp_path):
+    """A Lion checkpoint of an untrained model, and its text."""
+    vocab = Vocab(["alpha", "beta"])
+    model = init_params(CrossEncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, d_ff=16, max_len=8))
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(path, model, vocab, Lion(model.params))
+    return path, path.read_text(encoding="utf-8")
+
+
+class TestCheckpointNames:
+    """A checkpoint name or key given twice, or one the format lacks, is a config error that names it."""
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda text: _repeat_array(text, "head.bias"), "head.bias: repeated [param] block"),
+            (lambda text: _repeat_array(text, "m/head.bias"), "m/head.bias: repeated [state] block"),
+            (lambda text: _insert_after(text, "[optimizer lion]", ["lr=0x1p-1"]), "[optimizer lion] lr: repeated key"),
+            (lambda text: _insert_after(text, "[config]", ["seed=4"]), "[config] seed: repeated key"),
+            (lambda text: _insert_after(text, "[config]", ["bogus=3"]), "[config] bogus: unknown key"),
+            (lambda text: text.replace("[end]\n", "[optimizer lion]\n[end]\n"), "[optimizer lion]: a second optimizer section"),
+        ],
+        ids=["param", "state", "optimizer-key", "config-key", "config-unknown", "optimizer-section"],
+    )
+    def test_rerank_exits_2_naming_it(self, tmp_path, tiny_checkpoint, capsys, edit, named):
+        _, text = tiny_checkpoint
+        broken = tmp_path / "broken.ckpt"
+        broken.write_text(edit(text), encoding="utf-8")
+        with pytest.raises(CheckpointError) as info:
+            parse_checkpoint(broken.read_text(encoding="utf-8"))
+        assert str(info.value) == named
+        code = run_cli(
+            "rerank",
+            "--checkpoint", broken,
+            "--queries", tmp_path / "q.tsv",
+            "--passages", tmp_path / "p.tsv",
+            "--candidates", tmp_path / "c.run",
+            "--out", tmp_path / "o.run",
+        )
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {named}\n" in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any input file is an error that names the file."""
+
+    GOOD = {
+        "queries.tsv": "q1\talpha\n",
+        "passages.tsv": "d1\tbeta\n",
+        "run.txt": "q1 Q0 d1 1 1.0 t\n",
+        "qrels.txt": "q1 0 d1 1\n",
+        "means.tsv": "encoder-small\t33.09\t32.21\n",
+        "triplets.tsv": "alpha\tbeta\tgamma\n",
+    }
+
+    @pytest.mark.parametrize(
+        "bad, code",
+        [
+            ("run.ini", cli.EXIT_CONFIG),
+            ("tiny.ckpt", cli.EXIT_CONFIG),
+            ("queries.tsv", cli.EXIT_PARSE),
+            ("passages.tsv", cli.EXIT_PARSE),
+            ("run.txt", cli.EXIT_PARSE),
+            ("qrels.txt", cli.EXIT_PARSE),
+            ("triplets.tsv", cli.EXIT_PARSE),
+            ("means.tsv", cli.EXIT_PARSE),
+        ],
+    )
+    def test_exit_code_names_the_file(self, tmp_path, tiny_checkpoint, capsys, bad, code):
+        for name, text in self.GOOD.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        write_config(tmp_path, tmp_path)  # run.ini, training on tmp_path / "triplets.tsv"
+        path = tmp_path / bad
+        raw = path.read_bytes()
+        path.write_bytes(raw[:5] + b"\xff" + raw[5:])
+        f = {name: tmp_path / name for name in list(self.GOOD) + ["run.ini", "tiny.ckpt"]}
+        if bad in ("run.ini", "triplets.tsv"):
+            argv = ["train", "--config", f["run.ini"]]
+        elif bad == "means.tsv":
+            argv = ["bench-optim", "--import", f["means.tsv"]]
+        elif bad in ("run.txt", "qrels.txt"):
+            argv = ["eval", "--run", f["run.txt"], "--qrels", f["qrels.txt"]]
+        else:
+            argv = ["rerank", "--checkpoint", f["tiny.ckpt"], "--queries", f["queries.tsv"],
+                    "--passages", f["passages.tsv"], "--candidates", f["run.txt"], "--out", tmp_path / "o.run"]
+        assert run_cli(*argv) == code
+        assert f"{path}: not UTF-8 text (byte 0xff: invalid start byte)" in capsys.readouterr().err
 
 
 class TestEval:

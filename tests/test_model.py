@@ -10,6 +10,7 @@ from reranklab.model import (
     UNK_ID,
     CrossEncoderConfig,
     Vocab,
+    checkpoint_views,
     init_params,
     score,
     score_batch,
@@ -131,6 +132,57 @@ class TestInitParams:
                 np.testing.assert_array_equal(p.data, 0.0)
 
 
+class TestCheckpointViews:
+    @pytest.mark.parametrize("prefix", ["", "v/"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_views_cover_every_fused_element_once(self, n_heads, n_layers, prefix):
+        cfg = CrossEncoderConfig(vocab_size=10, d_model=8, n_layers=n_layers, n_heads=n_heads, d_ff=16)
+        counts = {prefix + name: np.zeros_like(p.data) for name, p in init_params(cfg).parameters()}
+        views = checkpoint_views(counts, n_heads)
+        for view in views.values():
+            view += 1.0  # reaches the fused array only through a view
+        for name, count in counts.items():
+            np.testing.assert_array_equal(count, 1.0, err_msg=name)
+        fused = {name for name in counts if name.endswith((".attn.w_qkv", ".attn.w_out"))}
+        assert len(fused) == 2 * n_layers
+        assert all(views[name] is counts[name] for name in counts.keys() - fused)
+        assert len(views) == len(counts) - len(fused) + 4 * n_heads * n_layers
+
+    def test_desk_model_names_in_file_order(self):
+        cfg = CrossEncoderConfig(vocab_size=100, d_model=64, n_layers=1, n_heads=2, d_ff=128, max_len=16)
+        model = init_params(cfg)
+        fused = ["layers.0.attn.w_qkv", "layers.0.attn.w_out"]
+        assert [name for name in model.params if name.startswith("layers.0.attn.")] == fused + ["layers.0.attn.out_bias"]
+        assert [model.params[name].shape for name in fused] == [(64, 192), (64, 64)]
+        views = checkpoint_views({name: p.data for name, p in model.parameters()}, cfg.n_heads)
+        assert list(views) == [
+            "token_embedding",
+            "position_embedding",
+            "layers.0.attn_norm.gain",
+            "layers.0.attn_norm.bias",
+            "layers.0.attn.head0.w_query",
+            "layers.0.attn.head0.w_key",
+            "layers.0.attn.head0.w_value",
+            "layers.0.attn.head0.w_out",
+            "layers.0.attn.head1.w_query",
+            "layers.0.attn.head1.w_key",
+            "layers.0.attn.head1.w_value",
+            "layers.0.attn.head1.w_out",
+            "layers.0.attn.out_bias",
+            "layers.0.ff_norm.gain",
+            "layers.0.ff_norm.bias",
+            "layers.0.ff.w1",
+            "layers.0.ff.b1",
+            "layers.0.ff.w2",
+            "layers.0.ff.b2",
+            "head.weight",
+            "head.bias",
+        ]
+        heads = {name: view.shape for name, view in views.items() if ".head" in name}
+        assert heads == {name: (32, 64) if name.endswith("w_out") else (64, 32) for name in heads}
+
+
 class TestScore:
     def test_zero_head_gives_half(self, tiny_vocab, tiny_model):
         tiny_model.params["head.weight"].data[...] = 0.0
@@ -175,7 +227,7 @@ class TestScore:
         with Tape() as tape:
             out = model.forward([seq])
         tape.backward(out)
-        for name in ("position_embedding", "layers.0.attn.head1.w_key", "layers.0.ff.w2", "head.bias"):
+        for name in ("position_embedding", "layers.0.attn.w_qkv", "layers.0.attn.w_out", "layers.0.ff.w2", "head.bias"):
             p = model.params[name]
             fd = finite_diff_grad(lambda _: score(model, seq), p)
             assert max_rel_err(p.grad, fd.data) < 1e-4, name

@@ -222,13 +222,12 @@ class TestRowGradUpdate:
         opt = OPTIMIZERS[kind]({"table": table, "bias": bias}, lr=1e-3, weight_decay=0.01)
         # Untouched rows start with momentum -0.0 (which the dense formula
         # turns into +0.0) and a negative subnormal (whose sign moves theta).
-        buffers = {key: buf.copy() for key, buf in opt.state_dict()["buffers"].items()}
+        buffers = opt.state_dict()["buffers"]  # the optimizer's own arrays
         buffers["m/table"][0::2] = -0.0
         buffers["m/table"][1::2] = -5e-324
         if kind == "adamw":
             buffers["v/table"][0::3] = -0.0
-        opt.load_state(buffers)
-        ref = {"table": table.data.copy(), "bias": bias.data.copy(), **buffers}
+        ref = {"table": table.data.copy(), "bias": bias.data.copy(), **{k: b.copy() for k, b in buffers.items()}}
         for t in range(1, 6):
             ids = self._ids(rng, extra)
             upstream = rng.normal(size=ids.shape + (self.SHAPE[1],))
@@ -292,21 +291,6 @@ class TestRegistry:
         # closes a training step's span in zero_grad; inherited ones go untraced.
         assert "step" in vars(OPTIMIZERS[kind])
         assert "zero_grad" in vars(OPTIMIZERS[kind])
-
-    @pytest.mark.parametrize("kind", list(OPTIMIZERS))
-    def test_load_state_checks_before_copying(self, kind):
-        params = make_params({"a": [1.0, 2.0], "b": [3.0]})
-        opt = OPTIMIZERS[kind](params)
-        good = {key: np.full_like(buf, 7.0) for key, buf in opt.state_dict()["buffers"].items()}
-        with pytest.raises(ValueError, match="m/b"):
-            opt.load_state({key: buf for key, buf in good.items() if key != "m/b"})
-        with pytest.raises(ShapeError, match="m/b"):
-            opt.load_state({**good, "m/b": np.zeros(2)})
-        assert all((buf == 0.0).all() for buf in opt.state_dict()["buffers"].values())
-        opt.load_state(good, step=5)
-        assert all((buf == 7.0).all() for buf in opt.state_dict()["buffers"].values())
-        if opt.COUNTS_STEPS:
-            assert opt.step_count == 5
 
     @pytest.mark.parametrize(
         "kwargs, named",

@@ -120,32 +120,6 @@ class TestLinear:
             T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
-class TestConcat:
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_forward_and_backward(self, rng, axis):
-        sizes = (2, 3, 1)
-        parts = [
-            Tensor(rng.normal(size=(n, 4) if axis == 0 else (4, n)), requires_grad=True) for n in sizes
-        ]
-        out = T.concat(parts, axis=axis)
-        np.testing.assert_array_equal(out.data, np.concatenate([p.data for p in parts], axis=axis))
-        weights = rng.normal(size=out.shape)
-        with Tape() as tape:
-            loss = T.mul(T.concat(parts, axis=axis), weights).sum()
-        tape.backward(loss)
-        for i, part in enumerate(parts):
-
-            def f(t, i=i):
-                return T.mul(T.concat(parts[:i] + [t] + parts[i + 1 :], axis=axis), weights).sum()
-
-            assert part.grad.shape == part.shape
-            assert max_rel_err(part.grad, finite_diff_grad(f, part).data) < 1e-4, i
-
-    def test_shapes_off_axis_must_match(self):
-        with pytest.raises(ShapeError, match="differ off axis"):
-            T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
-
-
 def _per_head_block(a, w_query, w_key_t, w_value, w_out, a_t, real):
     """The encoder's attention as it was composed of separate ops, one head at a time.
 
@@ -188,20 +162,22 @@ class TestAttention:
         real = self._mask()
         a = Tensor(rng.normal(size=(self.B, self.L, d)), requires_grad=True)
         heads = {
-            name: [Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(self.H)]
+            name: [rng.normal(size=shape) for _ in range(self.H)]
             for name, shape in (("q", (d, self.DH)), ("k", (d, self.DH)), ("v", (d, self.DH)), ("o", (self.DH, d)))
         }
+        # The fused leaves: all heads' queries, then keys, then values; output rows head by head.
+        w_qkv = Tensor(np.concatenate(heads["q"] + heads["k"] + heads["v"], axis=1), requires_grad=True)
+        w_out = Tensor(np.concatenate(heads["o"], axis=0), requires_grad=True)
         weights = rng.normal(size=(self.B, self.L, d))
         with Tape() as tape:
-            w_qkv = T.concat(heads["q"] + heads["k"] + heads["v"], axis=1)
-            fused = T.linear(T.attention(T.linear(a, w_qkv), real, self.H), T.concat(heads["o"], axis=0))
+            fused = T.linear(T.attention(T.linear(a, w_qkv), real, self.H), w_out)
             loss = T.mul(fused, weights).sum()
         tape.backward(loss)
 
         a_t = Tensor(np.swapaxes(a.data, 1, 2), requires_grad=True)
-        w_key_t = [Tensor(w.data.T, requires_grad=True) for w in heads["k"]]
+        w_key_t = [Tensor(w.T, requires_grad=True) for w in heads["k"]]
         ref_a = Tensor(a.data, requires_grad=True)
-        ref = {name: [Tensor(w.data, requires_grad=True) for w in ws] for name, ws in heads.items()}
+        ref = {name: [Tensor(w, requires_grad=True) for w in ws] for name, ws in heads.items()}
         with Tape() as tape:
             composed = _per_head_block(ref_a, ref["q"], w_key_t, ref["v"], ref["o"], a_t, real)
             ref_loss = T.mul(composed, weights).sum()
@@ -209,11 +185,16 @@ class TestAttention:
 
         np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.grad, ref_a.grad + np.swapaxes(a_t.grad, 1, 2), rtol=0, atol=1e-12)
+        blocks = {
+            name: np.split(w_qkv.grad[:, j * d : (j + 1) * d], self.H, axis=1)
+            for j, name in enumerate(("q", "k", "v"))
+        }
+        blocks["o"] = np.split(w_out.grad, self.H, axis=0)
         for name in ("q", "v", "o"):
-            for w, r in zip(heads[name], ref[name]):
-                np.testing.assert_allclose(w.grad, r.grad, rtol=0, atol=1e-12)
-        for w, r in zip(heads["k"], w_key_t):
-            np.testing.assert_allclose(w.grad, r.grad.T, rtol=0, atol=1e-12)
+            for g, r in zip(blocks[name], ref[name]):
+                np.testing.assert_allclose(g, r.grad, rtol=0, atol=1e-12)
+        for g, r in zip(blocks["k"], w_key_t):
+            np.testing.assert_allclose(g, r.grad.T, rtol=0, atol=1e-12)
 
     def test_sequence_without_real_token_rejected(self):
         real = self._mask()
