@@ -26,7 +26,7 @@ from __future__ import annotations
 import binascii
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ __all__ = ["CheckpointError", "CheckpointBundle", "save_checkpoint", "load_check
 
 MAGIC = "reranklab checkpoint v1"
 
-_CONFIG_FIELDS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len", "seed")
+_CONFIG_FIELDS = tuple(f.name for f in fields(CrossEncoderConfig))
 
 
 class CheckpointError(ValueError):
@@ -315,6 +315,8 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
         except ValueError as exc:
             raise CheckpointError(f"[optimizer {opt_kind}] {exc}") from None
         if cls.COUNTS_STEPS:
+            if opt_hypers["step"] < 0:  # the next step would divide by a bias correction <= 0
+                raise CheckpointError(f"[optimizer {opt_kind}] step: must be >= 0, got {opt_hypers['step']}")
             optimizer.step_count = opt_hypers["step"]
         views = checkpoint_views(optimizer.state_dict()["buffers"], config.n_heads)
         targets.update({f"[state] {key}": buf for key, buf in views.items()})

@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from reranklab.optim import OPTIMIZERS
 from reranklab.train import (
     NonFiniteLossError,
     TrainConfig,
+    TrainPair,
     efficiency_gain,
     run_training,
     triplets_to_pairs,
@@ -48,12 +50,16 @@ class ConfigError(ValueError):
 # helpers
 
 
-def _resolve_out(path_str: str) -> Path:
-    """Resolve an output path, rooting relative paths at $RERANKLAB_OUT_ROOT."""
-    path = Path(path_str)
+def _output_dir(value: str | Path, field: str) -> Path:
+    """Create directory ``value``, rooting a relative path at $RERANKLAB_OUT_ROOT; errors name ``field``."""
+    path = Path(value)
     root = os.environ.get(OUT_ROOT_ENV)
     if root and not path.is_absolute():
         path = Path(root) / path
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{field}: cannot create output directory {path}: {exc}") from None
     return path
 
 
@@ -94,15 +100,23 @@ def _align_table(headers: list[str], rows: list[list[str]]) -> str:
 # ---------------------------------------------------------------------------
 # config file handling
 
+# Fields each run sets itself: the vocab size from the triplets, the seed from
+# [run] or --seed, and the optimizer from the section or flag that selects it.
+_RUN_FIXED = {"vocab_size", "seed", "optimizer"}
+
+
+def _setting_keys(cls) -> set[str]:
+    return {f.name for f in fields(cls)} - _RUN_FIXED
+
+
 # Keys a run config may set; a section named after an optimizer kind
 # ([lion], [adamw]) overrides [train] for that optimizer.
-_TRAIN_KEYS = {"batch_size", "epochs", "base_lr", "schedule", "warmup_ratio", "shuffle", "weight_decay"}
 _INI_KEYS = {
     "run": {"name", "seed", "out_dir"},
     "data": {"triplets"},
-    "model": {"d_model", "n_layers", "n_heads", "d_ff", "max_len"},
-    "train": _TRAIN_KEYS | {"optimizer"},
-    **{kind: _TRAIN_KEYS for kind in OPTIMIZERS},
+    "model": _setting_keys(CrossEncoderConfig),
+    "train": _setting_keys(TrainConfig) | {"optimizer"},
+    **{kind: _setting_keys(TrainConfig) for kind in OPTIMIZERS},
 }
 
 
@@ -125,67 +139,40 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
     return parser
 
 
-def _int_setting(section, name: str, key: str, default: int) -> int:
-    raw = section.get(key)
-    if raw is None:
+def _ini_value(parser: configparser.ConfigParser, section: str, key: str, default):
+    """``[section] key`` parsed as the type of ``default``, or ``default`` when the key is absent."""
+    if not parser.has_option(section, key):
         return default
+    raw = parser[section][key]
+    if isinstance(default, bool):
+        value = raw.strip().lower()
+        if value not in parser.BOOLEAN_STATES:
+            raise ConfigError(f"[{section}] {key}: expected a boolean (true/false), got {raw!r}")
+        return parser.BOOLEAN_STATES[value]
     try:
-        return int(raw)
+        return type(default)(raw)
     except ValueError:
-        raise ConfigError(f"[{name}] {key}: expected int, got {raw!r}") from None
+        raise ConfigError(f"[{section}] {key}: expected {type(default).__name__}, got {raw!r}") from None
 
 
-def _train_config_from_ini(parser: configparser.ConfigParser, optimizer: str, seed: int) -> TrainConfig:
-    base = parser["train"] if parser.has_section("train") else {}
-    override = parser[optimizer] if parser.has_section(optimizer) else {}
+def _settings(cls, parser: configparser.ConfigParser, sections: tuple[str, ...], **fixed):
+    """``cls`` built from the INI ``sections``, a later one winning, and the ``fixed`` fields.
 
-    def get(key: str, default):
-        section = optimizer if key in override else "train"
-        raw = override.get(key, base.get(key, None))
-        if raw is None:
-            return default
-        if isinstance(default, bool):
-            value = raw.strip().lower()
-            if value not in parser.BOOLEAN_STATES:
-                raise ConfigError(f"[{section}] {key}: expected a boolean (true/false), got {raw!r}")
-            return parser.BOOLEAN_STATES[value]
-        try:
-            return type(default)(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected {type(default).__name__}, got {raw!r}") from None
-
+    A field no section sets keeps its dataclass default. A value out of range
+    is a ConfigError naming the ``[section] key`` that set it.
+    """
+    values, source = dict(fixed), {}
+    for f in fields(cls):
+        found = [section for section in sections if parser.has_option(section, f.name)]
+        if found and f.name not in fixed:
+            source[f.name] = found[-1]
+            values[f.name] = _ini_value(parser, found[-1], f.name, f.default)
     try:
-        return TrainConfig(
-            batch_size=get("batch_size", 64),
-            epochs=get("epochs", 3),
-            seed=seed,
-            optimizer=optimizer,
-            base_lr=get("base_lr", 2e-4),
-            schedule=get("schedule", "constant"),
-            warmup_ratio=get("warmup_ratio", 0.1),
-            shuffle=get("shuffle", True),
-            weight_decay=get("weight_decay", 0.01),
-        )
+        return cls(**values)
     except ValueError as exc:
-        # TrainConfig's messages start with the offending field, which is also its key.
+        # The configs' messages start with the offending field, which is also its key.
         key = str(exc).split()[0]
-        raise ConfigError(f"[{optimizer if key in override else 'train'}] {exc}") from None
-
-
-def _model_config_from_ini(parser: configparser.ConfigParser, vocab_size: int, seed: int) -> CrossEncoderConfig:
-    section = parser["model"] if parser.has_section("model") else {}
-    try:
-        return CrossEncoderConfig(
-            vocab_size=vocab_size,
-            d_model=_int_setting(section, "model", "d_model", 64),
-            n_layers=_int_setting(section, "model", "n_layers", 1),
-            n_heads=_int_setting(section, "model", "n_heads", 2),
-            d_ff=_int_setting(section, "model", "d_ff", 128),
-            max_len=_int_setting(section, "model", "max_len", 16),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [model] settings: {exc}") from exc
+        raise ConfigError(f"[{source.get(key, sections[0])}] {exc}") from None
 
 
 def _select_optimizers(parser: configparser.ConfigParser, flag_value: str | None) -> list[str]:
@@ -194,65 +181,90 @@ def _select_optimizers(parser: configparser.ConfigParser, flag_value: str | None
     present = [name for name in OPTIMIZERS if parser.has_section(name)]
     if present:
         return present
-    section = parser["train"] if parser.has_section("train") else {}
-    return [section.get("optimizer", "lion")]
+    return [_ini_value(parser, "train", "optimizer", TrainConfig.optimizer)]
 
 
 def _config_snapshot(parser: configparser.ConfigParser) -> dict:
     return {section: dict(parser[section]) for section in parser.sections()}
 
 
+def _check_run_name(name: str, field: str) -> str:
+    # The name starts every checkpoint's file name, and the file stem is
+    # rerank's default run tag.
+    if not name or "/" in name or any(ch.isspace() for ch in name):
+        raise ConfigError(f"{field}: expected a non-empty run name without whitespace or '/', got {name!r}")
+    return name
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _load_run_config(args):
-    """Read ``--config`` and resolve the settings ``train`` and ``bench-optim`` share.
+@dataclass
+class _Run:
+    """What ``train`` and ``bench-optim`` read once and share between optimizers."""
 
-    Returns ``(parser, seed, name, out_dir, triplets_path)``; flags win over
-    ``[run]``, and the output directory is created.
+    parser: configparser.ConfigParser
+    seed: int
+    name: str
+    out_dir: Path
+    vocab: Vocab
+    pairs: list[TrainPair]
+    model_config: CrossEncoderConfig
+
+    def train_config(self, optimizer: str) -> TrainConfig:
+        return _settings(TrainConfig, self.parser, ("train", optimizer), seed=self.seed, optimizer=optimizer)
+
+
+def _load_run_config(args) -> _Run:
+    """Read ``--config`` and the triplets it names, for ``train`` and ``bench-optim``.
+
+    Flags win over ``[run]``, and the output directory is created.
     """
+    if args.name is not None:  # checked before any file is read
+        _check_run_name(args.name, "--name")
     parser = _read_ini(_require_file(args.config, "config"))
     run_section = parser["run"] if parser.has_section("run") else {}
     if args.seed is not None:
         seed, seed_field = args.seed, "--seed"
     else:
-        seed, seed_field = _int_setting(run_section, "run", "seed", 12), "[run] seed"
+        seed, seed_field = _ini_value(parser, "run", "seed", TrainConfig.seed), "[run] seed"
     if seed < 0:
         raise ConfigError(f"{seed_field}: expected a non-negative integer, got {seed}")
-    name = args.name or run_section.get("name", Path(args.config).stem)
+    name = args.name
+    if name is None:
+        field = "[run] name" if "name" in run_section else "run name (the config file stem)"
+        name = _check_run_name(run_section.get("name", Path(args.config).stem), field)
     out_value = args.out or run_section.get("out_dir")
     if not out_value:
         raise ConfigError("no output directory: set [run] out_dir or pass --out")
-    out_dir = _resolve_out(out_value)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_value, "--out" if args.out else "[run] out_dir")
     if not parser.has_section("data") or not parser["data"].get("triplets"):
         raise ConfigError("config needs [data] triplets = <path>")
     triplets_path = _require_file(parser["data"]["triplets"], "triplets")
-    return parser, seed, name, out_dir, triplets_path
-
-
-def _run_one_training(parser, config: TrainConfig, name, triplets_path, out_dir):
     triplets = train_mod.load_triplets(triplets_path)
     pairs = triplets_to_pairs(triplets)
     if not pairs:
         raise ConfigError(f"no usable training pairs in {triplets_path}")
-    texts = [t.query for t in triplets] + [t.positive for t in triplets] + [t.negative for t in triplets]
-    vocab = Vocab.build(texts)
-    model = init_params(_model_config_from_ini(parser, vocab.size, config.seed))
-    result = run_training(model, vocab, pairs, config, run_name=name)
+    vocab = Vocab.build([t.query for t in triplets] + [t.positive for t in triplets] + [t.negative for t in triplets])
+    model_config = _settings(CrossEncoderConfig, parser, ("model",), vocab_size=vocab.size, seed=seed)
+    return _Run(parser, seed, name, out_dir, vocab, pairs, model_config)
+
+
+def _run_one_training(run: _Run, config: TrainConfig):
+    result = run_training(init_params(run.model_config), run.vocab, run.pairs, config, run_name=run.name)
     optimizer = config.optimizer
 
     artifacts = []
     for ckpt_name, text in result.checkpoints:
         rel = f"{ckpt_name}.ckpt"
-        (out_dir / rel).write_text(text, encoding="utf-8")
+        (run.out_dir / rel).write_text(text, encoding="utf-8")
         artifacts.append(rel)
     loss_rel = f"loss-{optimizer}.tsv"
-    train_mod.write_loss_log(out_dir / loss_rel, result.loss_log)
+    train_mod.write_loss_log(run.out_dir / loss_rel, result.loss_log)
     artifacts.append(loss_rel)
     stats_rel = f"stats-{optimizer}.txt"
-    (out_dir / stats_rel).write_text(
+    (run.out_dir / stats_rel).write_text(
         "\n".join(train_mod.resource_stats_lines(result.stats, optimizer)) + "\n",
         encoding="utf-8",
     )
@@ -263,7 +275,8 @@ def _run_one_training(parser, config: TrainConfig, name, triplets_path, out_dir)
 def cmd_train(args) -> int:
     if args.epochs is not None and args.epochs < 1:
         raise ConfigError(f"--epochs: expected a positive integer, got {args.epochs}")
-    parser, seed, name, out_dir, triplets_path = _load_run_config(args)
+    run = _load_run_config(args)
+    parser = run.parser
     if args.epochs is not None:
         if not parser.has_section("train"):
             parser.add_section("train")
@@ -274,10 +287,10 @@ def cmd_train(args) -> int:
                 parser.remove_option(kind, "epochs")
 
     # every run's settings are checked before the first one trains
-    configs = [_train_config_from_ini(parser, opt, seed) for opt in _select_optimizers(parser, args.optimizer)]
+    configs = [run.train_config(opt) for opt in _select_optimizers(parser, args.optimizer)]
     artifacts: list[str] = []
     for config in configs:
-        result, produced = _run_one_training(parser, config, name, triplets_path, out_dir)
+        result, produced = _run_one_training(run, config)
         artifacts.extend(produced)
         final_epoch = result.loss_log[-1].epoch
         final = [r.loss for r in result.loss_log if r.epoch == final_epoch]
@@ -286,8 +299,8 @@ def cmd_train(args) -> int:
             f"final-epoch mean loss {sum(final) / len(final):.6f}, "
             f"state bytes {result.stats.optimizer_state_bytes}"
         )
-    write_manifest(out_dir, "train", seed, _config_snapshot(parser), artifacts)
-    print(f"artifacts in {out_dir}")
+    write_manifest(run.out_dir, "train", run.seed, _config_snapshot(parser), artifacts)
+    print(f"artifacts in {run.out_dir}")
     return EXIT_OK
 
 
@@ -304,8 +317,7 @@ def cmd_rerank(args) -> int:
     passages = ir_eval.read_corpus_tsv(_require_file(args.passages, "passages"))
     candidates = ir_eval.read_run(_require_file(args.candidates, "candidates run"))
     reranked = ir_eval.rerank(bundle.model, bundle.vocab, queries, passages, candidates, tag=tag)
-    out_path = _resolve_out(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _output_dir(Path(args.out).parent, "--out") / Path(args.out).name
     out_path.write_text(ir_eval.format_run(reranked), encoding="utf-8")
     print(f"wrote {len(reranked)} reranked lines to {out_path}")
     return EXIT_OK
@@ -323,8 +335,7 @@ def cmd_eval(args) -> int:
     table = ir_eval.report_table(report)
     print(table, end="")
     if args.out:
-        out_dir = _resolve_out(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _output_dir(args.out, "--out")
         (out_dir / "metrics.tsv").write_text(
             "\n".join(ir_eval.report_tsv_lines(report)) + "\n", encoding="utf-8"
         )
@@ -369,21 +380,19 @@ def cmd_bench_optim(args) -> int:
         table = _bench_import(_require_file(args.import_file, "import"))
         print(table, end="")
         if args.out:
-            out_dir = _resolve_out(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "bench.txt").write_text(table, encoding="utf-8")
+            (_output_dir(args.out, "--out") / "bench.txt").write_text(table, encoding="utf-8")
         return EXIT_OK
 
     if not args.config:
         raise ConfigError("bench-optim needs --config or --import")
-    parser, seed, name, out_dir, triplets_path = _load_run_config(args)
+    run = _load_run_config(args)
 
     # AdamW is the baseline and Lion the candidate, the paper's comparison.
-    configs = [_train_config_from_ini(parser, opt, seed) for opt in ("adamw", "lion")]
+    configs = [run.train_config(opt) for opt in ("adamw", "lion")]
     stats = {}
     artifacts: list[str] = []
     for config in configs:
-        result, produced = _run_one_training(parser, config, name, triplets_path, out_dir)
+        result, produced = _run_one_training(run, config)
         stats[config.optimizer] = result.stats
         artifacts.extend(produced)
 
@@ -414,31 +423,21 @@ def cmd_bench_optim(args) -> int:
         f"{efficiency_gain(stats['adamw'].mean_update_ms, stats['lion'].mean_update_ms):.2f}%\n"
     )
     print(table, end="")
-    (out_dir / "bench.txt").write_text(table, encoding="utf-8")
+    (run.out_dir / "bench.txt").write_text(table, encoding="utf-8")
     artifacts.append("bench.txt")
-    write_manifest(out_dir, "bench-optim", seed, _config_snapshot(parser), artifacts)
+    write_manifest(run.out_dir, "bench-optim", run.seed, _config_snapshot(run.parser), artifacts)
     return EXIT_OK
 
 
 def cmd_synthetic_data(args) -> int:
     try:
-        config = synth.SynthConfig(
-            seed=args.seed,
-            vocab_size=args.vocab_size,
-            n_triplets=args.triplets,
-            n_eval_queries=args.eval_queries,
-            n_candidates=args.candidates,
-            n_relevant=args.relevant,
-            query_len=args.query_len,
-            marker_repeats=args.marker_repeats,
-        )
+        config = synth.SynthConfig(**{f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     data = synth.generate(config)
-    out_dir = _resolve_out(args.out)
+    out_dir = _output_dir(args.out, "--out")
     files = synth.write_synth_files(data, out_dir)
-    snapshot = {k: v for k, v in vars(config).items()}
-    write_manifest(out_dir, "synthetic-data", args.seed, {"synth": snapshot}, list(files.values()))
+    write_manifest(out_dir, "synthetic-data", config.seed, {"synth": asdict(config)}, list(files.values()))
     print(f"synthetic corpus in {out_dir}: {', '.join(sorted(files.values()))}")
     return EXIT_OK
 
@@ -446,7 +445,8 @@ def cmd_synthetic_data(args) -> int:
 def cmd_report(args) -> int:
     for path_str in args.files:
         path = _require_file(path_str, "report")
-        text = path.read_text(encoding="utf-8")
+        with ir_eval.open_utf8(path) as fh:
+            text = fh.read()
         print(f"== {path}")
         if "\t" in text:
             rows = [line.split("\t") for line in text.splitlines() if line]
@@ -515,14 +515,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthetic-data", help="generate a seeded separable corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=12)
-    p.add_argument("--vocab-size", type=int, default=100)
-    p.add_argument("--triplets", type=int, default=1000)
-    p.add_argument("--eval-queries", type=int, default=20)
-    p.add_argument("--candidates", type=int, default=50)
-    p.add_argument("--relevant", type=int, default=5)
-    p.add_argument("--query-len", type=int, default=3)
-    p.add_argument("--marker-repeats", type=int, default=3)
+    for f in fields(synth.SynthConfig):
+        flag = f.name.removeprefix("n_")  # --triplets sets n_triplets
+        p.add_argument(
+            f"--{flag.replace('_', '-')}", dest=f.name, metavar=flag.upper(), type=type(f.default), default=f.default
+        )
     p.set_defaults(func=cmd_synthetic_data)
 
     p = sub.add_parser("report", help="pretty-print saved stats/metric files")

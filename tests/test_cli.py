@@ -5,12 +5,13 @@ import json
 
 import pytest
 
-from reranklab import cli
+from reranklab import cli, train as train_mod
 from reranklab.checkpoint import CheckpointError, parse_checkpoint, save_checkpoint
 from reranklab.ir_eval import read_qrels, read_run
 from reranklab.model import CrossEncoderConfig, Vocab, init_params
-from reranklab.optim import Lion
-from reranklab.train import NonFiniteLossError, load_triplets
+from reranklab.optim import AdamW, Lion
+from reranklab.synth import SynthConfig
+from reranklab.train import NonFiniteLossError, TrainConfig, load_triplets
 
 
 def run_cli(*argv):
@@ -73,6 +74,38 @@ class TestSyntheticData:
             assert run_cli("synthetic-data", "--out", out, "--triplets", "5") == 0
             outs.append((out / "triplets.tsv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ((), {"seed": 12, "vocab_size": 100, "n_triplets": 1000, "n_eval_queries": 20,
+                  "n_candidates": 50, "n_relevant": 5, "query_len": 3, "marker_repeats": 3}),
+            (("--seed", 7, "--vocab-size", 300, "--triplets", 4, "--eval-queries", 2, "--candidates", 9,
+              "--relevant", 3, "--query-len", 4, "--marker-repeats", 2),
+             {"seed": 7, "vocab_size": 300, "n_triplets": 4, "n_eval_queries": 2,
+              "n_candidates": 9, "n_relevant": 3, "query_len": 4, "marker_repeats": 2}),
+        ],
+        ids=["defaults", "every-flag"],
+    )
+    def test_flags_reach_their_synth_config_fields(self, tmp_path, flags, expected):
+        out = tmp_path / "data"
+        assert run_cli("synthetic-data", "--out", out, *flags) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["synth"] == expected
+        assert manifest["seed"] == expected["seed"]
+        if not flags:
+            assert expected == vars(SynthConfig())
+
+    def test_help_lists_flags_and_metavars(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("synthetic-data", "--help")
+        assert info.value.code == 0
+        options = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("  --")]
+        assert options == [
+            ["--out", "OUT"], ["--seed", "SEED"], ["--vocab-size", "VOCAB_SIZE"], ["--triplets", "TRIPLETS"],
+            ["--eval-queries", "EVAL_QUERIES"], ["--candidates", "CANDIDATES"], ["--relevant", "RELEVANT"],
+            ["--query-len", "QUERY_LEN"], ["--marker-repeats", "MARKER_REPEATS"],
+        ]
 
 
 class TestTrain:
@@ -155,8 +188,94 @@ class TestTrain:
         assert run_cli("train", "--config", config, "--out", "rel") == 0
         assert (tmp_path / "root" / "rel" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "bench-optim"])
+    def test_triplets_read_once_for_both_optimizers(self, tmp_path, synth_dir, monkeypatch, command):
+        config = write_config(tmp_path, synth_dir, extra="epochs = 1\n\n[lion]\n\n[adamw]\n")
+        calls = []
+        read = train_mod.load_triplets
+        monkeypatch.setattr(train_mod, "load_triplets", lambda path: calls.append(path) or read(path))
+        assert run_cli(command, "--config", config) == 0
+        assert len(list((tmp_path / "out").glob("loss-*.tsv"))) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("where", ["--name", "[run] name"])
+    @pytest.mark.parametrize("name", ["a/b", "my run", "tab\there", ""])
+    def test_bad_run_name_is_config_error(self, tmp_path, synth_dir, capsys, where, name):
+        config = write_config(tmp_path, synth_dir)
+        if where == "--name":
+            # checked before any file is read: this config does not exist
+            argv = ["train", "--config", tmp_path / "missing.ini", "--name", name]
+        else:
+            config.write_text(config.read_text().replace("name = toy\n", f"name = {name}\n"), encoding="utf-8")
+            argv = ["train", "--config", config]
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{where}: expected a non-empty run name without whitespace or '/', got {name!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_stem_as_run_name_is_checked(self, tmp_path, synth_dir, capsys):
+        config = write_config(tmp_path, synth_dir)
+        spaced = tmp_path / "my run.ini"
+        spaced.write_text(config.read_text().replace("name = toy\n", ""), encoding="utf-8")
+        assert run_cli("train", "--config", spaced) == cli.EXIT_CONFIG
+        assert "run name (the config file stem): expected a non-empty run name" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigValidation:
+    TRAIN_KEYS = {"batch_size", "epochs", "base_lr", "schedule", "warmup_ratio", "shuffle", "weight_decay"}
+
+    def test_accepted_keys_are_pinned(self):
+        assert cli._INI_KEYS == {
+            "run": {"name", "seed", "out_dir"},
+            "data": {"triplets"},
+            "model": {"d_model", "n_layers", "n_heads", "d_ff", "max_len"},
+            "train": self.TRAIN_KEYS | {"optimizer"},
+            "lion": self.TRAIN_KEYS,
+            "adamw": self.TRAIN_KEYS,
+        }
+
+    @pytest.mark.parametrize("section", ["train", "lion", "adamw"])
+    def test_every_key_reaches_its_field(self, tmp_path, synth_dir, monkeypatch, section):
+        model = {"d_model": 24, "n_layers": 3, "n_heads": 3, "d_ff": 40, "max_len": 12}
+        train = {"batch_size": 5, "epochs": 2, "base_lr": 3e-3, "schedule": "cosine",
+                 "warmup_ratio": 0.25, "shuffle": False, "weight_decay": 0.03}
+        defaults = CrossEncoderConfig(vocab_size=10), TrainConfig()
+        assert all(getattr(defaults[0], k) != v for k, v in model.items())
+        assert all(getattr(defaults[1], k) != v for k, v in train.items())
+        assert set(train) == self.TRAIN_KEYS
+        optimizer = "adamw" if section == "train" else section  # adamw is not the default optimizer
+
+        def ini(values):
+            return "".join(f"{k} = {v}\n" for k, v in values.items())
+
+        # a section selecting the optimizer overrides [train]
+        below = "" if section == "train" else f"[train]\n{ini(dict.fromkeys(train, 'invalid'))}\n"
+        path = tmp_path / "run.ini"
+        path.write_text(
+            f"[run]\nseed = 7\nout_dir = {tmp_path / 'out'}\n\n[data]\ntriplets = {synth_dir / 'triplets.tsv'}\n\n"
+            f"[model]\n{ini(model)}\n{below}[{section}]\n{ini(train)}"
+            + ("optimizer = adamw\n" if section == "train" else ""),
+            encoding="utf-8",
+        )
+
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def capture(model, vocab, pairs, config, run_name):
+            seen.update(model=model.config, train=config)
+            raise Stop
+
+        monkeypatch.setattr(cli, "run_training", capture)
+        with pytest.raises(Stop):
+            run_cli("train", "--config", path)
+        assert {k: getattr(seen["model"], k) for k in model} == model
+        assert {k: getattr(seen["train"], k) for k in train} == train
+        assert seen["train"].optimizer == optimizer
+        assert seen["train"].seed == seen["model"].seed == 7
+
     def test_every_documented_key_accepted(self, tmp_path, synth_dir):
         extra = (
             "epochs = 1\nschedule = cosine\nwarmup_ratio = 0.1\nshuffle = off\nweight_decay = 0.02\n"
@@ -193,6 +312,8 @@ class TestConfigValidation:
         [
             ("seed = 12\n", "seed = x\n", "[run] seed"),
             ("d_model = 16\n", "d_model = 6x4\n", "[model] d_model"),
+            ("n_heads = 2\n", "n_heads = 3\n", "[model] d_model 16 not divisible by n_heads 3"),
+            ("max_len = 16\n", "max_len = 4\n", "[model] max_len must be >= 8, got 4"),
         ],
     )
     def test_bad_run_or_model_integer_is_config_error(
@@ -402,6 +523,31 @@ class TestCheckpointNames:
         assert f"config error: {named}\n" in capsys.readouterr().err
 
 
+class TestNegativeAdamwStep:
+    @pytest.mark.parametrize("step", ["-1", "-2"])
+    def test_rerank_exits_2_naming_it(self, tmp_path, capsys, step):
+        vocab = Vocab(["alpha", "beta"])
+        model = init_params(CrossEncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, d_ff=16, max_len=8))
+        path = tmp_path / "adamw.ckpt"
+        save_checkpoint(path, model, vocab, AdamW(model.params))
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("\nstep=0\n", f"\nstep={step}\n"), encoding="utf-8")
+        named = f"[optimizer adamw] step: must be >= 0, got {step}"
+        with pytest.raises(CheckpointError) as info:
+            parse_checkpoint(path.read_text(encoding="utf-8"))
+        assert str(info.value) == named
+        code = run_cli(
+            "rerank",
+            "--checkpoint", path,
+            "--queries", tmp_path / "q.tsv",
+            "--passages", tmp_path / "p.tsv",
+            "--candidates", tmp_path / "c.run",
+            "--out", tmp_path / "o.run",
+        )
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {named}\n" in capsys.readouterr().err
+
+
 class TestNonUtf8Input:
     """A byte that is not UTF-8 in any input file is an error that names the file."""
 
@@ -412,6 +558,7 @@ class TestNonUtf8Input:
         "qrels.txt": "q1 0 d1 1\n",
         "means.tsv": "encoder-small\t33.09\t32.21\n",
         "triplets.tsv": "alpha\tbeta\tgamma\n",
+        "stats.txt": "optimizer=lion\n",
     }
 
     @pytest.mark.parametrize(
@@ -425,6 +572,7 @@ class TestNonUtf8Input:
             ("qrels.txt", cli.EXIT_PARSE),
             ("triplets.tsv", cli.EXIT_PARSE),
             ("means.tsv", cli.EXIT_PARSE),
+            ("stats.txt", cli.EXIT_PARSE),
         ],
     )
     def test_exit_code_names_the_file(self, tmp_path, tiny_checkpoint, capsys, bad, code):
@@ -439,6 +587,8 @@ class TestNonUtf8Input:
             argv = ["train", "--config", f["run.ini"]]
         elif bad == "means.tsv":
             argv = ["bench-optim", "--import", f["means.tsv"]]
+        elif bad == "stats.txt":
+            argv = ["report", f["stats.txt"]]
         elif bad in ("run.txt", "qrels.txt"):
             argv = ["eval", "--run", f["run.txt"], "--qrels", f["qrels.txt"]]
         else:
@@ -446,6 +596,34 @@ class TestNonUtf8Input:
                     "--passages", f["passages.tsv"], "--candidates", f["run.txt"], "--out", tmp_path / "o.run"]
         assert run_cli(*argv) == code
         assert f"{path}: not UTF-8 text (byte 0xff: invalid start byte)" in capsys.readouterr().err
+
+
+class TestOutputDirectory:
+    """An output directory that cannot be made is a config error naming the flag or key."""
+
+    @pytest.mark.parametrize(
+        "command", ["train", "train-config", "bench-optim", "bench-import", "rerank", "eval", "synthetic-data"]
+    )
+    def test_out_naming_a_file_is_config_error(self, tmp_path, tiny_checkpoint, capsys, command):
+        for name, text in TestNonUtf8Input.GOOD.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        config = write_config(tmp_path, tmp_path)
+        blocker = tmp_path / "out"  # [run] out_dir in the config
+        blocker.write_text("a file\n", encoding="utf-8")
+        argv, named = {
+            "train": (["train", "--config", config, "--out", blocker], "--out"),
+            "train-config": (["train", "--config", config], "[run] out_dir"),
+            "bench-optim": (["bench-optim", "--config", config, "--out", blocker], "--out"),
+            "bench-import": (["bench-optim", "--import", tmp_path / "means.tsv", "--out", blocker], "--out"),
+            "rerank": (["rerank", "--checkpoint", tiny_checkpoint[0], "--queries", tmp_path / "queries.tsv",
+                        "--passages", tmp_path / "passages.tsv", "--candidates", tmp_path / "run.txt",
+                        "--out", blocker / "o.run"], "--out"),
+            "eval": (["eval", "--run", tmp_path / "run.txt", "--qrels", tmp_path / "qrels.txt", "--out", blocker],
+                     "--out"),
+            "synthetic-data": (["synthetic-data", "--out", blocker, "--triplets", "2"], "--out"),
+        }[command]
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        assert f"{named}: cannot create output directory {blocker}: " in capsys.readouterr().err
 
 
 class TestEval:
