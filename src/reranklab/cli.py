@@ -311,13 +311,15 @@ def cmd_rerank(args) -> int:
     if not tag or any(ch.isspace() for ch in tag):
         default = "" if args.tag is not None else " (the checkpoint file stem, used when --tag is not given)"
         raise ConfigError(f"--tag: expected a non-empty run tag without whitespace, got {tag!r}{default}")
+    out_path = _output_dir(Path(args.out).parent, "--out") / Path(args.out).name
+    if out_path.is_dir():
+        raise ConfigError(f"--out: {out_path} is a directory; expected the path of the run file to write")
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     bundle = load_checkpoint(ckpt_path)
     queries = ir_eval.read_corpus_tsv(_require_file(args.queries, "queries"))
     passages = ir_eval.read_corpus_tsv(_require_file(args.passages, "passages"))
     candidates = ir_eval.read_run(_require_file(args.candidates, "candidates run"))
     reranked = ir_eval.rerank(bundle.model, bundle.vocab, queries, passages, candidates, tag=tag)
-    out_path = _output_dir(Path(args.out).parent, "--out") / Path(args.out).name
     out_path.write_text(ir_eval.format_run(reranked), encoding="utf-8")
     print(f"wrote {len(reranked)} reranked lines to {out_path}")
     return EXIT_OK
@@ -429,11 +431,16 @@ def cmd_bench_optim(args) -> int:
     return EXIT_OK
 
 
+def _synth_flag(field: str) -> str:
+    return "--" + field.removeprefix("n_").replace("_", "-")  # --triplets sets n_triplets
+
+
 def cmd_synthetic_data(args) -> int:
     try:
         config = synth.SynthConfig(**{f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)})
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        # SynthConfig's messages start with the offending field.
+        raise ConfigError(f"{_synth_flag(str(exc).split()[0])}: {exc}") from None
     data = synth.generate(config)
     out_dir = _output_dir(args.out, "--out")
     files = synth.write_synth_files(data, out_dir)
@@ -516,9 +523,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthetic-data", help="generate a seeded separable corpus")
     p.add_argument("--out", required=True)
     for f in fields(synth.SynthConfig):
-        flag = f.name.removeprefix("n_")  # --triplets sets n_triplets
         p.add_argument(
-            f"--{flag.replace('_', '-')}", dest=f.name, metavar=flag.upper(), type=type(f.default), default=f.default
+            _synth_flag(f.name), dest=f.name, metavar=f.name.removeprefix("n_").upper(),
+            type=type(f.default), default=f.default,
         )
     p.set_defaults(func=cmd_synthetic_data)
 

@@ -238,6 +238,12 @@ class CrossEncoder:
     def forward(self, seqs: Sequence[TokenSequence]) -> Tensor:
         """Relevance scores for a batch of sequences as a (B, 1) tensor.
 
+        The head reads only the CLS position, and nothing after the last
+        layer's attention mixes positions, so that layer queries from the
+        CLS row alone and runs its output projection, residual adds and
+        feed-forward on one (B, d) row per sequence. Its ``attn_norm`` and
+        ``w_qkv`` still cover every position, for the keys and values.
+
         Records on the active tape, so it is the training-path entry
         point; use :func:`score_batch` for plain float inference.
         """
@@ -255,16 +261,18 @@ class CrossEncoder:
         )
         for i in range(cfg.n_layers):
             pre = f"layers.{i}"
+            last = i == cfg.n_layers - 1
             a = T.layer_norm(x, P[f"{pre}.attn_norm.gain"], P[f"{pre}.attn_norm.bias"])
-            attended = T.attention(T.linear(a, P[f"{pre}.attn.w_qkv"]), real, cfg.n_heads)
+            attended = T.attention(T.linear(a, P[f"{pre}.attn.w_qkv"]), real, cfg.n_heads, first_query_only=last)
+            if last:
+                # CLS rows: a one-hot (L, 1) column zeroes the other positions.
+                x = T.reduce_sum(T.mul(x, np.eye(cfg.max_len, 1)), axis=1)
             x = T.add(x, T.linear(attended, P[f"{pre}.attn.w_out"], P[f"{pre}.attn.out_bias"]))
             f = T.layer_norm(x, P[f"{pre}.ff_norm.gain"], P[f"{pre}.ff_norm.bias"])
             f = T.relu(T.linear(f, P[f"{pre}.ff.w1"], P[f"{pre}.ff.b1"]))
             x = T.add(x, T.linear(f, P[f"{pre}.ff.w2"], P[f"{pre}.ff.b2"]))
 
-        # CLS rows: a one-hot (L, 1) column zeroes the other positions.
-        cls_state = T.reduce_sum(T.mul(x, np.eye(cfg.max_len, 1)), axis=1)
-        return T.sigmoid(T.linear(cls_state, P["head.weight"], P["head.bias"]))
+        return T.sigmoid(T.linear(x, P["head.weight"], P["head.bias"]))
 
 
 def init_params(config: CrossEncoderConfig) -> CrossEncoder:

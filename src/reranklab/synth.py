@@ -35,6 +35,10 @@ class SynthConfig:
     marker_repeats: int = 3
 
     def __post_init__(self):
+        for name, low in (("n_triplets", 0), ("n_eval_queries", 0), ("n_candidates", 0),
+                          ("query_len", 1), ("marker_repeats", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         n_words = self.vocab_size - 4 - 2  # minus reserved ids and markers
         if n_words < self.query_len:
             raise ValueError(f"vocab_size {self.vocab_size} too small for queries")

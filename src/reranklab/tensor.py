@@ -44,7 +44,6 @@ __all__ = [
     "mul",
     "relu",
     "sigmoid",
-    "softmax",
     "layer_norm",
     "embedding_lookup",
     "reduce_sum",
@@ -376,7 +375,7 @@ def linear(x, w, b=None) -> Tensor:
     return _emit((x, w) if bias is None else (x, w, bias), out, rule)
 
 
-def attention(qkv, key_mask, n_heads: int) -> Tensor:
+def attention(qkv, key_mask, n_heads: int, first_query_only: bool = False) -> Tensor:
     """Multi-head scaled dot-product self-attention, all heads in one node.
 
     ``qkv`` is (B, L, 3d): the query, key and value projections side by
@@ -384,6 +383,12 @@ def attention(qkv, key_mask, n_heads: int) -> Tensor:
     columns, one per head. ``key_mask`` is a (B, L) array, true on real
     tokens; padded keys get zero weight, and every sequence needs at least
     one real token. Returns the heads' outputs side by side, (B, L, d).
+
+    With ``first_query_only`` only position 0 queries, still over every
+    key and value, and the result is that row alone, (B, d). Its
+    gradient reaches the query columns of position 0 only; the other
+    positions' query gradient is zero.
+
     The backward rule is written out by hand, softmax and mask included.
     """
     qkv = as_tensor(qkv)
@@ -397,22 +402,24 @@ def attention(qkv, key_mask, n_heads: int) -> Tensor:
         raise ShapeError(f"attention: key mask {real.shape} does not match (B, L) = {(batch, length)}")
     if not real.any(axis=1).all():
         raise ValueError("attention: a sequence has no real token to attend to")
-    # (B, L, 3, H, dh) -> three (B, H, L, dh) views
+    # (B, L, 3, H, dh) -> three (B, H, L, dh) views; queries keep their first `rows` positions
     q, k, v = qkv.data.reshape(batch, length, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    rows = 1 if first_query_only else length
+    q = q[:, :, :rows]
     scale = 1.0 / np.sqrt(dh)
 
-    weights = _buffer((batch, n_heads, length, length))
+    weights = _buffer((batch, n_heads, rows, length))
     np.matmul(q, k.swapaxes(-1, -2), out=weights)
     weights *= scale
     weights += np.where(real, 0.0, -np.inf)[:, None, None, :]
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    out = _buffer((batch, length, d))
-    np.matmul(weights, v, out=out.reshape(batch, length, n_heads, dh).swapaxes(1, 2))
+    out = _buffer((batch, d) if first_query_only else (batch, length, d))
+    np.matmul(weights, v, out=out.reshape(batch, rows, n_heads, dh).swapaxes(1, 2))
 
     def rule(g):
-        g_heads = g.reshape(batch, length, n_heads, dh).swapaxes(1, 2)
+        g_heads = g.reshape(batch, rows, n_heads, dh).swapaxes(1, 2)
         dqkv = np.empty((batch, length, 3, n_heads, dh))
         dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
         np.matmul(weights.swapaxes(-1, -2), g_heads, out=dv)
@@ -421,7 +428,8 @@ def attention(qkv, key_mask, n_heads: int) -> Tensor:
         dscores -= np.sum(dscores * weights, axis=-1, keepdims=True)
         dscores *= weights
         dscores *= scale
-        np.matmul(dscores, k, out=dq)
+        np.matmul(dscores, k, out=dq[:, :, :rows])
+        dq[:, :, rows:] = 0.0
         np.matmul(dscores.swapaxes(-1, -2), q, out=dk)
         return (dqkv.reshape(batch, length, width),)
 
@@ -482,22 +490,6 @@ def sigmoid(a) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # normalization and gathering
-
-
-def softmax(a, axis: int) -> Tensor:
-    """Softmax along ``axis``, stabilized by max subtraction."""
-    a = as_tensor(a)
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    out = np.subtract(a.data, np.max(a.data, axis=axis, keepdims=True), out=_buffer(a.shape))
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=axis, keepdims=True)
-
-    def rule(g):
-        inner = np.sum(g * out, axis=axis, keepdims=True)
-        return ((g - inner) * out,)
-
-    return _emit((a,), out, rule)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:

@@ -1,19 +1,23 @@
 """Brute-force reference implementations of the ranking metrics, of the
-checkpoint array writer, and of the optimizer updates and embedding gradient.
+checkpoint array writer, of the optimizer updates and embedding gradient,
+and of the encoder's softmax and full-length forward pass.
 
 Deliberately naive and independent of the production code paths: the
 ideal DCG is found by enumerating orderings of the positively judged
 documents, precision values are recounted from scratch at every rank,
 checkpoint values are printed with one float.hex() call each, optimizer
-updates are the plain whole-array formulas with fresh temporaries, and an
+updates are the plain whole-array formulas with fresh temporaries, an
 embedding gradient is a dense zero table that each id's gradient row is
-added to in turn. Only suitable for small cases.
+added to in turn, and the forward pass runs every layer over every
+position before it keeps the CLS row. Only suitable for small cases.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from reranklab import tensor as T
 
 
 def dcg(grades_in_rank_order, k, exponential=False):
@@ -175,3 +179,44 @@ def adamw_dense(theta, m, v, g, t, lr, beta1, beta2, eps, weight_decay):
     v = beta2 * v + (1.0 - beta2) * g * g
     step = (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps) + weight_decay * theta
     return theta - lr * step, m, v
+
+
+def softmax(a, axis):
+    """Softmax along ``axis`` as one tape node, stabilized by max subtraction."""
+    a = T.as_tensor(a)
+    if not -a.data.ndim <= axis < a.data.ndim:
+        raise T.ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
+    out = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
+    out /= np.sum(out, axis=axis, keepdims=True)
+
+    def rule(g):
+        inner = np.sum(g * out, axis=axis, keepdims=True)
+        return ((g - inner) * out,)
+
+    return T._emit((a,), out, rule)
+
+
+def full_length_forward(model, seqs):
+    """``CrossEncoder.forward`` with every layer over all L positions, then the CLS row.
+
+    The last layer's output projection, residual adds and feed-forward run
+    on rows the head never reads; the result and every gradient are the
+    model's.
+    """
+    cfg, P = model.config, model.params
+    ids = np.array([seq.ids for seq in seqs], dtype=np.intp)
+    real = np.array([seq.attention_mask for seq in seqs]) == 1
+    x = T.add(
+        T.embedding_lookup(P["token_embedding"], ids),
+        T.embedding_lookup(P["position_embedding"], np.arange(cfg.max_len)),
+    )
+    for i in range(cfg.n_layers):
+        pre = f"layers.{i}"
+        a = T.layer_norm(x, P[f"{pre}.attn_norm.gain"], P[f"{pre}.attn_norm.bias"])
+        attended = T.attention(T.linear(a, P[f"{pre}.attn.w_qkv"]), real, cfg.n_heads)
+        x = T.add(x, T.linear(attended, P[f"{pre}.attn.w_out"], P[f"{pre}.attn.out_bias"]))
+        f = T.layer_norm(x, P[f"{pre}.ff_norm.gain"], P[f"{pre}.ff_norm.bias"])
+        f = T.relu(T.linear(f, P[f"{pre}.ff.w1"], P[f"{pre}.ff.b1"]))
+        x = T.add(x, T.linear(f, P[f"{pre}.ff.w2"], P[f"{pre}.ff.b2"]))
+    cls_state = T.reduce_sum(T.mul(x, np.eye(cfg.max_len, 1)), axis=1)
+    return T.sigmoid(T.linear(cls_state, P["head.weight"], P["head.bias"]))

@@ -96,6 +96,18 @@ class TestSyntheticData:
         if not flags:
             assert expected == vars(SynthConfig())
 
+    @pytest.mark.parametrize(
+        "flag, value, field, low",
+        [("--triplets", -5, "n_triplets", 0), ("--eval-queries", -3, "n_eval_queries", 0),
+         ("--candidates", -1, "n_candidates", 0), ("--query-len", 0, "query_len", 1),
+         ("--marker-repeats", 0, "marker_repeats", 1)],
+    )
+    def test_out_of_range_size_exits_2_naming_the_flag(self, tmp_path, capsys, flag, value, field, low):
+        out = tmp_path / "data"
+        assert run_cli("synthetic-data", "--out", out, flag, value) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {flag}: {field} must be >= {low}, got {value}\n"
+        assert not out.exists()
+
     def test_help_lists_flags_and_metavars(self, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli("synthetic-data", "--help")
@@ -624,6 +636,24 @@ class TestOutputDirectory:
         }[command]
         assert run_cli(*argv) == cli.EXIT_CONFIG
         assert f"{named}: cannot create output directory {blocker}: " in capsys.readouterr().err
+
+
+class TestRerankOutDirectory:
+    def test_existing_directory_is_config_error_before_the_checkpoint_loads(self, tmp_path, capsys):
+        out = tmp_path / "reranked.run"
+        out.mkdir()
+        code = run_cli(
+            "rerank",
+            "--checkpoint", tmp_path / "missing.ckpt",
+            "--queries", tmp_path / "q.tsv",
+            "--passages", tmp_path / "p.tsv",
+            "--candidates", tmp_path / "c.run",
+            "--out", out,
+        )
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --out: {out} is a directory; expected the path of the run file to write\n"
+        )
 
 
 class TestEval:

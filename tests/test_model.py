@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from reranklab import tensor as T
 from reranklab.model import (
     CLS_ID,
     PAD_ID,
@@ -257,6 +259,65 @@ class TestBatchedGradient:
             assert p.grad is not None, f"no gradient reached {name}"
             fd = finite_diff_grad(lambda _: bce_loss(model.forward(seqs), labels), p)
             assert max_rel_err(p.grad, fd.data) < 1e-4, name
+
+
+class TestLastLayerClsOnly:
+    """The last layer runs on the CLS row after its attention, exactly as the full-length pass."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_scores_and_gradients_match_full_length_reference(self, n_layers, n_heads):
+        vocab = Vocab([f"t{i}" for i in range(16)])
+        cfg = CrossEncoderConfig(
+            vocab_size=vocab.size, d_model=8, n_layers=n_layers, n_heads=n_heads, d_ff=16, max_len=16, seed=3
+        )
+        model = init_params(cfg)
+        seqs = _mixed_length_batch(vocab, cfg.max_len)
+        labels = np.array([1, 0, 1, 0])
+        runs = []
+        for forward in (model.forward, lambda batch: oracles.full_length_forward(model, batch)):
+            with Tape() as tape:
+                scores = forward(seqs)
+                loss = bce_loss(scores, labels)
+            tape.backward(loss)
+            runs.append((scores.data, {name: np.asarray(p.grad) for name, p in model.parameters()}))
+            for _, p in model.parameters():
+                p.zero_grad()
+        (scores, got), (ref_scores, ref) = runs
+        assert scores.shape == (len(seqs), 1)
+        np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
+        for name in ref:
+            np.testing.assert_allclose(got[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_last_layer_products_see_one_row_per_sequence(self, monkeypatch, n_layers):
+        vocab = Vocab([f"t{i}" for i in range(16)])
+        cfg = CrossEncoderConfig(
+            vocab_size=vocab.size, d_model=64, n_layers=n_layers, n_heads=2, d_ff=128, max_len=16
+        )
+        model = init_params(cfg)
+        seqs = [tokenize_pair(vocab, f"t{i % 16}", f"t{i % 7} t{i % 5}", cfg.max_len) for i in range(64)]
+        names = {id(p): name for name, p in model.parameters()}
+        rows = {}
+        linear = T.linear
+
+        def recording(x, w, b=None):
+            rows[names[id(w)]] = int(np.prod(T.as_tensor(x).shape[:-1]))
+            return linear(x, w, b)
+
+        monkeypatch.setattr(T, "linear", recording)
+        with Tape() as tape:
+            loss = bce_loss(model.forward(seqs), np.arange(64) % 2)
+        tape.backward(loss)
+        batch, positions = len(seqs), len(seqs) * cfg.max_len
+        last = f"layers.{n_layers - 1}"
+        assert rows[f"{last}.attn.w_qkv"] == positions  # keys and values need every position
+        for name in ("attn.w_out", "ff.w1", "ff.w2"):
+            assert rows[f"{last}.{name}"] == batch, name
+        assert rows["head.weight"] == batch
+        for i in range(n_layers - 1):
+            for name in ("attn.w_qkv", "attn.w_out", "ff.w1", "ff.w2"):
+                assert rows[f"layers.{i}.{name}"] == positions, name
 
 
 class TestScoreBatch:

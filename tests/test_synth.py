@@ -1,5 +1,7 @@
 """Synthetic corpus structure: separability, determinism, matching splits."""
 
+import pytest
+
 from reranklab.synth import NEG_MARKER, POS_MARKER, SynthConfig, generate
 
 
@@ -55,3 +57,19 @@ def test_same_seed_same_data():
     assert a.triplets == b.triplets
     assert a.queries == b.queries
     assert a.candidates == b.candidates
+
+
+@pytest.mark.parametrize(
+    "field, value, low",
+    [("n_triplets", -5, 0), ("n_eval_queries", -3, 0), ("n_candidates", -1, 0), ("query_len", 0, 1),
+     ("marker_repeats", 0, 1)],
+)
+def test_out_of_range_size_rejected_naming_the_field(field, value, low):
+    with pytest.raises(ValueError) as info:
+        SynthConfig(**{field: value})
+    assert str(info.value) == f"{field} must be >= {low}, got {value}"
+
+
+def test_no_triplets_and_no_eval_queries_are_valid():
+    data = generate(SynthConfig(n_triplets=0, n_eval_queries=0))
+    assert data.triplets == [] and data.queries == {} and data.candidates == []

@@ -131,7 +131,7 @@ def _per_head_block(a, w_query, w_key_t, w_value, w_out, a_t, real):
     total = None
     for wq, wkt, wv, wo in zip(w_query, w_key_t, w_value, w_out):
         scores = T.add(T.mul(T.matmul(T.matmul(a, wq), T.matmul(wkt, a_t)), scale), key_mask)
-        head = T.matmul(T.matmul(T.softmax(scores, axis=-1), T.matmul(a, wv)), wo)
+        head = T.matmul(T.matmul(oracles.softmax(scores, axis=-1), T.matmul(a, wv)), wo)
         total = head if total is None else T.add(total, head)
     return total
 
@@ -195,6 +195,47 @@ class TestAttention:
                 np.testing.assert_allclose(g, r.grad, rtol=0, atol=1e-12)
         for g, r in zip(blocks["k"], w_key_t):
             np.testing.assert_allclose(g, r.grad.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_first_query_only_is_row_zero_of_full_attention(self, rng, n_heads):
+        real = self._mask()
+        d = self.H * self.DH
+        data = rng.normal(size=(self.B, self.L, 3 * d))
+        weights = rng.normal(size=(self.B, d))
+        full_qkv = Tensor(data, requires_grad=True)
+        row0 = np.zeros((self.B, self.L, d))
+        row0[:, 0] = weights  # the full loss reads row 0 only
+        with Tape() as tape:
+            full = T.attention(full_qkv, real, n_heads)
+            tape.backward(T.mul(full, row0).sum())
+        qkv = Tensor(data, requires_grad=True)
+        with Tape() as tape:
+            first = T.attention(qkv, real, n_heads, first_query_only=True)
+            tape.backward(T.mul(first, weights).sum())
+        assert first.shape == (self.B, d)
+        np.testing.assert_allclose(first.data, full.data[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(qkv.grad, full_qkv.grad, rtol=0, atol=1e-12)
+
+    def test_first_query_only_backward_matches_finite_differences(self, rng):
+        real = self._mask()
+        d = self.H * self.DH
+        qkv = Tensor(rng.normal(size=(self.B, self.L, 3 * d)), requires_grad=True)
+        weights = rng.normal(size=(self.B, d))
+
+        def f(t):
+            return T.mul(T.attention(t, real, self.H, first_query_only=True), weights).sum()
+
+        with Tape() as tape:
+            loss = f(qkv)
+        tape.backward(loss)
+        fd = finite_diff_grad(f, qkv)
+        assert max_rel_err(qkv.grad, fd.data) < 1e-4
+        # only position 0 queries, so the other positions' query columns get no gradient
+        assert not qkv.grad[:, 1:, :d].any()
+        # padded keys get no weight, so their key and value columns get no gradient
+        assert min(self.REAL_LENGTHS) < self.L
+        for b, n in enumerate(self.REAL_LENGTHS):
+            assert not qkv.grad[b, n:, d:].any()
 
     def test_sequence_without_real_token_rejected(self):
         real = self._mask()
@@ -268,35 +309,37 @@ class TestElementwise:
 
 
 class TestSoftmax:
+    """The reference softmax in ``oracles``, which the per-head attention reference composes."""
+
     def test_uniform_input(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
+        out = oracles.softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
         np.testing.assert_allclose(out.data, 1 / 3, atol=1e-15)
 
     def test_shift_invariance(self, rng):
         x = rng.normal(size=(4, 6))
-        base = T.softmax(Tensor(x), axis=1).data
-        shifted = T.softmax(Tensor(x + 123.456), axis=1).data
+        base = oracles.softmax(Tensor(x), axis=1).data
+        shifted = oracles.softmax(Tensor(x + 123.456), axis=1).data
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
     def test_log_ratio_inputs(self):
-        out = T.softmax(Tensor(np.log([1.0, 2.0, 3.0])), axis=0)
+        out = oracles.softmax(Tensor(np.log([1.0, 2.0, 3.0])), axis=0)
         np.testing.assert_allclose(out.data, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
-        out = T.softmax(Tensor(rng.normal(size=(8, 5)) * 10), axis=1)
+        out = oracles.softmax(Tensor(rng.normal(size=(8, 5)) * 10), axis=1)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
         assert (out.data >= 0).all()
 
     def test_invalid_axis(self):
         with pytest.raises(ShapeError):
-            T.softmax(Tensor(np.ones((2, 2))), axis=5)
+            oracles.softmax(Tensor(np.ones((2, 2))), axis=5)
 
     def test_backward_matches_oracle(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 4)))
 
         def f(t):
-            return T.mul(T.softmax(t, axis=1), w).sum()
+            return T.mul(oracles.softmax(t, axis=1), w).sum()
 
         with Tape() as tape:
             loss = f(x)
