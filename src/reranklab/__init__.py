@@ -27,7 +27,7 @@ from reranklab.train import (
     run_training,
     triplets_to_pairs,
 )
-from reranklab.ir_eval import MetricReport, Qrels, RunEntry, evaluate, parse_qrels, parse_run, rerank
+from reranklab.ir_eval import MetricReport, evaluate, parse_qrels, parse_run, rerank
 
 __version__ = "0.1.0"
 
@@ -56,8 +56,6 @@ __all__ = [
     "run_training",
     "triplets_to_pairs",
     "MetricReport",
-    "Qrels",
-    "RunEntry",
     "evaluate",
     "parse_qrels",
     "parse_run",

@@ -319,9 +319,9 @@ def cmd_rerank(args) -> int:
     queries = ir_eval.read_corpus_tsv(_require_file(args.queries, "queries"))
     passages = ir_eval.read_corpus_tsv(_require_file(args.passages, "passages"))
     candidates = ir_eval.read_run(_require_file(args.candidates, "candidates run"))
-    reranked = ir_eval.rerank(bundle.model, bundle.vocab, queries, passages, candidates, tag=tag)
-    out_path.write_text(ir_eval.format_run(reranked), encoding="utf-8")
-    print(f"wrote {len(reranked)} reranked lines to {out_path}")
+    reranked = ir_eval.rerank(bundle.model, bundle.vocab, queries, passages, candidates)
+    out_path.write_text(ir_eval.format_run(reranked, tag), encoding="utf-8")
+    print(f"wrote {sum(map(len, reranked.values()))} reranked lines to {out_path}")
     return EXIT_OK
 
 

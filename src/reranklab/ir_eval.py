@@ -1,11 +1,13 @@
 """TREC-format parsing, reranking, and the six-metric evaluation suite.
 
 Run files hold ``qid Q0 docid rank score tag`` lines; qrels hold
-``qid 0 docid rel``. Evaluation sorts every query's entries once by
-(score, docid) descending, so results do not depend on input line order,
-and computes NDCG@k, MAP, MRR@k, Recall@k, R-Prec, and P@k per query with
-arithmetic-mean aggregates. The five binary metrics come from one walk of
-each query's ranking.
+``qid 0 docid rel``. In memory a run is ``{qid: [(score, docid), ...]}``
+in file order and qrels are ``{qid: {docid: grade}}``. Evaluation sorts
+a copy of every query's pairs once, (score, docid) descending, so
+results do not depend on input line order, and computes NDCG@k, MAP,
+MRR@k, Recall@k, R-Prec, and P@k per query with arithmetic-mean
+aggregates. The five binary metrics come from one walk of each query's
+ranking.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "ParseError",
-    "RunEntry",
-    "Qrels",
     "MetricReport",
     "parse_run",
     "parse_qrels",
@@ -35,12 +35,6 @@ __all__ = [
     "open_utf8",
     "line_list",
     "rerank",
-    "ndcg_at_k",
-    "average_precision",
-    "reciprocal_rank_at_k",
-    "precision_at_k",
-    "recall_at_k",
-    "r_precision",
     "evaluate",
     "METRIC_NAMES",
     "report_table",
@@ -82,59 +76,17 @@ def line_list(linenos: Sequence[int]) -> str:
     return f"[{listed}, ...] ({len(linenos)} lines)"
 
 
-@dataclass(slots=True)
-class RunEntry:
-    """One ranked result row of a TREC run file."""
-
-    qid: str
-    docid: str
-    rank: int
-    score: float
-    tag: str
-
-
-class Qrels:
-    """Graded relevance judgments keyed by (qid, docid)."""
-
-    def __init__(self):
-        self._grades: dict[str, dict[str, int]] = {}
-
-    def set(self, qid: str, docid: str, grade: int) -> bool:
-        """Store a judgment; returns True when it replaced an earlier one."""
-        if grade < 0:
-            raise ValueError(f"relevance grade must be >= 0, got {grade}")
-        per_query = self._grades.setdefault(qid, {})
-        existed = docid in per_query
-        per_query[docid] = grade
-        return existed
-
-    def get(self, qid: str, docid: str) -> int:
-        return self._grades.get(qid, {}).get(docid, 0)
-
-    def grades(self, qid: str) -> dict[str, int]:
-        """docid -> grade map for one query (empty if unjudged)."""
-        return dict(self._grades.get(qid, {}))
-
-    def query_ids(self) -> list[str]:
-        return list(self._grades)
-
-    def __contains__(self, qid: str) -> bool:
-        return qid in self._grades
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._grades.values())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Qrels) and self._grades == other._grades
-
-
 # ---------------------------------------------------------------------------
 # formats
 
 
-def parse_run(lines: Iterable[str], source: str = "<run>") -> list[RunEntry]:
-    """Parse ``qid Q0 docid rank score tag`` lines (whitespace separated)."""
-    entries: list[RunEntry] = []
+def parse_run(lines: Iterable[str], source: str = "<run>") -> dict[str, list[tuple[float, str]]]:
+    """Parse ``qid Q0 docid rank score tag`` lines (whitespace separated).
+
+    Returns ``{qid: [(score, docid), ...]}`` in file order. The rank must
+    be an integer >= 1 but is not kept, and the tag is dropped.
+    """
+    run: dict[str, list[tuple[float, str]]] = {}
     bad: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
@@ -143,7 +95,7 @@ def parse_run(lines: Iterable[str], source: str = "<run>") -> list[RunEntry]:
         if len(parts) != 6:
             bad.append(lineno)
             continue
-        qid, _, docid, rank_s, score_s, tag = parts
+        qid, _, docid, rank_s, score_s, _ = parts
         try:
             rank = int(rank_s)
             value = float(score_s)
@@ -153,16 +105,18 @@ def parse_run(lines: Iterable[str], source: str = "<run>") -> list[RunEntry]:
         if rank < 1 or not math.isfinite(value):
             bad.append(lineno)
             continue
-        entries.append(RunEntry(qid, docid, rank, value, tag))
+        pairs = run.get(qid)
+        if pairs is None:
+            pairs = run[qid] = []
+        pairs.append((value, docid))
     if bad:
         raise ParseError(f"{source}: malformed run lines {line_list(bad)}")
-    return entries
+    return run
 
 
-def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> Qrels:
-    """Parse ``qid 0 docid rel`` lines; duplicate judgments keep the last."""
-    qrels = Qrels()
-    grades = qrels._grades
+def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> dict[str, dict[str, int]]:
+    """Parse ``qid 0 docid rel`` lines into ``{qid: {docid: grade}}``; duplicate judgments keep the last."""
+    grades: dict[str, dict[str, int]] = {}
     bad: list[int] = []
     duplicates = 0
     for lineno, raw in enumerate(lines, start=1):
@@ -191,29 +145,30 @@ def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> Qrels:
         raise ParseError(f"{source}: malformed qrels lines {line_list(bad)}")
     if duplicates:
         logger.warning("%s: %d duplicate (qid, docid) judgment(s), last value kept", source, duplicates)
-    return qrels
+    return grades
 
 
-def format_run(entries: Iterable[RunEntry]) -> str:
-    """Emit run lines with scores at 6 decimal places."""
-    lines = [f"{e.qid} Q0 {e.docid} {e.rank} {e.score:.6f} {e.tag}" for e in entries]
+def format_run(run: Mapping[str, Sequence[tuple[float, str]]], tag: str) -> str:
+    """Emit run lines with scores at 6 decimal places, ranked 1..k by list position."""
+    lines = [
+        f"{qid} Q0 {docid} {rank} {value:.6f} {tag}"
+        for qid, pairs in run.items()
+        for rank, (value, docid) in enumerate(pairs, start=1)
+    ]
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def format_qrels(qrels: Qrels) -> str:
-    lines = []
-    for qid in qrels.query_ids():
-        for docid, grade in qrels.grades(qid).items():
-            lines.append(f"{qid} 0 {docid} {grade}")
+def format_qrels(qrels: Mapping[str, Mapping[str, int]]) -> str:
+    lines = [f"{qid} 0 {docid} {grade}" for qid, grades in qrels.items() for docid, grade in grades.items()]
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def read_run(path) -> list[RunEntry]:
+def read_run(path) -> dict[str, list[tuple[float, str]]]:
     with open_utf8(path) as fh:
         return parse_run(fh, source=str(path))
 
 
-def read_qrels(path) -> Qrels:
+def read_qrels(path) -> dict[str, dict[str, int]]:
     with open_utf8(path) as fh:
         return parse_qrels(fh, source=str(path))
 
@@ -241,41 +196,32 @@ def read_corpus_tsv(path) -> dict[str, str]:
 # reranking
 
 
-def _sort_by_score(pairs: list[tuple[float, str]]) -> list[tuple[float, str]]:
-    """Sort ``(score, docid)`` pairs in place: score descending, ties by docid descending."""
-    pairs.sort(reverse=True)
-    return pairs
-
-
 def rerank(
     model: CrossEncoder,
     vocab: Vocab,
     queries: Mapping[str, str],
     passages: Mapping[str, str],
-    candidates: Sequence[RunEntry],
-    tag: str = "crossenc",
-) -> list[RunEntry]:
-    """Rescore candidate lists with the model and rewrite ranks 1..k.
+    candidates: Mapping[str, Sequence[tuple[float, str]]],
+) -> dict[str, list[tuple[float, str]]]:
+    """Rescore candidate lists with the model.
 
     Every candidate qid/docid must resolve to text. Output per query is
-    a permutation of its input docids, ordered by model score descending
-    with ties broken by docid descending.
+    a permutation of its input docids. Each score is kept as the run
+    format prints it, ``round(s, 6)``, and the list is ordered by
+    (score, docid) descending, the order :func:`evaluate` reads back from
+    the written file.
     """
-    per_query: dict[str, list[str]] = {}
-    for entry in candidates:
-        per_query.setdefault(entry.qid, []).append(entry.docid)
-
-    out: list[RunEntry] = []
-    for qid, docids in per_query.items():
+    out: dict[str, list[tuple[float, str]]] = {}
+    for qid, pairs in candidates.items():
         if qid not in queries:
             raise ValueError(f"rerank: query id {qid!r} has no text")
+        docids = [docid for _, docid in pairs]
         missing = [docid for docid in docids if docid not in passages]
         if missing:
             raise ValueError(f"rerank: passage id {missing[0]!r} (query {qid!r}) has no text")
         seqs = [tokenize_pair(vocab, queries[qid], passages[d], model.config.max_len) for d in docids]
-        scored = list(zip(score_batch(model, seqs), docids))
-        for rank, (value, docid) in enumerate(_sort_by_score(scored), start=1):
-            out.append(RunEntry(qid=qid, docid=docid, rank=rank, score=value, tag=tag))
+        scores = score_batch(model, seqs)
+        out[qid] = sorted(((round(value, 6), docid) for value, docid in zip(scores, docids)), reverse=True)
     return out
 
 
@@ -291,7 +237,8 @@ def _check_cutoffs(k: int, binarize_at: int = 1) -> None:
 
 
 def _gain(grade: int, exponential: bool) -> float:
-    return float(2**grade - 1) if exponential else float(grade)
+    # a float power raises OverflowError at once; 2**grade would first build a grade-bit integer
+    return 2.0**grade - 1.0 if exponential else float(grade)
 
 
 def _dcg(grades: Sequence[int], k: int, exponential: bool) -> float:
@@ -301,25 +248,17 @@ def _dcg(grades: Sequence[int], k: int, exponential: bool) -> float:
 
 
 def _ndcg(ranking: Sequence[str], grades: Mapping[str, int], k: int, exponential: bool) -> Optional[float]:
+    """Normalized DCG@k; None when the ideal DCG, over every judged document, is zero.
+
+    Raises OverflowError when a gain or a DCG sum leaves the float range.
+    """
     idcg = _dcg(sorted(grades.values(), reverse=True), k, exponential)
     if idcg == 0.0:
         return None
-    return _dcg([grades.get(docid, 0) for docid in ranking[:k]], k, exponential) / idcg
-
-
-def ndcg_at_k(
-    ranking: Sequence[str],
-    grades: Mapping[str, int],
-    k: int = 10,
-    exponential: bool = False,
-) -> Optional[float]:
-    """Normalized DCG@k with linear gains (exponential optional).
-
-    The ideal DCG comes from the best ordering of all judged documents,
-    retrieved or not. Returns None when the ideal DCG is zero.
-    """
-    _check_cutoffs(k)
-    return _ndcg(ranking, grades, k, exponential)
+    dcg = _dcg([grades.get(docid, 0) for docid in ranking[:k]], k, exponential)
+    if math.isinf(idcg) or math.isinf(dcg):
+        raise OverflowError
+    return dcg / idcg
 
 
 def _relevant_set(grades: Mapping[str, int], binarize_at: int) -> set[str]:
@@ -361,48 +300,6 @@ def _binary_metrics(
     )
 
 
-def _binary_metric(
-    name: str, ranking: Sequence[str], grades: Mapping[str, int], k: int, binarize_at: int
-) -> Optional[float]:
-    """One value of :func:`_binary_metrics`; MAP and R-Prec ignore ``k``."""
-    _check_cutoffs(k, binarize_at)
-    values = _binary_metrics(ranking, _relevant_set(grades, binarize_at), k)
-    return None if values is None else values[_BINARY_METRICS.index(name)]
-
-
-def average_precision(
-    ranking: Sequence[str], grades: Mapping[str, int], binarize_at: int = 1
-) -> Optional[float]:
-    """Mean of precision at each relevant retrieved rank, over total relevant."""
-    return _binary_metric("map", ranking, grades, 1, binarize_at)
-
-
-def reciprocal_rank_at_k(
-    ranking: Sequence[str], grades: Mapping[str, int], k: int = 10, binarize_at: int = 1
-) -> Optional[float]:
-    """1/rank of the first relevant document within the top k, else 0."""
-    return _binary_metric("mrr@10", ranking, grades, k, binarize_at)
-
-
-def precision_at_k(
-    ranking: Sequence[str], grades: Mapping[str, int], k: int = 10, binarize_at: int = 1
-) -> Optional[float]:
-    return _binary_metric("p@10", ranking, grades, k, binarize_at)
-
-
-def recall_at_k(
-    ranking: Sequence[str], grades: Mapping[str, int], k: int = 10, binarize_at: int = 1
-) -> Optional[float]:
-    return _binary_metric("recall@10", ranking, grades, k, binarize_at)
-
-
-def r_precision(
-    ranking: Sequence[str], grades: Mapping[str, int], binarize_at: int = 1
-) -> Optional[float]:
-    """Precision at rank R, where R is the query's total relevant count."""
-    return _binary_metric("r_prec", ranking, grades, 1, binarize_at)
-
-
 # ---------------------------------------------------------------------------
 # full evaluation
 
@@ -428,8 +325,8 @@ class MetricReport:
 
 
 def evaluate(
-    run: Sequence[RunEntry],
-    qrels: Qrels,
+    run: Mapping[str, Sequence[tuple[float, str]]],
+    qrels: Mapping[str, Mapping[str, int]],
     k: int = 10,
     binarize_at: int = 1,
     exponential_gain: bool = False,
@@ -437,30 +334,33 @@ def evaluate(
     """Score a run against qrels with all six metrics.
 
     Run queries absent from the qrels are skipped with a counted
-    warning. Entries are re-sorted by (score desc, docid desc) before
-    metrics are computed, matching reference-evaluator behavior.
-    Raises ValueError when ``k`` or ``binarize_at`` is below 1.
+    warning. A sorted copy of each query's pairs, (score desc, docid
+    desc), gives the ranking, matching reference-evaluator behavior; the
+    run itself is not changed. Raises ValueError when ``k`` or
+    ``binarize_at`` is below 1, or when a query's NDCG gains overflow a
+    float.
     """
     _check_cutoffs(k, binarize_at)
-    per_query_pairs: dict[str, list[tuple[float, str]]] = {}
-    for entry in run:
-        per_query_pairs.setdefault(entry.qid, []).append((entry.score, entry.docid))
-
     per_query: dict[str, dict[str, Optional[float]]] = {m: {} for m in METRIC_NAMES}
     ndcg_column = per_query["ndcg@10"]
     binary_columns = [per_query[m] for m in _BINARY_METRICS]
     undefined = (None,) * len(_BINARY_METRICS)
     skipped = 0
     evaluated_ids: list[str] = []
-    for qid in sorted(per_query_pairs):
-        grades = qrels._grades.get(qid)
+    for qid in sorted(run):
+        grades = qrels.get(qid)
         if grades is None:
             skipped += 1
             logger.warning("query %r missing from qrels; skipped", qid)
             continue
         evaluated_ids.append(qid)
-        ranking = [docid for _, docid in _sort_by_score(per_query_pairs[qid])]
-        ndcg_column[qid] = _ndcg(ranking, grades, k, exponential_gain)
+        ranking = [docid for _, docid in sorted(run[qid], reverse=True)]
+        try:
+            ndcg_column[qid] = _ndcg(ranking, grades, k, exponential_gain)
+        except OverflowError:
+            raise ValueError(
+                f"query {qid!r}: the NDCG gain of grade {max(grades.values())} overflows a float"
+            ) from None
         values = _binary_metrics(ranking, _relevant_set(grades, binarize_at), k) or undefined
         for column, value in zip(binary_columns, values):
             column[qid] = value

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from reranklab.ir_eval import Qrels, RunEntry, format_qrels, format_run
+from reranklab.ir_eval import format_qrels, format_run
 from reranklab.train import Triplet
 
 __all__ = ["SynthConfig", "SynthData", "generate", "write_synth_files", "POS_MARKER", "NEG_MARKER"]
@@ -51,8 +51,8 @@ class SynthData:
     triplets: list[Triplet]
     queries: dict[str, str]
     passages: dict[str, str]
-    qrels: Qrels
-    candidates: list[RunEntry]
+    qrels: dict[str, dict[str, int]]
+    candidates: dict[str, list[tuple[float, str]]]
 
 
 def _words(config: SynthConfig) -> list[str]:
@@ -85,29 +85,25 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthData:
 
     queries: dict[str, str] = {}
     passages: dict[str, str] = {}
-    qrels = Qrels()
-    candidates: list[RunEntry] = []
+    qrels: dict[str, dict[str, int]] = {}
+    candidates: dict[str, list[tuple[float, str]]] = {}
     for qi in range(config.n_eval_queries):
         qid = f"q{qi:03d}"
         q = rng.sample(words, config.query_len)
         queries[qid] = " ".join(q)
-        docids = []
+        grades = qrels[qid] = {}
         for di in range(config.n_candidates):
             docid = f"d{qi:03d}x{di:02d}"
             if di < config.n_relevant:
                 passages[docid] = _positive_passage(q, config)
-                qrels.set(qid, docid, 1)
+                grades[docid] = 1
             else:
                 passages[docid] = _negative_passage(rng, words, config)
-                qrels.set(qid, docid, 0)
-            docids.append(docid)
+                grades[docid] = 0
         # First-stage list: random scores, so the candidate order carries
         # no signal and reranking has to come from the model.
-        scored = sorted(((docid, rng.random()) for docid in docids), key=lambda t: (-t[1], t[0]))
-        for rank, (docid, value) in enumerate(scored, start=1):
-            candidates.append(
-                RunEntry(qid=qid, docid=docid, rank=rank, score=value, tag="synth-first-stage")
-            )
+        scored = [(rng.random(), docid) for docid in grades]
+        candidates[qid] = sorted(scored, key=lambda t: (-t[0], t[1]))
     return SynthData(
         triplets=triplets, queries=queries, passages=passages, qrels=qrels, candidates=candidates
     )
@@ -136,5 +132,5 @@ def write_synth_files(data: SynthData, out_dir) -> dict[str, str]:
     with open(out / files["qrels"], "w", encoding="utf-8") as fh:
         fh.write(format_qrels(data.qrels))
     with open(out / files["candidates"], "w", encoding="utf-8") as fh:
-        fh.write(format_run(data.candidates))
+        fh.write(format_run(data.candidates, "synth-first-stage"))
     return files

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reranklab.ir_eval import evaluate
 from reranklab.model import CrossEncoderConfig, Vocab, init_params
 
 
@@ -16,6 +17,17 @@ def same_bits(a, b):
     """Equal as IEEE bit patterns: unlike ==, tells -0.0 from 0.0."""
     a, b = np.ascontiguousarray(a, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def query_metrics(ranking, grades, k=10, binarize_at=1, exponential=False):
+    """The six metrics of one ranking, from ``evaluate`` on a one-query run.
+
+    Scores ``n - i`` keep the ranking's order, repeated docids included.
+    """
+    n = len(ranking)
+    run = {"q": [(float(n - i), docid) for i, docid in enumerate(ranking)]}
+    report = evaluate(run, {"q": grades}, k=k, binarize_at=binarize_at, exponential_gain=exponential)
+    return {metric: column["q"] for metric, column in report.per_query.items()}
 
 
 @pytest.fixture

@@ -59,8 +59,8 @@ class TestSyntheticData:
         assert len(triplets) == 12
         qrels = read_qrels(synth_dir / "qrels.txt")
         run = read_run(synth_dir / "candidates.run")
-        assert len(run) == 2 * 4
-        assert len(qrels) == 2 * 4
+        assert sum(map(len, run.values())) == 2 * 4
+        assert sum(map(len, qrels.values())) == 2 * 4
 
     def test_manifest_lists_every_artifact(self, synth_dir):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
@@ -390,14 +390,14 @@ class TestRerank:
             )
             == 0
         )
-        entries = read_run(out_run)
+        lines = [line.split() for line in out_run.read_text(encoding="utf-8").splitlines()]
         original = read_run(synth_dir / "candidates.run")
-        assert len(entries) == len(original)
-        for qid in {e.qid for e in original}:
-            got = sorted(e.docid for e in entries if e.qid == qid)
-            expected = sorted(e.docid for e in original if e.qid == qid)
+        assert len(lines) == sum(map(len, original.values()))
+        for qid, pairs in original.items():
+            got = sorted(fields[2] for fields in lines if fields[0] == qid)
+            expected = sorted(docid for _, docid in pairs)
             assert got == expected
-            ranks = sorted(e.rank for e in entries if e.qid == qid)
+            ranks = sorted(int(fields[3]) for fields in lines if fields[0] == qid)
             assert ranks == list(range(1, len(ranks) + 1))
 
     def test_tag_defaults_to_checkpoint_stem(self, tmp_path, synth_dir, trained):
@@ -410,8 +410,8 @@ class TestRerank:
             "--candidates", synth_dir / "candidates.run",
             "--out", out_run,
         )
-        entries = read_run(out_run)
-        assert all(e.tag == "toy-lion-epoch3" for e in entries)
+        lines = out_run.read_text(encoding="utf-8").splitlines()
+        assert lines and all(line.split()[5] == "toy-lion-epoch3" for line in lines)
 
     @pytest.mark.parametrize("tag", ["my run", "", "tab\there"])
     def test_tag_with_whitespace_is_config_error(self, tmp_path, capsys, tag):
@@ -763,6 +763,28 @@ class TestEval:
         assert "@10" not in tsv
         assert "ndcg@5\tq1\t0.000000\n" in tsv and "mrr@5\tall\t0.000000\n" in tsv
         assert (report_dir / "metrics.txt").read_text() in out
+
+    @pytest.mark.parametrize(
+        "grades, top",
+        [
+            ("a 1024", 1024),  # 2**1024 - 1 is past the float range
+            ("a 1023\nq1 0 b 1023\nq1 0 c 1023", 1023),  # each gain fits, their DCG sum does not
+        ],
+    )
+    def test_exponential_gain_overflow_is_input_error(self, tmp_path, capsys, grades, top):
+        run = tmp_path / "x.run"
+        qrels = tmp_path / "qrels.txt"
+        run.write_text("q1 Q0 a 1 1.000000 t\nq1 Q0 b 2 0.500000 t\n", encoding="utf-8")
+        qrels.write_text(f"q1 0 {grades}\n", encoding="utf-8")
+        report_dir = tmp_path / "report"
+        code = run_cli("eval", "--run", run, "--qrels", qrels, "--exponential-gain", "--out", report_dir)
+        assert code == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: query 'q1': the NDCG gain of grade {top} overflows a float\n"
+        assert "nan" not in captured.out
+        assert not report_dir.exists()
+        # linear gains of the same judgments evaluate as before
+        assert run_cli("eval", "--run", run, "--qrels", qrels) == cli.EXIT_OK
 
     def test_malformed_run_is_parse_error(self, tmp_path):
         run = tmp_path / "bad.run"

@@ -1,36 +1,32 @@
 """TREC formats, reranking, and the metric suite against brute-force oracles."""
 
+import copy
 import logging
 import math
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reranklab import ir_eval
 from reranklab.ir_eval import (
     ParseError,
-    Qrels,
-    RunEntry,
-    average_precision,
     evaluate,
     format_qrels,
     format_run,
-    ndcg_at_k,
     parse_qrels,
     parse_run,
-    precision_at_k,
-    r_precision,
-    recall_at_k,
-    reciprocal_rank_at_k,
     rerank,
     report_table,
     report_tsv_lines,
 )
-from reranklab.model import CrossEncoderConfig, init_params, score, tokenize_pair
+from reranklab.model import CrossEncoderConfig, Vocab, init_params, score, tokenize_pair
 
 import oracles
+from conftest import query_metrics
 
 # No per-example deadline: example times swing with machine load.
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -39,12 +35,12 @@ ID_TOKENS = st.text(string.ascii_letters + string.digits + "-_.", min_size=1, ma
 
 class TestParseRun:
     def test_format_definition(self):
-        entries = parse_run(["q1 Q0 d7 1 9.5 bm25"])
-        assert entries == [RunEntry(qid="q1", docid="d7", rank=1, score=9.5, tag="bm25")]
+        run = parse_run(["q1 Q0 d7 1 9.5 bm25"])
+        assert run == {"q1": [(9.5, "d7")]}
 
     def test_empty_input(self):
-        assert parse_run([]) == []
-        assert parse_run(["", "   "]) == []
+        assert parse_run([]) == {}
+        assert parse_run(["", "   "]) == {}
 
     def test_malformed_lines_listed(self):
         lines = ["q1 Q0 d1 1 1.0 t", "q1 Q0 d2 oops 1.0 t", "q1 Q0 d3", "q1 Q0 d4 2 2.0 t"]
@@ -64,12 +60,10 @@ class TestParseRun:
             "q1 Q0 d3 3 1e-3 t\r\n",
             "\x0bq2\x0cQ0 d1 1 -1.25 run-a",
         ]
-        assert parse_run(lines) == [
-            RunEntry("q1", "d1", 1, 2.5, "t"),
-            RunEntry("q1", "d2", 2, -0.0, "t"),
-            RunEntry("q1", "d3", 3, 1e-3, "t"),
-            RunEntry("q2", "d1", 1, -1.25, "run-a"),
-        ]
+        assert parse_run(lines) == {
+            "q1": [(2.5, "d1"), (-0.0, "d2"), (1e-3, "d3")],
+            "q2": [(-1.25, "d1")],
+        }
 
     def test_bad_lines_listed_in_order(self):
         lines = [
@@ -96,24 +90,26 @@ class TestParseRun:
             parse_run(lines, source="x.run")
         assert str(info.value) == "x.run: malformed run lines [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, ...] (1000 lines)"
 
-    def test_entries_have_no_instance_dict(self):
-        entry = RunEntry("q1", "d1", 1, 1.0, "t")
-        assert not hasattr(entry, "__dict__")
-        assert entry == RunEntry(qid="q1", docid="d1", rank=1, score=1.0, tag="t")
-        assert entry != RunEntry("q1", "d1", 2, 1.0, "t")
+    def test_pairs_in_file_order_grouped_by_query(self):
+        # ranks are checked, not kept: file order is what a query's list holds
+        lines = ["q2 Q0 d1 9 1.0 a", "q1 Q0 d5 3 2.0 b", "q2 Q0 d3 1 3.0 c", "q2 Q0 d1 2 0.5 a"]
+        run = parse_run(lines)
+        assert list(run) == ["q2", "q1"]
+        assert run["q2"] == [(1.0, "d1"), (3.0, "d3"), (0.5, "d1")]
+        assert run["q1"] == [(2.0, "d5")]
 
 
 class TestParseQrels:
     def test_basic(self):
         qrels = parse_qrels(["q1 0 d1 2", "q1 0 d2 0", "q2 0 d1 1"])
-        assert qrels.get("q1", "d1") == 2
-        assert qrels.get("q1", "d2") == 0
-        assert len(qrels) == 3
+        assert qrels["q1"]["d1"] == 2
+        assert qrels["q1"]["d2"] == 0
+        assert sum(map(len, qrels.values())) == 3
 
     def test_duplicate_last_wins_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
             qrels = parse_qrels(["q1 0 d1 1", "q1 0 d1 3"])
-        assert qrels.get("q1", "d1") == 3
+        assert qrels["q1"]["d1"] == 3
         assert "duplicate" in caplog.text
 
     def test_negative_grade_rejected(self):
@@ -127,8 +123,8 @@ class TestParseQrels:
     def test_whitespace_variants_accepted(self):
         qrels = parse_qrels(["q1\t0\td1\t2\n", "  q1 0 d2 0  \r\n", "\t\n", "", "q2 0 d1 1"])
         assert qrels == parse_qrels(["q1 0 d1 2", "q1 0 d2 0", "q2 0 d1 1"])
-        assert qrels.query_ids() == ["q1", "q2"]
-        assert qrels.grades("q1") == {"d1": 2, "d2": 0}
+        assert list(qrels) == ["q1", "q2"]
+        assert qrels["q1"] == {"d1": 2, "d2": 0}
 
     def test_bad_lines_listed_in_order(self):
         lines = ["q1 0 d1 1", "q1 0 d2 1.5", "q1 0 d3 x", "q1 0 d4 -1", "q1 0 d5", "q1 0 d6 1 extra", " "]
@@ -144,8 +140,8 @@ class TestParseQrels:
     def test_duplicates_counted_in_one_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
             qrels = parse_qrels(["q1 0 d1 1", "q1 0 d1 2", "q2 0 d1 1", "q1 0 d1 3"], source="x.qrels")
-        assert qrels.grades("q1") == {"d1": 3}
-        assert len(qrels) == 2
+        assert qrels["q1"] == {"d1": 3}
+        assert sum(map(len, qrels.values())) == 2
         assert [r.getMessage() for r in caplog.records] == [
             "x.qrels: 2 duplicate (qid, docid) judgment(s), last value kept"
         ]
@@ -155,7 +151,7 @@ class TestRoundTrips:
     def test_run_round_trip(self):
         lines = ["q1 Q0 d2 1 3.25 tagA", "q1 Q0 d1 2 1.5 tagA", "q2 Q0 d9 1 -0.125 tagA"]
         once = parse_run(lines)
-        again = parse_run(format_run(once).splitlines())
+        again = parse_run(format_run(once, "tagA").splitlines())
         assert once == again
 
     def test_qrels_round_trip(self):
@@ -167,28 +163,31 @@ class TestRoundTrips:
         with caplog.at_level(logging.WARNING):
             qrels = parse_qrels(["q1 0 d1 1", "q1 0 d1 2"])
         again = parse_qrels(format_qrels(qrels).splitlines())
-        assert again.get("q1", "d1") == 2
+        assert again["q1"]["d1"] == 2
 
     @PROPERTY_SETTINGS
     @given(
-        st.lists(
-            st.builds(
-                RunEntry,
-                qid=ID_TOKENS,
-                docid=ID_TOKENS,
-                rank=st.integers(1, 10**6),
+        st.dictionaries(
+            ID_TOKENS,
+            st.lists(
                 # multiples of 1e-6 survive the 6-decimal format exactly
-                score=st.integers(-10**9, 10**9).map(lambda n: n / 10**6),
-                tag=ID_TOKENS,
+                st.tuples(st.integers(-10**9, 10**9).map(lambda n: n / 10**6), ID_TOKENS),
+                min_size=1,
+                max_size=8,
             ),
-            max_size=20,
-        )
+            max_size=5,
+        ),
+        ID_TOKENS,
     )
-    def test_format_then_parse_returns_entries(self, entries):
-        assert parse_run(format_run(entries).splitlines()) == entries
+    def test_format_then_parse_returns_run(self, run, tag):
+        text = format_run(run, tag)
+        assert parse_run(text.splitlines()) == run
+        ranks = [int(line.split()[3]) for line in text.splitlines()]
+        assert ranks == [r for pairs in run.values() for r in range(1, len(pairs) + 1)]
+        assert all(line.split()[5] == tag for line in text.splitlines())
 
     def test_run_scores_six_decimals(self):
-        text = format_run([RunEntry("q1", "d1", 1, 1 / 3, "t")])
+        text = format_run({"q1": [(1 / 3, "d1")]}, "t")
         assert text == "q1 Q0 d1 1 0.333333 t\n"
 
 
@@ -200,85 +199,104 @@ def _constant_model(vocab):
     return model
 
 
+def _written_ranks(run, tag="t"):
+    """qid -> the ranks ``format_run`` writes for it, in line order."""
+    ranks = {}
+    for line in format_run(run, tag).splitlines():
+        qid, _, _, rank, _, _ = line.split()
+        ranks.setdefault(qid, []).append(int(rank))
+    return ranks
+
+
 class TestRerank:
     def test_single_candidate_gets_rank_one(self, tiny_vocab, tiny_model):
-        out = rerank(
-            tiny_model,
-            tiny_vocab,
-            {"q1": "t0"},
-            {"d1": "t1"},
-            [RunEntry("q1", "d1", 7, -3.0, "old")],
-            tag="new",
-        )
-        assert len(out) == 1 and out[0].rank == 1 and out[0].tag == "new"
+        out = rerank(tiny_model, tiny_vocab, {"q1": "t0"}, {"d1": "t1"}, {"q1": [(-3.0, "d1")]})
+        assert [docid for _, docid in out["q1"]] == ["d1"]
+        fields = format_run(out, "new").split()
+        assert fields[3] == "1" and fields[5] == "new"
 
     def test_constant_scores_order_by_docid_descending(self, tiny_vocab):
         model = _constant_model(tiny_vocab)
-        candidates = [RunEntry("q1", d, i + 1, 0.0, "t") for i, d in enumerate(["da", "dc", "db"])]
+        candidates = {"q1": [(0.0, d) for d in ["da", "dc", "db"]]}
         out = rerank(model, tiny_vocab, {"q1": "t0"}, {d: "t1" for d in ("da", "db", "dc")}, candidates)
-        assert [e.docid for e in out] == ["dc", "db", "da"]
-        assert [e.rank for e in out] == [1, 2, 3]
+        assert [docid for _, docid in out["q1"]] == ["dc", "db", "da"]
+        assert _written_ranks(out) == {"q1": [1, 2, 3]}
 
     def test_output_is_permutation_per_query(self, tiny_vocab, tiny_model, rng):
         queries = {f"q{i}": f"t{i}" for i in range(3)}
         passages = {f"d{i}": f"t{i % 8} t{(i + 1) % 8}" for i in range(12)}
-        candidates = []
-        for qi, qid in enumerate(queries):
-            docs = [f"d{i}" for i in rng.permutation(12)[:4]]
-            candidates.extend(
-                RunEntry(qid, d, r + 1, float(rng.random()), "first") for r, d in enumerate(docs)
-            )
-        out = rerank(tiny_model, tiny_vocab, queries, passages, candidates)
+        candidates = {}
         for qid in queries:
-            got = sorted(e.docid for e in out if e.qid == qid)
-            expected = sorted(e.docid for e in candidates if e.qid == qid)
+            docs = [f"d{i}" for i in rng.permutation(12)[:4]]
+            candidates[qid] = [(float(rng.random()), d) for d in docs]
+        out = rerank(tiny_model, tiny_vocab, queries, passages, candidates)
+        assert list(out) == list(queries)
+        for qid in queries:
+            got = sorted(docid for _, docid in out[qid])
+            expected = sorted(docid for _, docid in candidates[qid])
             assert got == expected
-            ranks = sorted(e.rank for e in out if e.qid == qid)
-            assert ranks == list(range(1, len(ranks) + 1))
+        assert _written_ranks(out) == {qid: [1, 2, 3, 4] for qid in queries}
 
     def test_scores_match_model(self, tiny_vocab, tiny_model):
-        out = rerank(
-            tiny_model,
-            tiny_vocab,
-            {"q1": "t0 t1"},
-            {"d1": "t2"},
-            [RunEntry("q1", "d1", 1, 0.0, "t")],
-        )
+        out = rerank(tiny_model, tiny_vocab, {"q1": "t0 t1"}, {"d1": "t2"}, {"q1": [(0.0, "d1")]})
         seq = tokenize_pair(tiny_vocab, "t0 t1", "t2", tiny_model.config.max_len)
-        assert out[0].score == score(tiny_model, seq)
+        assert out["q1"][0][0] == round(score(tiny_model, seq), 6)
+
+    def test_scores_that_print_equal_rank_by_docid(self, tiny_vocab, tiny_model, monkeypatch):
+        # at full precision da > db > dc; all three print as 0.500000
+        monkeypatch.setattr(ir_eval, "score_batch", lambda model, seqs: [0.5000003, 0.5000001, 0.4999996])
+        candidates = {"q1": [(0.0, "da"), (0.0, "db"), (0.0, "dc")]}
+        out = rerank(tiny_model, tiny_vocab, {"q1": "t0"}, {d: "t1" for d in ("da", "db", "dc")}, candidates)
+        assert out == {"q1": [(0.5, "dc"), (0.5, "db"), (0.5, "da")]}
+        text = format_run(out, "t")
+        assert [line.split()[2] for line in text.splitlines()] == ["dc", "db", "da"]
+        # eval reads the written file in the order of its ranks
+        report = evaluate(parse_run(text.splitlines()), {"q1": {"dc": 1, "db": 0, "da": 0}})
+        assert report.per_query["mrr@10"]["q1"] == 1.0
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(st.sampled_from([0.5, 0.5000004, 0.4999996, 0.0, -0.0]) | st.floats(-1e3, 1e3), min_size=1, max_size=12))
+    def test_written_run_reads_back_as_returned(self, scores):
+        vocab = Vocab(["t0"])
+        docids = [f"d{i}" for i in range(len(scores))]
+        with mock.patch.object(ir_eval, "score_batch", lambda model, seqs: list(scores)):
+            out = rerank(_constant_model(vocab), vocab, {"q1": "t0"}, dict.fromkeys(docids, "t0"),
+                         {"q1": [(0.0, d) for d in docids]})
+        assert parse_run(format_run(out, "t").splitlines()) == out
+        assert [docid for _, docid in out["q1"]] == oracles.brute_ranking([(d, v) for v, d in out["q1"]])
 
     def test_unresolvable_ids_named(self, tiny_vocab, tiny_model):
         with pytest.raises(ValueError, match="q9"):
-            rerank(tiny_model, tiny_vocab, {}, {"d1": "x"}, [RunEntry("q9", "d1", 1, 0.0, "t")])
+            rerank(tiny_model, tiny_vocab, {}, {"d1": "x"}, {"q9": [(0.0, "d1")]})
         with pytest.raises(ValueError, match="d9"):
-            rerank(tiny_model, tiny_vocab, {"q1": "x"}, {}, [RunEntry("q1", "d9", 1, 0.0, "t")])
+            rerank(tiny_model, tiny_vocab, {"q1": "x"}, {}, {"q1": [(0.0, "d9")]})
 
 
 class TestNdcg:
     def test_ideal_ordering_is_one(self):
         grades = {"a": 3, "b": 2, "c": 1}
-        assert ndcg_at_k(["a", "b", "c"], grades) == 1.0
+        assert query_metrics(["a", "b", "c"], grades)["ndcg@10"] == 1.0
 
     def test_hand_computed_example(self):
         grades = {"a": 3, "b": 2, "c": 0}
-        value = ndcg_at_k(["c", "a", "b"], grades)
+        value = query_metrics(["c", "a", "b"], grades)["ndcg@10"]
         dcg = 3 / math.log2(3) + 2 / math.log2(4)
         idcg = 3 / math.log2(2) + 2 / math.log2(3)
         assert abs(value - dcg / idcg) < 1e-12
         assert abs(value - 0.6787) < 5e-4
 
     def test_all_zero_grades_undefined(self):
-        assert ndcg_at_k(["a", "b"], {"a": 0, "b": 0}) is None
+        assert query_metrics(["a", "b"], {"a": 0, "b": 0})["ndcg@10"] is None
 
     def test_idcg_includes_unretrieved_judged_docs(self):
         grades = {"seen": 1, "unseen": 3}
-        value = ndcg_at_k(["seen"], grades)
+        value = query_metrics(["seen"], grades)["ndcg@10"]
         idcg = 3 / math.log2(2) + 1 / math.log2(3)
         assert abs(value - (1.0 / idcg)) < 1e-12
 
     def test_exponential_gain_option(self):
         grades = {"a": 2, "b": 1}
-        value = ndcg_at_k(["b", "a"], grades, exponential=True)
+        value = query_metrics(["b", "a"], grades, exponential=True)["ndcg@10"]
         dcg = 1 / math.log2(2) + 3 / math.log2(3)
         idcg = 3 / math.log2(2) + 1 / math.log2(3)
         assert abs(value - dcg / idcg) < 1e-12
@@ -287,54 +305,49 @@ class TestNdcg:
 class TestBinaryMetrics:
     def test_mrr_first_relevant_at_rank_three(self):
         grades = {"x": 1}
-        assert reciprocal_rank_at_k(["a", "b", "x"], grades) == pytest.approx(1 / 3)
+        assert query_metrics(["a", "b", "x"], grades)["mrr@10"] == pytest.approx(1 / 3)
 
     def test_mrr_zero_when_outside_cutoff(self):
         grades = {"x": 1}
         ranking = [f"d{i}" for i in range(10)] + ["x"]
-        assert reciprocal_rank_at_k(ranking, grades, k=10) == 0.0
+        assert query_metrics(ranking, grades, k=10)["mrr@10"] == 0.0
 
     def test_map_two_relevant_at_ranks_one_and_three(self):
         grades = {"a": 1, "b": 1}
-        value = average_precision(["a", "x", "b"], grades)
+        value = query_metrics(["a", "x", "b"], grades)["map"]
         assert abs(value - (1.0 + 2 / 3) / 2) < 1e-12
 
     def test_map_divides_by_total_relevant_in_qrels(self):
         grades = {"a": 1, "b": 1, "missing": 1}
-        value = average_precision(["a", "x", "b"], grades)
+        value = query_metrics(["a", "x", "b"], grades)["map"]
         assert abs(value - (1.0 + 2 / 3) / 3) < 1e-12
 
     def test_precision_eight_of_ten(self):
         grades = {f"r{i}": 1 for i in range(8)}
         ranking = [f"r{i}" for i in range(8)] + ["x", "y"]
-        assert precision_at_k(ranking, grades, k=10) == pytest.approx(0.8)
+        assert query_metrics(ranking, grades, k=10)["p@10"] == pytest.approx(0.8)
 
     def test_recall_at_k(self):
         grades = {"a": 1, "b": 1, "c": 1, "d": 1}
-        assert recall_at_k(["a", "b", "x"], grades, k=10) == pytest.approx(0.5)
+        assert query_metrics(["a", "b", "x"], grades, k=10)["recall@10"] == pytest.approx(0.5)
 
     def test_r_precision(self):
         grades = {"a": 1, "b": 1, "c": 2}
-        assert r_precision(["a", "x", "b", "c"], grades) == pytest.approx(2 / 3)
+        assert query_metrics(["a", "x", "b", "c"], grades)["r_prec"] == pytest.approx(2 / 3)
 
     def test_binarization_threshold(self):
         grades = {"a": 1, "b": 2}
-        assert average_precision(["a", "b"], grades, binarize_at=2) == pytest.approx(1 / 2)
-        assert precision_at_k(["b", "a"], grades, k=1, binarize_at=2) == 1.0
+        assert query_metrics(["a", "b"], grades, binarize_at=2)["map"] == pytest.approx(1 / 2)
+        assert query_metrics(["b", "a"], grades, k=1, binarize_at=2)["p@10"] == 1.0
 
     def test_no_relevant_returns_none(self):
-        grades = {"a": 0}
-        assert average_precision(["a"], grades) is None
-        assert reciprocal_rank_at_k(["a"], grades) is None
-        assert precision_at_k(["a"], grades) is None
-        assert recall_at_k(["a"], grades) is None
-        assert r_precision(["a"], grades) is None
+        values = query_metrics(["a"], {"a": 0})
+        for metric in ("map", "mrr@10", "p@10", "recall@10", "r_prec"):
+            assert values[metric] is None
 
 
-def _run_from(qid, docids, scores, tag="t"):
-    return [
-        RunEntry(qid, d, i + 1, s, tag) for i, (d, s) in enumerate(zip(docids, scores))
-    ]
+def _run_from(qid, docids, scores):
+    return {qid: list(zip(scores, docids))}
 
 
 class TestEvaluate:
@@ -349,7 +362,7 @@ class TestEvaluate:
         assert report.aggregates["r_prec"] == 1.0
 
     def test_empty_run(self):
-        report = evaluate([], parse_qrels(["q1 0 a 1"]))
+        report = evaluate({}, parse_qrels(["q1 0 a 1"]))
         assert report.n_queries == 0
         assert all(v is None for v in report.aggregates.values())
 
@@ -359,8 +372,8 @@ class TestEvaluate:
         )
         run = (
             _run_from("q1", ["a", "b"], [2.0, 1.0])
-            + _run_from("q2", ["d", "x", "c"], [3.0, 2.0, 1.0])
-            + _run_from("q3", ["y", "e"], [2.0, 1.0])
+            | _run_from("q2", ["d", "x", "c"], [3.0, 2.0, 1.0])
+            | _run_from("q3", ["y", "e"], [2.0, 1.0])
         )
         report = evaluate(run, qrels)
         for metric in ("map", "mrr@10", "p@10"):
@@ -369,7 +382,7 @@ class TestEvaluate:
 
     def test_query_missing_from_qrels_skipped(self, caplog):
         qrels = parse_qrels(["q1 0 a 1"])
-        run = _run_from("q1", ["a"], [1.0]) + _run_from("qX", ["a"], [1.0])
+        run = _run_from("q1", ["a"], [1.0]) | _run_from("qX", ["a"], [1.0])
         with caplog.at_level(logging.WARNING):
             report = evaluate(run, qrels)
         assert report.n_queries == 1
@@ -378,7 +391,7 @@ class TestEvaluate:
 
     def test_zero_relevant_query_excluded_per_metric(self):
         qrels = parse_qrels(["q1 0 a 1", "q2 0 b 0"])
-        run = _run_from("q1", ["a"], [1.0]) + _run_from("q2", ["b"], [1.0])
+        run = _run_from("q1", ["a"], [1.0]) | _run_from("q2", ["b"], [1.0])
         report = evaluate(run, qrels)
         assert report.per_query["map"]["q2"] is None
         assert report.aggregates["map"] == 1.0  # only q1 counts
@@ -386,13 +399,13 @@ class TestEvaluate:
     def test_resorts_by_score_ignoring_input_ranks(self):
         qrels = parse_qrels(["q1 0 good 1", "q1 0 bad 0"])
         # ranks claim "bad" first, scores say "good" first
-        run = [RunEntry("q1", "bad", 1, 0.1, "t"), RunEntry("q1", "good", 2, 0.9, "t")]
+        run = parse_run(["q1 Q0 bad 1 0.1 t", "q1 Q0 good 2 0.9 t"])
         report = evaluate(run, qrels)
         assert report.per_query["mrr@10"]["q1"] == 1.0
 
     def test_tie_broken_by_docid_descending(self):
         qrels = parse_qrels(["q1 0 db 1", "q1 0 da 0"])
-        run = [RunEntry("q1", "da", 1, 0.5, "t"), RunEntry("q1", "db", 2, 0.5, "t")]
+        run = {"q1": [(0.5, "da"), (0.5, "db")]}
         report = evaluate(run, qrels)
         assert report.per_query["mrr@10"]["q1"] == 1.0  # db sorts first on tie
 
@@ -400,9 +413,7 @@ class TestEvaluate:
         docids = [f"d{i:02d}" for i in range(15)]
         grades = {d: int(rng.integers(0, 3)) for d in docids}
         grades[docids[0]] = 2  # ensure some relevance
-        qrels = Qrels()
-        for d, g in grades.items():
-            qrels.set("q1", d, g)
+        qrels = {"q1": grades}
         scores = np.linspace(10.0, 1.0, 15)
         base = evaluate(_run_from("q1", docids, scores), qrels)
         tail = list(range(10, 15))
@@ -413,9 +424,7 @@ class TestEvaluate:
 
     def test_score_monotone_invariance(self, rng):
         docids = [f"d{i}" for i in range(8)]
-        qrels = Qrels()
-        for d in docids:
-            qrels.set("q1", d, int(rng.integers(0, 4)))
+        qrels = {"q1": {d: int(rng.integers(0, 4)) for d in docids}}
         scores = rng.normal(size=8)
         base = evaluate(_run_from("q1", docids, scores), qrels)
         squashed = evaluate(_run_from("q1", docids, np.tanh(scores) * 3 + 7), qrels)
@@ -425,9 +434,18 @@ class TestEvaluate:
     @pytest.mark.parametrize("kwargs, named", [({"k": 0}, "k"), ({"binarize_at": 0}, "binarize_at")])
     def test_cutoffs_below_one_rejected_whatever_the_run(self, kwargs, named):
         qrels = parse_qrels(["q1 0 a 1"])
-        for run in ([], _run_from("qX", ["a"], [1.0]), _run_from("q1", ["a"], [1.0])):
+        for run in ({}, _run_from("qX", ["a"], [1.0]), _run_from("q1", ["a"], [1.0])):
             with pytest.raises(ValueError, match=rf"^{named} must be >= 1, got 0$"):
                 evaluate(run, qrels, **kwargs)
+
+    def test_leaves_the_run_unchanged(self):
+        run = {"q1": [(0.1, "a"), (0.9, "b"), (0.5, "c")], "q0": [(1.0, "x")], "qX": [(2.0, "y"), (3.0, "z")]}
+        before = copy.deepcopy(run)
+        lists = [id(pairs) for pairs in run.values()]
+        evaluate(run, {"q1": {"b": 1}, "q0": {"x": 0}})
+        assert run == before
+        assert list(run) == list(before)
+        assert [id(pairs) for pairs in run.values()] == lists
 
     def test_report_outputs_cover_six_metrics(self):
         qrels = parse_qrels(["q1 0 a 1"])
@@ -445,28 +463,14 @@ class TestOracleEquivalence:
         for case in range(150):
             ranking, grades = oracles.random_case(rng)
             binarize_at = int(rng.integers(1, 3))
+            got = query_metrics(ranking, grades, 10, binarize_at)
             checks = [
-                (ndcg_at_k(ranking, grades), oracles.brute_ndcg(ranking, grades)),
-                (
-                    average_precision(ranking, grades, binarize_at),
-                    oracles.brute_average_precision(ranking, grades, binarize_at),
-                ),
-                (
-                    reciprocal_rank_at_k(ranking, grades, 10, binarize_at),
-                    oracles.brute_reciprocal_rank(ranking, grades, 10, binarize_at),
-                ),
-                (
-                    precision_at_k(ranking, grades, 10, binarize_at),
-                    oracles.brute_precision_at_k(ranking, grades, 10, binarize_at),
-                ),
-                (
-                    recall_at_k(ranking, grades, 10, binarize_at),
-                    oracles.brute_recall_at_k(ranking, grades, 10, binarize_at),
-                ),
-                (
-                    r_precision(ranking, grades, binarize_at),
-                    oracles.brute_r_precision(ranking, grades, binarize_at),
-                ),
+                (got["ndcg@10"], oracles.brute_ndcg(ranking, grades)),
+                (got["map"], oracles.brute_average_precision(ranking, grades, binarize_at)),
+                (got["mrr@10"], oracles.brute_reciprocal_rank(ranking, grades, 10, binarize_at)),
+                (got["p@10"], oracles.brute_precision_at_k(ranking, grades, 10, binarize_at)),
+                (got["recall@10"], oracles.brute_recall_at_k(ranking, grades, 10, binarize_at)),
+                (got["r_prec"], oracles.brute_r_precision(ranking, grades, binarize_at)),
             ]
             for got, expected in checks:
                 if expected is None:
@@ -483,26 +487,21 @@ class TestOracleEquivalence:
         # query keep the oracle's permutation search small
         tied = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0])
         score = tied | st.floats(-4.0, 4.0, allow_nan=False)
-        run = []
+        run = {}
         for qid in data.draw(st.lists(st.sampled_from(qids), unique=True)):
             docids = data.draw(st.lists(st.sampled_from([f"d{i}" for i in range(8)]), unique=True, min_size=1))
-            run += [RunEntry(qid, d, rank, data.draw(score), "t") for rank, d in enumerate(docids, start=1)]
-        run = data.draw(st.permutations(run))
+            run[qid] = data.draw(st.permutations([(data.draw(score), d) for d in docids]))
         grades_by_qid = {
             qid: data.draw(st.dictionaries(st.sampled_from([f"d{i}" for i in range(6)]), st.integers(0, 3), min_size=1))
             for qid in data.draw(st.lists(st.sampled_from(qids), unique=True))
         }
-        qrels = Qrels()
-        for qid, grades in grades_by_qid.items():
-            for docid, grade in grades.items():
-                qrels.set(qid, docid, grade)
         k = data.draw(st.sampled_from([1, 5, 10, 20]))
         binarize_at = data.draw(st.sampled_from([1, 2]))
         exponential = data.draw(st.booleans())
 
-        report = evaluate(run, qrels, k=k, binarize_at=binarize_at, exponential_gain=exponential)
+        report = evaluate(run, grades_by_qid, k=k, binarize_at=binarize_at, exponential_gain=exponential)
 
-        run_qids = sorted({e.qid for e in run})
+        run_qids = sorted(run)
         expected_ids = [q for q in run_qids if q in grades_by_qid]
         assert report.query_ids == expected_ids
         assert (report.n_queries, report.n_skipped) == (len(expected_ids), len(run_qids) - len(expected_ids))
@@ -517,7 +516,7 @@ class TestOracleEquivalence:
         for metric, brute in oracle.items():
             expected = {}
             for qid in expected_ids:
-                ranking = oracles.brute_ranking([(e.docid, e.score) for e in run if e.qid == qid])
+                ranking = oracles.brute_ranking([(docid, value) for value, docid in run[qid]])
                 expected[qid] = brute(ranking, grades_by_qid[qid])
             assert set(report.per_query[metric]) == set(expected_ids)
             for qid, value in expected.items():
@@ -534,7 +533,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(778)
         for _ in range(60):
             ranking, grades = oracles.random_case(rng)
-            got = ndcg_at_k(ranking, grades, exponential=True)
+            got = query_metrics(ranking, grades, exponential=True)["ndcg@10"]
             expected = oracles.brute_ndcg(ranking, grades, exponential=True)
             if expected is None:
                 assert got is None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reranklab.ir_eval import format_run
 from reranklab.synth import NEG_MARKER, POS_MARKER, SynthConfig, generate
 
 
@@ -25,20 +26,24 @@ def test_eval_split_matches_qrels():
     assert len(data.queries) == 4
     assert len(data.passages) == 4 * 6
     for qid in data.queries:
-        grades = data.qrels.grades(qid)
+        grades = data.qrels[qid]
         relevant = [d for d, g in grades.items() if g >= 1]
         assert len(relevant) == 2
         for docid in relevant:
             assert POS_MARKER in data.passages[docid].split()
-        candidate_docs = {e.docid for e in data.candidates if e.qid == qid}
+        candidate_docs = {docid for _, docid in data.candidates[qid]}
         assert candidate_docs == set(grades)
 
 
 def test_candidate_ranks_are_contiguous():
     data = generate(SynthConfig(n_eval_queries=2, n_candidates=5))
+    lines = [line.split() for line in format_run(data.candidates, "synth-first-stage").splitlines()]
     for qid in data.queries:
-        ranks = sorted(e.rank for e in data.candidates if e.qid == qid)
+        ranks = sorted(int(fields[3]) for fields in lines if fields[0] == qid)
         assert ranks == [1, 2, 3, 4, 5]
+        # the written ranks follow the scores
+        scores = [value for value, _ in data.candidates[qid]]
+        assert scores == sorted(scores, reverse=True)
 
 
 def test_vocab_budget_respected():
@@ -72,4 +77,4 @@ def test_out_of_range_size_rejected_naming_the_field(field, value, low):
 
 def test_no_triplets_and_no_eval_queries_are_valid():
     data = generate(SynthConfig(n_triplets=0, n_eval_queries=0))
-    assert data.triplets == [] and data.queries == {} and data.candidates == []
+    assert data.triplets == [] and data.queries == {} and data.candidates == {}
