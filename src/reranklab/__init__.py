@@ -9,7 +9,6 @@ from reranklab.tensor import Tape, Tensor, finite_diff_grad
 from reranklab.model import (
     CrossEncoder,
     CrossEncoderConfig,
-    TokenSequence,
     Vocab,
     init_params,
     score,
@@ -37,7 +36,6 @@ __all__ = [
     "finite_diff_grad",
     "CrossEncoder",
     "CrossEncoderConfig",
-    "TokenSequence",
     "Vocab",
     "init_params",
     "score",

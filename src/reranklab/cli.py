@@ -346,7 +346,8 @@ def cmd_eval(args) -> int:
             out_dir,
             "eval",
             0,
-            {"run": str(args.run), "qrels": str(args.qrels), "k": args.k, "binarize_at": args.binarize_at},
+            {"run": str(args.run), "qrels": str(args.qrels), "k": args.k, "binarize_at": args.binarize_at,
+             "exponential_gain": args.exponential_gain},
             ["metrics.tsv", "metrics.txt"],
         )
         print(f"reports in {out_dir}")
@@ -379,6 +380,9 @@ def _bench_import(path: Path) -> str:
 
 def cmd_bench_optim(args) -> int:
     if args.import_file:
+        for flag, value in (("--config", args.config), ("--seed", args.seed), ("--name", args.name)):
+            if value is not None:
+                raise ConfigError(f"{flag} does not apply to --import, which only tabulates the given means")
         table = _bench_import(_require_file(args.import_file, "import"))
         print(table, end="")
         if args.out:

@@ -219,8 +219,8 @@ def rerank(
         missing = [docid for docid in docids if docid not in passages]
         if missing:
             raise ValueError(f"rerank: passage id {missing[0]!r} (query {qid!r}) has no text")
-        seqs = [tokenize_pair(vocab, queries[qid], passages[d], model.config.max_len) for d in docids]
-        scores = score_batch(model, seqs)
+        ids = [tokenize_pair(vocab, queries[qid], passages[d], model.config.max_len) for d in docids]
+        scores = score_batch(model, ids)
         out[qid] = sorted(((round(value, 6), docid) for value, docid in zip(scores, docids)), reverse=True)
     return out
 

@@ -9,7 +9,7 @@ head with a sigmoid, producing a relevance score in (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "UNK_ID",
     "RESERVED_TOKENS",
     "Vocab",
-    "TokenSequence",
     "CrossEncoderConfig",
     "CrossEncoder",
     "checkpoint_views",
@@ -91,23 +90,13 @@ class Vocab:
         return f"Vocab(size={self.size})"
 
 
-@dataclass
-class TokenSequence:
-    """Padded id sequence with its attention mask (1 real, 0 pad)."""
-
-    ids: list[int]
-    attention_mask: list[int]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def tokenize_pair(vocab: Vocab, query: str, passage: str, max_len: int) -> TokenSequence:
-    """Pack a query/passage pair as ``[CLS] q [SEP] d [SEP]`` padded to max_len.
+def tokenize_pair(vocab: Vocab, query: str, passage: str, max_len: int) -> list[int]:
+    """Pack a query/passage pair as ``[CLS] q [SEP] d [SEP]`` ids padded to max_len.
 
     When the pair exceeds the budget, tokens are dropped from the tail of
     whichever side is currently longer (the passage on ties), so the
-    passage is truncated before the query.
+    passage is truncated before the query. ``Vocab.encode`` never yields
+    ``PAD_ID``, so the padding is exactly the trailing run of ``PAD_ID``.
     """
     if max_len < 4:
         raise ValueError(f"max_len must be >= 4, got {max_len}")
@@ -120,11 +109,7 @@ def tokenize_pair(vocab: Vocab, query: str, passage: str, max_len: int) -> Token
         else:
             q.pop()
     ids = [CLS_ID] + q + [SEP_ID] + p + [SEP_ID]
-    mask = [1] * len(ids)
-    while len(ids) < max_len:
-        ids.append(PAD_ID)
-        mask.append(0)
-    return TokenSequence(ids=ids, attention_mask=mask)
+    return ids + [PAD_ID] * (max_len - len(ids))
 
 
 @dataclass(frozen=True)
@@ -235,8 +220,12 @@ class CrossEncoder:
 
     # -- forward ------------------------------------------------------
 
-    def forward(self, seqs: Sequence[TokenSequence]) -> Tensor:
-        """Relevance scores for a batch of sequences as a (B, 1) tensor.
+    def forward(self, ids) -> Tensor:
+        """Relevance scores for a batch of id sequences as a (B, 1) tensor.
+
+        ``ids`` is anything ``np.asarray`` makes a (B, max_len) integer
+        array of, such as a list of :func:`tokenize_pair` results. A
+        position is padding, and masked as a key, where its id is ``PAD_ID``.
 
         The head reads only the CLS position, and nothing after the last
         layer's attention mixes positions, so that layer queries from the
@@ -248,17 +237,19 @@ class CrossEncoder:
         point; use :func:`score_batch` for plain float inference.
         """
         cfg = self.config
-        lengths = {len(seq.ids) for seq in seqs}
-        if lengths != {cfg.max_len}:
-            raise ValueError(f"sequence lengths {sorted(lengths)} do not match max_len {cfg.max_len}")
+        expected = f"a (batch, max_len {cfg.max_len}) integer array"
+        try:
+            ids = np.asarray(ids)
+        except ValueError as exc:  # rows of different lengths
+            raise ValueError(f"token ids are not {expected}: {exc}") from None
+        if ids.ndim != 2 or ids.shape[1] != cfg.max_len or ids.dtype.kind not in "iu":
+            raise ValueError(f"token ids of shape {ids.shape} and dtype {ids.dtype} are not {expected}")
+        ids = ids.astype(np.intp, copy=False)
         P = self.params
-        ids = np.array([seq.ids for seq in seqs], dtype=np.intp)
-        real = np.array([seq.attention_mask for seq in seqs]) == 1
+        real = ids != PAD_ID
 
-        x = T.add(
-            T.embedding_lookup(P["token_embedding"], ids),
-            T.embedding_lookup(P["position_embedding"], np.arange(cfg.max_len)),
-        )
+        # The (L, d) position table broadcasts over B; add's backward sums it back.
+        x = T.add(T.embedding_lookup(P["token_embedding"], ids), P["position_embedding"])
         for i in range(cfg.n_layers):
             pre = f"layers.{i}"
             last = i == cfg.n_layers - 1
@@ -280,13 +271,13 @@ def init_params(config: CrossEncoderConfig) -> CrossEncoder:
     return CrossEncoder(config)
 
 
-def score_batch(model: CrossEncoder, seqs: Sequence[TokenSequence]) -> list[float]:
-    """Relevance scores in (0, 1), in input order, from one forward pass."""
-    if not seqs:
+def score_batch(model: CrossEncoder, ids) -> list[float]:
+    """Relevance scores in (0, 1) of (B, max_len) ids, in input order, from one forward pass."""
+    if len(ids) == 0:
         return []
-    return model.forward(seqs).data[:, 0].tolist()
+    return model.forward(ids).data[:, 0].tolist()
 
 
-def score(model: CrossEncoder, seq: TokenSequence) -> float:
-    """Relevance score in (0, 1) of one sequence; pure and deterministic."""
-    return score_batch(model, [seq])[0]
+def score(model: CrossEncoder, ids: list[int]) -> float:
+    """Relevance score in (0, 1) of one id sequence; pure and deterministic."""
+    return score_batch(model, [ids])[0]

@@ -105,8 +105,6 @@ class Optimizer:
             arrays = (p.data, *(self.state[prefix][name] for prefix in self.BUFFERS))
             if not isinstance(g, RowGrad):
                 self._sweep(rule, arrays, g)
-            elif g.rows.size == g.shape[0]:
-                self._sweep(rule, arrays, g.values)  # every row touched: values is the dense gradient
             else:
                 touched = tuple(a[g.rows] for a in arrays)
                 self._sweep(rule, arrays, None)

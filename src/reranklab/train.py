@@ -223,9 +223,9 @@ def run_training(
     )
     optimizer = OPTIMIZERS[config.optimizer](model.params, lr=config.base_lr, weight_decay=config.weight_decay)
 
-    sequences = [
-        tokenize_pair(vocab, pair.query, pair.passage, model.config.max_len) for pair in pairs
-    ]
+    ids = np.array(
+        [tokenize_pair(vocab, pair.query, pair.passage, model.config.max_len) for pair in pairs], dtype=np.intp
+    )
     labels = np.array([pair.label for pair in pairs])
 
     loss_log: list[LossRecord] = []
@@ -247,8 +247,7 @@ def run_training(
             lr = lr_at(spec, global_step)
             t0 = time.perf_counter()
             with Tape() as tape, workspace:
-                batch = [sequences[i] for i in batch_ids]
-                batch_loss = bce_loss(model.forward(batch), labels[batch_ids])
+                batch_loss = bce_loss(model.forward(ids[batch_ids]), labels[batch_ids])
             loss_value = batch_loss.item()
             if not math.isfinite(loss_value):
                 raise NonFiniteLossError(global_step, loss_value)

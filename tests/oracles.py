@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from reranklab import tensor as T
+from reranklab.model import PAD_ID
 
 
 def dcg(grades_in_rank_order, k, exponential=False):
@@ -196,7 +197,7 @@ def softmax(a, axis):
     return T._emit((a,), out, rule)
 
 
-def full_length_forward(model, seqs):
+def full_length_forward(model, ids):
     """``CrossEncoder.forward`` with every layer over all L positions, then the CLS row.
 
     The last layer's output projection, residual adds and feed-forward run
@@ -204,8 +205,8 @@ def full_length_forward(model, seqs):
     model's.
     """
     cfg, P = model.config, model.params
-    ids = np.array([seq.ids for seq in seqs], dtype=np.intp)
-    real = np.array([seq.attention_mask for seq in seqs]) == 1
+    ids = np.asarray(ids, dtype=np.intp)
+    real = ids != PAD_ID
     x = T.add(
         T.embedding_lookup(P["token_embedding"], ids),
         T.embedding_lookup(P["position_embedding"], np.arange(cfg.max_len)),

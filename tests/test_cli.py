@@ -676,6 +676,18 @@ class TestEval:
         digest = hashlib.sha256((report_dir / "metrics.tsv").read_bytes()).hexdigest()
         assert digest == self.GOLDEN_TSV[flags]
 
+    def test_manifest_records_gain_kind(self, tmp_path):
+        run = tmp_path / "x.run"
+        qrels = tmp_path / "qrels.txt"
+        run.write_text("q1 Q0 a 1 1.000000 t\n", encoding="utf-8")
+        qrels.write_text("q1 0 a 2\n", encoding="utf-8")
+        for flags, exponential in (((), False), (("--exponential-gain",), True)):
+            report_dir = tmp_path / f"report-{exponential}"
+            assert run_cli("eval", "--run", run, "--qrels", qrels, *flags, "--out", report_dir) == 0
+            config = json.loads((report_dir / "manifest.json").read_text())["config"]
+            assert config == {"run": str(run), "qrels": str(qrels), "k": 10, "binarize_at": 1,
+                              "exponential_gain": exponential}
+
     @pytest.mark.parametrize("flag", ["--k", "--binarize-at"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_cutoff_below_one_is_config_error(self, tmp_path, capsys, flag, value):
@@ -856,6 +868,19 @@ class TestBenchOptim:
 
     def test_requires_config_or_import(self):
         assert run_cli("bench-optim") == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag, value", [("--config", "/nonexistent.ini"), ("--seed", "-4"), ("--name", "x")])
+    def test_import_rejects_training_flags(self, tmp_path, capsys, flag, value):
+        means = tmp_path / "means.tsv"
+        means.write_text("encoder-small\t33.09\t32.21\n", encoding="utf-8")
+        out_dir = tmp_path / "bench"
+        assert run_cli("bench-optim", "--import", means, flag, value, "--out", out_dir) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config error: {flag} does not apply to --import" in captured.err
+        assert captured.out == "" and not out_dir.exists()
+        # --out is an --import option
+        assert run_cli("bench-optim", "--import", means, "--out", out_dir) == 0
+        assert "2.66%" in (out_dir / "bench.txt").read_text()
 
 
 class TestReport:

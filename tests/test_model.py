@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from reranklab import tensor as T
@@ -44,41 +45,62 @@ class TestVocab:
             Vocab(["a", "a"])
 
 
+# Known and unknown tokens, and the reserved names written out as text.
+_TOKENS = ["t0", "t1", "zzz", "[PAD]", "[pad]", "[CLS]", "[SEP]", "[UNK]", "T1"]
+# A vocabulary built from text holding "[PAD]" gets a regular "[pad]" token.
+_PAD_VOCABS = [Vocab([f"t{i}" for i in range(4)]), Vocab.build(["t0 t1 [PAD] [SEP] [cls]"])]
+
+
 class TestTokenizePair:
     def test_by_construction_example(self):
         v = Vocab(["a", "b", "c"])  # a:4 b:5 c:6
-        seq = tokenize_pair(v, "a b", "c", max_len=8)
-        assert seq.ids == [0, 4, 5, 1, 6, 1, 2, 2]
-        assert seq.attention_mask == [1, 1, 1, 1, 1, 1, 0, 0]
+        ids = tokenize_pair(v, "a b", "c", max_len=8)
+        assert ids == [0, 4, 5, 1, 6, 1, 2, 2]
+        assert [i != PAD_ID for i in ids] == [True] * 6 + [False] * 2
 
     def test_empty_texts(self):
         v = Vocab(["a"])
-        seq = tokenize_pair(v, "", "", max_len=6)
-        assert seq.ids == [CLS_ID, SEP_ID, SEP_ID, PAD_ID, PAD_ID, PAD_ID]
+        assert tokenize_pair(v, "", "", max_len=6) == [CLS_ID, SEP_ID, SEP_ID, PAD_ID, PAD_ID, PAD_ID]
 
     def test_longest_first_truncation(self):
         v = Vocab([f"p{i}" for i in range(100)] + ["q"])
         passage = " ".join(f"p{i}" for i in range(100))
-        seq = tokenize_pair(v, "q", passage, max_len=8)
+        ids = tokenize_pair(v, "q", passage, max_len=8)
         # budget 5: passage trimmed to 4 tokens, query kept intact
-        assert seq.ids[:2] == [CLS_ID, v.id_of("q")]
-        assert seq.ids[2] == SEP_ID
-        assert seq.ids[3:7] == [v.id_of(f"p{i}") for i in range(4)]
-        assert seq.ids[7] == SEP_ID
+        assert ids[:2] == [CLS_ID, v.id_of("q")]
+        assert ids[2] == SEP_ID
+        assert ids[3:7] == [v.id_of(f"p{i}") for i in range(4)]
+        assert ids[7] == SEP_ID
 
     def test_structure_invariants(self, tiny_vocab):
-        seq = tokenize_pair(tiny_vocab, "t0 t1 zzz", "t2 t3", max_len=12)
-        assert seq.ids[0] == CLS_ID
-        real = [i for i, m in zip(seq.ids, seq.attention_mask) if m == 1]
+        ids = tokenize_pair(tiny_vocab, "t0 t1 zzz", "t2 t3", max_len=12)
+        assert ids[0] == CLS_ID
+        real = [i for i in ids if i != PAD_ID]
         assert real.count(SEP_ID) == 2
-        assert all(0 <= i < tiny_vocab.size for i in seq.ids)
-        assert len(seq.ids) == len(seq.attention_mask) == 12
-        pads = [i for i, m in zip(seq.ids, seq.attention_mask) if m == 0]
-        assert all(i == PAD_ID for i in pads)
+        assert all(0 <= i < tiny_vocab.size for i in ids)
+        assert len(ids) == 12
+        assert ids[len(real) :] == [PAD_ID] * (12 - len(real))
 
     def test_max_len_too_small(self, tiny_vocab):
         with pytest.raises(ValueError):
             tokenize_pair(tiny_vocab, "t0", "t1", max_len=3)
+
+    @given(
+        texts=st.lists(
+            st.lists(st.one_of(st.sampled_from(_TOKENS), st.text(max_size=4)), max_size=12).map(" ".join),
+            min_size=2,
+            max_size=2,
+        ),
+        max_len=st.integers(4, 20),
+    )
+    def test_padding_is_exactly_the_trailing_pad_run(self, texts, max_len):
+        # The model's key mask is ids != PAD_ID; that is the padding only if no real token is PAD_ID.
+        for vocab in _PAD_VOCABS:
+            ids = tokenize_pair(vocab, *texts, max_len=max_len)
+            real = [i for i in ids if i != PAD_ID]
+            assert len(ids) == max_len
+            assert ids == real + [PAD_ID] * (max_len - len(real))
+            assert real[0] == CLS_ID and real[-1] == SEP_ID and real.count(SEP_ID) == 2
 
 
 class TestConfig:
@@ -189,35 +211,51 @@ class TestScore:
     def test_zero_head_gives_half(self, tiny_vocab, tiny_model):
         tiny_model.params["head.weight"].data[...] = 0.0
         tiny_model.params["head.bias"].data[...] = 0.0
-        seq = tokenize_pair(tiny_vocab, "t0", "t1 t2", tiny_model.config.max_len)
-        assert score(tiny_model, seq) == 0.5
+        ids = tokenize_pair(tiny_vocab, "t0", "t1 t2", tiny_model.config.max_len)
+        assert score(tiny_model, ids) == 0.5
 
     def test_deterministic(self, tiny_vocab, tiny_model):
-        seq = tokenize_pair(tiny_vocab, "t0 t4", "t1", tiny_model.config.max_len)
-        assert score(tiny_model, seq) == score(tiny_model, seq)
+        ids = tokenize_pair(tiny_vocab, "t0 t4", "t1", tiny_model.config.max_len)
+        assert score(tiny_model, ids) == score(tiny_model, ids)
 
     def test_score_in_open_unit_interval(self, tiny_vocab, tiny_model, rng):
         for _ in range(10):
             toks = [f"t{i}" for i in rng.integers(0, 16, size=4)]
-            seq = tokenize_pair(tiny_vocab, " ".join(toks[:2]), " ".join(toks[2:]), 8)
-            s = score(tiny_model, seq)
+            ids = tokenize_pair(tiny_vocab, " ".join(toks[:2]), " ".join(toks[2:]), 8)
+            s = score(tiny_model, ids)
             assert 0.0 < s < 1.0
 
     def test_masking_invariance(self, tiny_vocab, tiny_model, rng):
-        seq = tokenize_pair(tiny_vocab, "t0", "t1 t2", tiny_model.config.max_len)
-        base = score(tiny_model, seq)
-        for _ in range(5):
-            altered = [
-                int(rng.integers(0, tiny_vocab.size)) if m == 0 else i
-                for i, m in zip(seq.ids, seq.attention_mask)
-            ]
-            mutated = type(seq)(ids=altered, attention_mask=list(seq.attention_mask))
-            assert abs(score(tiny_model, mutated) - base) < 1e-12
+        # What padding feeds the model: the [PAD] embedding row and the position rows past the real length.
+        batch = [tokenize_pair(tiny_vocab, q, p, tiny_model.config.max_len) for q, p in [("t0", "t1 t2"), ("t3", "")]]
+        token, position = tiny_model.params["token_embedding"].data, tiny_model.params["position_embedding"].data
+        for ids in batch:
+            length = ids.index(PAD_ID)
+            base = score(tiny_model, ids)
+            for _ in range(5):
+                token[PAD_ID] = rng.normal(size=token.shape[1])
+                position[length:] = rng.normal(size=position[length:].shape)
+                assert abs(score(tiny_model, ids) - base) < 1e-12
 
     def test_length_mismatch_rejected(self, tiny_vocab, tiny_model):
-        seq = tokenize_pair(tiny_vocab, "t0", "t1", 12)
+        ids = tokenize_pair(tiny_vocab, "t0", "t1", 12)
         with pytest.raises(ValueError, match="max_len"):
-            score(tiny_model, seq)
+            score(tiny_model, ids)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.full(8, CLS_ID),  # one sequence, not a batch
+            np.full((2, 7), CLS_ID),
+            np.full((2, 9), CLS_ID),
+            np.full((1, 2, 8), CLS_ID),
+            np.full((2, 8), 4.5),  # would be truncated to id 4
+            [[CLS_ID] * 8, [CLS_ID] * 12],  # ragged
+        ],
+    )
+    def test_forward_rejects_malformed_ids(self, tiny_model, ids):
+        with pytest.raises(ValueError, match=r"not a \(batch, max_len 8\) integer array"):
+            tiny_model.forward(ids)
 
     def test_gradient_flow_through_every_parameter_group(self, rng):
         vocab = Vocab([f"t{i}" for i in range(16)])
@@ -225,18 +263,18 @@ class TestScore:
             vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8, seed=5
         )
         model = init_params(cfg)
-        seq = tokenize_pair(vocab, "t0 t1", "t2 t3", cfg.max_len)
+        ids = tokenize_pair(vocab, "t0 t1", "t2 t3", cfg.max_len)
         with Tape() as tape:
-            out = model.forward([seq])
+            out = model.forward([ids])
         tape.backward(out)
         for name in ("position_embedding", "layers.0.attn.w_qkv", "layers.0.attn.w_out", "layers.0.ff.w2", "head.bias"):
             p = model.params[name]
-            fd = finite_diff_grad(lambda _: score(model, seq), p)
+            fd = finite_diff_grad(lambda _: score(model, ids), p)
             assert max_rel_err(p.grad, fd.data) < 1e-4, name
 
 
 def _mixed_length_batch(vocab, max_len):
-    """Pairs whose real lengths (5, 10, 7, 12) differ, so their masks do."""
+    """Id lists whose real lengths (5, 10, 7, 12) differ, so their masks do."""
     texts = [("t0", "t1"), ("t0 t1 t2", "t3 t4 t5 t6"), ("t5", "t6 t7 t8 t9"), ("t2 t9", "t8 " * 7)]
     return [tokenize_pair(vocab, q, p, max_len) for q, p in texts]
 
@@ -248,16 +286,16 @@ class TestBatchedGradient:
             vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=16, seed=12
         )
         model = init_params(cfg)
-        seqs = _mixed_length_batch(vocab, cfg.max_len)
-        assert len({sum(s.attention_mask) for s in seqs}) == len(seqs)
+        batch = _mixed_length_batch(vocab, cfg.max_len)
+        assert len({sum(i != PAD_ID for i in ids) for ids in batch}) == len(batch)
         labels = np.array([1, 0, 1, 0])
 
         with Tape() as tape:
-            loss = bce_loss(model.forward(seqs), labels)
+            loss = bce_loss(model.forward(batch), labels)
         tape.backward(loss)
         for name, p in model.parameters():
             assert p.grad is not None, f"no gradient reached {name}"
-            fd = finite_diff_grad(lambda _: bce_loss(model.forward(seqs), labels), p)
+            fd = finite_diff_grad(lambda _: bce_loss(model.forward(batch), labels), p)
             assert max_rel_err(p.grad, fd.data) < 1e-4, name
 
 
@@ -272,19 +310,19 @@ class TestLastLayerClsOnly:
             vocab_size=vocab.size, d_model=8, n_layers=n_layers, n_heads=n_heads, d_ff=16, max_len=16, seed=3
         )
         model = init_params(cfg)
-        seqs = _mixed_length_batch(vocab, cfg.max_len)
+        batch = _mixed_length_batch(vocab, cfg.max_len)
         labels = np.array([1, 0, 1, 0])
         runs = []
-        for forward in (model.forward, lambda batch: oracles.full_length_forward(model, batch)):
+        for forward in (model.forward, lambda ids: oracles.full_length_forward(model, ids)):
             with Tape() as tape:
-                scores = forward(seqs)
+                scores = forward(batch)
                 loss = bce_loss(scores, labels)
             tape.backward(loss)
             runs.append((scores.data, {name: np.asarray(p.grad) for name, p in model.parameters()}))
             for _, p in model.parameters():
                 p.zero_grad()
         (scores, got), (ref_scores, ref) = runs
-        assert scores.shape == (len(seqs), 1)
+        assert scores.shape == (len(batch), 1)
         np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
         for name in ref:
             np.testing.assert_allclose(got[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
@@ -296,7 +334,7 @@ class TestLastLayerClsOnly:
             vocab_size=vocab.size, d_model=64, n_layers=n_layers, n_heads=2, d_ff=128, max_len=16
         )
         model = init_params(cfg)
-        seqs = [tokenize_pair(vocab, f"t{i % 16}", f"t{i % 7} t{i % 5}", cfg.max_len) for i in range(64)]
+        batch = [tokenize_pair(vocab, f"t{i % 16}", f"t{i % 7} t{i % 5}", cfg.max_len) for i in range(64)]
         names = {id(p): name for name, p in model.parameters()}
         rows = {}
         linear = T.linear
@@ -307,14 +345,14 @@ class TestLastLayerClsOnly:
 
         monkeypatch.setattr(T, "linear", recording)
         with Tape() as tape:
-            loss = bce_loss(model.forward(seqs), np.arange(64) % 2)
+            loss = bce_loss(model.forward(batch), np.arange(64) % 2)
         tape.backward(loss)
-        batch, positions = len(seqs), len(seqs) * cfg.max_len
+        sequences, positions = len(batch), len(batch) * cfg.max_len
         last = f"layers.{n_layers - 1}"
         assert rows[f"{last}.attn.w_qkv"] == positions  # keys and values need every position
         for name in ("attn.w_out", "ff.w1", "ff.w2"):
-            assert rows[f"{last}.{name}"] == batch, name
-        assert rows["head.weight"] == batch
+            assert rows[f"{last}.{name}"] == sequences, name
+        assert rows["head.weight"] == sequences
         for i in range(n_layers - 1):
             for name in ("attn.w_qkv", "attn.w_out", "ff.w1", "ff.w2"):
                 assert rows[f"layers.{i}.{name}"] == positions, name
@@ -351,13 +389,18 @@ class TestScoreBatch:
 
     def test_empty_batch(self, tiny_model):
         assert score_batch(tiny_model, []) == []
+        assert score_batch(tiny_model, np.empty((0, 8), dtype=np.intp)) == []
+
+    def test_id_matrix_scores_as_id_lists(self, tiny_vocab, tiny_model):
+        seqs = [tokenize_pair(tiny_vocab, f"t{i}", f"t{i + 2} t3", 8) for i in range(5)]
+        assert score_batch(tiny_model, np.array(seqs, dtype=np.intp)) == score_batch(tiny_model, seqs)
 
 
 class TestEmptyVocab:
     def test_build_from_nothing_keeps_reserved_ids(self):
         v = Vocab.build([])
         assert v.size == 4
-        seq = tokenize_pair(v, "anything goes", "here", max_len=8)
-        real = [i for i, m in zip(seq.ids, seq.attention_mask) if m == 1]
+        ids = tokenize_pair(v, "anything goes", "here", max_len=8)
+        real = [i for i in ids if i != PAD_ID]
         assert real[0] == CLS_ID
         assert all(i in (CLS_ID, SEP_ID, UNK_ID) for i in real)
