@@ -231,7 +231,7 @@ class CrossEncoder:
         layer's attention mixes positions, so that layer queries from the
         CLS row alone and runs its output projection, residual adds and
         feed-forward on one (B, d) row per sequence. Its ``attn_norm`` and
-        ``w_qkv`` still cover every position, for the keys and values.
+        the key and value columns of ``w_qkv`` still cover every position.
 
         Records on the active tape, so it is the training-path entry
         point; use :func:`score_batch` for plain float inference.
@@ -254,10 +254,9 @@ class CrossEncoder:
             pre = f"layers.{i}"
             last = i == cfg.n_layers - 1
             a = T.layer_norm(x, P[f"{pre}.attn_norm.gain"], P[f"{pre}.attn_norm.bias"])
-            attended = T.attention(T.linear(a, P[f"{pre}.attn.w_qkv"]), real, cfg.n_heads, first_query_only=last)
+            attended = T.attention(a, P[f"{pre}.attn.w_qkv"], real, cfg.n_heads, first_query_only=last)
             if last:
-                # CLS rows: a one-hot (L, 1) column zeroes the other positions.
-                x = T.reduce_sum(T.mul(x, np.eye(cfg.max_len, 1)), axis=1)
+                x = T.first_row(x)
             x = T.add(x, T.linear(attended, P[f"{pre}.attn.w_out"], P[f"{pre}.attn.out_bias"]))
             f = T.layer_norm(x, P[f"{pre}.ff_norm.gain"], P[f"{pre}.ff_norm.bias"])
             f = T.relu(T.linear(f, P[f"{pre}.ff.w1"], P[f"{pre}.ff.b1"]))

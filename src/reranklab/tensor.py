@@ -41,12 +41,11 @@ __all__ = [
     "linear",
     "attention",
     "add",
-    "mul",
+    "first_row",
     "relu",
     "sigmoid",
     "layer_norm",
     "embedding_lookup",
-    "reduce_sum",
     "bce",
     "finite_diff_grad",
 ]
@@ -245,9 +244,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def sum(self, axis=None) -> "Tensor":
-        return reduce_sum(self, axis)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -375,37 +371,49 @@ def linear(x, w, b=None) -> Tensor:
     return _emit((x, w) if bias is None else (x, w, bias), out, rule)
 
 
-def attention(qkv, key_mask, n_heads: int, first_query_only: bool = False) -> Tensor:
-    """Multi-head scaled dot-product self-attention, all heads in one node.
+def attention(x, w_qkv, key_mask, n_heads: int, first_query_only: bool = False) -> Tensor:
+    """Multi-head scaled dot-product self-attention with its input projection, as one node.
 
-    ``qkv`` is (B, L, 3d): the query, key and value projections side by
-    side, each split into ``n_heads`` consecutive blocks of d / n_heads
-    columns, one per head. ``key_mask`` is a (B, L) array, true on real
-    tokens; padded keys get zero weight, and every sequence needs at least
-    one real token. Returns the heads' outputs side by side, (B, L, d).
+    ``x`` is (B, L, K) and ``w_qkv`` is (K, 3d): the query, key and value
+    columns side by side, each split into ``n_heads`` consecutive blocks
+    of d / n_heads columns, one per head. ``key_mask`` is a (B, L) array,
+    true on real tokens; padded keys get zero weight, and every sequence
+    needs at least one real token. Returns the heads' outputs side by side,
+    (B, L, d).
 
-    With ``first_query_only`` only position 0 queries, still over every
-    key and value, and the result is that row alone, (B, d). Its
-    gradient reaches the query columns of position 0 only; the other
-    positions' query gradient is zero.
-
-    The backward rule is written out by hand, softmax and mask included.
+    The projection is the one GEMM ``x @ w_qkv`` over all B * L rows. With
+    ``first_query_only`` only position 0 queries, still over every key and
+    value: keys and values come from ``x @ w_qkv[:, d:]`` over all rows, the
+    query from ``x[:, 0] @ w_qkv[:, :d]`` over B rows, and the result is
+    that row alone, (B, d); the backward fills both column blocks of the
+    weight gradient. The backward rule is written out by hand, softmax and
+    mask included.
     """
-    qkv = as_tensor(qkv)
-    if n_heads < 1 or qkv.data.ndim != 3 or qkv.shape[-1] % (3 * n_heads):
-        raise ShapeError(f"attention: shape {qkv.shape} does not split into q, k, v of {n_heads} heads")
-    batch, length, width = qkv.shape
-    d = width // 3
+    x, w = as_tensor(x), as_tensor(w_qkv)
+    if n_heads < 1 or x.data.ndim != 3 or w.data.ndim != 2 or w.shape[0] != x.shape[-1] or w.shape[1] % (3 * n_heads):
+        raise ShapeError(f"attention: input {x.shape} and weight {w.shape} do not give q, k, v of {n_heads} heads")
+    batch, length, k_in = x.shape
+    d = w.shape[1] // 3
     dh = d // n_heads
     real = np.asarray(key_mask, dtype=bool)
     if real.shape != (batch, length):
         raise ShapeError(f"attention: key mask {real.shape} does not match (B, L) = {(batch, length)}")
     if not real.any(axis=1).all():
         raise ValueError("attention: a sequence has no real token to attend to")
-    # (B, L, 3, H, dh) -> three (B, H, L, dh) views; queries keep their first `rows` positions
-    q, k, v = qkv.data.reshape(batch, length, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-    rows = 1 if first_query_only else length
-    q = q[:, :, :rows]
+    x2 = x.data.reshape(-1, k_in)
+
+    def heads(a):  # (B, rows, d) or (B, d) -> (B, H, rows, dh)
+        return a.reshape(batch, -1, n_heads, dh).swapaxes(1, 2)
+
+    w_all = w.data[:, d:] if first_query_only else w.data
+    proj = _buffer((batch, length, w_all.shape[1]))
+    np.matmul(x2, w_all, out=proj.reshape(len(x2), -1))
+    # (B, L, 3 or 2, H, dh) as one (B, H, L, dh) view per kind: q, k, v or k, v
+    per_kind = proj.reshape(batch, length, -1, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    k, v = per_kind[-2:]
+    x0 = x.data[:, 0]
+    q = heads(np.matmul(x0, w.data[:, :d], out=_buffer((batch, d)))) if first_query_only else per_kind[0]
+    rows = q.shape[2]
     scale = 1.0 / np.sqrt(dh)
 
     weights = _buffer((batch, n_heads, rows, length))
@@ -416,24 +424,31 @@ def attention(qkv, key_mask, n_heads: int, first_query_only: bool = False) -> Te
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     out = _buffer((batch, d) if first_query_only else (batch, length, d))
-    np.matmul(weights, v, out=out.reshape(batch, rows, n_heads, dh).swapaxes(1, 2))
+    np.matmul(weights, v, out=heads(out))
 
     def rule(g):
-        g_heads = g.reshape(batch, rows, n_heads, dh).swapaxes(1, 2)
-        dqkv = np.empty((batch, length, 3, n_heads, dh))
-        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(weights.swapaxes(-1, -2), g_heads, out=dv)
+        g_heads = heads(g)
+        dproj = np.empty(proj.shape)
+        d_kind = dproj.reshape(batch, length, -1, n_heads, dh).transpose(2, 0, 3, 1, 4)
+        np.matmul(weights.swapaxes(-1, -2), g_heads, out=d_kind[-1])
         # softmax backward, (dw - sum(dw * w)) * w; masked keys have w = 0
         dscores = g_heads @ v.swapaxes(-1, -2)
         dscores -= np.sum(dscores * weights, axis=-1, keepdims=True)
         dscores *= weights
         dscores *= scale
-        np.matmul(dscores, k, out=dq[:, :, :rows])
-        dq[:, :, rows:] = 0.0
-        np.matmul(dscores.swapaxes(-1, -2), q, out=dk)
-        return (dqkv.reshape(batch, length, width),)
+        np.matmul(dscores.swapaxes(-1, -2), q, out=d_kind[-2])
+        dq = np.empty((batch, d)) if first_query_only else None
+        np.matmul(dscores, k, out=d_kind[0] if dq is None else heads(dq))
+        g2 = dproj.reshape(len(x2), -1)
+        dx = (g2 @ w_all.T).reshape(x.shape)
+        dw = np.empty(w.shape)
+        np.matmul(x2.T, g2, out=dw[:, w.shape[1] - w_all.shape[1] :])
+        if dq is not None:
+            dx[:, 0] += dq @ w.data[:, :d].T
+            np.matmul(x0.T, dq, out=dw[:, :d])
+        return dx, dw
 
-    return _emit((qkv,), out, rule)
+    return _emit((x, w), out, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +465,24 @@ def add(a, b) -> Tensor:
     return _emit((a, b), np.add(a.data, b.data, out=_buffer(shape)), rule)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    shape = _broadcast_shapes(a.shape, b.shape, "mul")
+def first_row(a) -> Tensor:
+    """``a[:, 0]``: row 0 of each sequence in a (B, L, ...) tensor.
+
+    The backward rule writes the gradient into row 0 of a zero (B, L, ...)
+    array.
+    """
+    a = as_tensor(a)
+    if a.data.ndim < 2 or a.shape[1] < 1:
+        raise ShapeError(f"first_row: shape {a.shape} has no row 0 on axis 1")
 
     def rule(g):
-        return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
-        )
+        da = np.zeros(a.shape)
+        da[:, 0] = g
+        return (da,)
 
-    return _emit((a, b), np.multiply(a.data, b.data, out=_buffer(shape)), rule)
+    out = _buffer(a.shape[:1] + a.shape[2:])
+    np.copyto(out, a.data[:, 0])
+    return _emit((a,), out, rule)
 
 
 def relu(a) -> Tensor:
@@ -531,8 +553,10 @@ def embedding_lookup(table, ids) -> Tensor:
     """Gather rows of a rank-2 table, keeping the shape of ``ids``.
 
     The backward rule returns a :class:`RowGrad` over the looked-up rows,
-    each the sum of its ids' gradients in id order: the order, and so the
-    bits, of a scatter-add into a dense zero table.
+    each the sum of its ids' gradients in id order: one ``np.bincount``
+    over (row, column) slots adds every element into its slot one by one,
+    starting from 0.0, so the bits are those of a scatter-add
+    (``np.add.at``) into a dense zero table.
     """
     table = as_tensor(table)
     if table.data.ndim != 2:
@@ -547,38 +571,14 @@ def embedding_lookup(table, ids) -> Tensor:
     def rule(g):
         # Flat ids: numpy 2.0 changed return_inverse's shape for n-d input.
         touched, inverse = np.unique(ids.reshape(-1), return_inverse=True)
-        values = np.zeros((touched.size, table.shape[1]))
-        np.add.at(values, inverse, g.reshape(-1, table.shape[1]))
-        return (RowGrad(touched, values, table.shape),)
+        width = table.shape[1]
+        slots = (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        values = np.bincount(slots, weights=g.reshape(-1), minlength=touched.size * width)
+        return (RowGrad(touched, values.reshape(touched.size, width), table.shape),)
 
     # mode="clip" skips numpy's own bounds pass (and its buffered copy); ids are checked above.
     out = _buffer(ids.shape + table.shape[1:])
     return _emit((table,), np.take(table.data, ids, axis=0, out=out, mode="clip"), rule)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def _normalize_axis(axis, ndim):
-    if axis is None:
-        return None
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"axis {axis} invalid for rank {ndim}")
-    return axis % ndim
-
-
-def reduce_sum(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    axis = _normalize_axis(axis, a.data.ndim)
-
-    def rule(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
-
-    shape = () if axis is None else a.shape[:axis] + a.shape[axis + 1 :]
-    return _emit((a,), np.sum(a.data, axis=axis, out=_buffer(shape)), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Brute-force reference implementations of the ranking metrics, of the
 checkpoint array writer, of the optimizer updates and embedding gradient,
-and of the encoder's softmax and full-length forward pass.
+of the tape ops the encoder no longer calls (elementwise product, sum,
+softmax, slicing, transposition) and of the encoder's full-length forward
+pass.
 
 Deliberately naive and independent of the production code paths: the
 ideal DCG is found by enumerating orderings of the positively judged
@@ -9,7 +11,8 @@ checkpoint values are printed with one float.hex() call each, optimizer
 updates are the plain whole-array formulas with fresh temporaries, an
 embedding gradient is a dense zero table that each id's gradient row is
 added to in turn, and the forward pass runs every layer over every
-position before it keeps the CLS row. Only suitable for small cases.
+position, each head's attention composed from separate ops, before it
+keeps the CLS row. Only suitable for small cases.
 """
 
 import itertools
@@ -182,6 +185,54 @@ def adamw_dense(theta, m, v, g, t, lr, beta1, beta2, eps, weight_decay):
     return theta - lr * step, m, v
 
 
+def mul(a, b):
+    """Elementwise product with broadcasting, as one tape node."""
+    a, b = T.as_tensor(a), T.as_tensor(b)
+    shape = T._broadcast_shapes(a.shape, b.shape, "mul")
+
+    def rule(g):
+        return (
+            T._unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            T._unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        )
+
+    return T._emit((a, b), np.multiply(a.data, b.data, out=np.empty(shape)), rule)
+
+
+def reduce_sum(a, axis=None):
+    """Sum over one axis, or over all of them, as one tape node."""
+    a = T.as_tensor(a)
+    if axis is not None:
+        if not -a.data.ndim <= axis < a.data.ndim:
+            raise T.ShapeError(f"axis {axis} invalid for rank {a.data.ndim}")
+        axis %= a.data.ndim
+
+    def rule(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
+
+    return T._emit((a,), np.asarray(np.sum(a.data, axis=axis)), rule)
+
+
+def take(a, key):
+    """``a[key]`` for a basic index ``key``; the gradient lands in a zero array at ``key``."""
+    a = T.as_tensor(a)
+
+    def rule(g):
+        grad = np.zeros(a.shape)
+        grad[key] = g
+        return (grad,)
+
+    return T._emit((a,), a.data[key].copy(), rule)
+
+
+def swap_last_axes(a):
+    """The last two axes of ``a`` exchanged, as one tape node."""
+    a = T.as_tensor(a)
+    return T._emit((a,), np.swapaxes(a.data, -1, -2).copy(), lambda g: (np.swapaxes(g, -1, -2),))
+
+
 def softmax(a, axis):
     """Softmax along ``axis`` as one tape node, stabilized by max subtraction."""
     a = T.as_tensor(a)
@@ -197,12 +248,33 @@ def softmax(a, axis):
     return T._emit((a,), out, rule)
 
 
+def per_head_attention(qkv, real, n_heads):
+    """``tensor.attention`` of a (B, L, 3d) projection, over every position.
+
+    Each head slices its query, key and value columns out of ``qkv``,
+    scores, softmaxes and mixes as separate ops, and lands in its own
+    columns of the (B, L, d) result through a constant 0/1 placement
+    matrix.
+    """
+    d = qkv.shape[-1] // 3
+    dh = d // n_heads
+    key_mask = np.where(real, 0.0, -np.inf)[:, None, :]
+    total = None
+    for h in range(n_heads):
+        q, k, v = (take(qkv, (Ellipsis, slice(j * d + h * dh, j * d + (h + 1) * dh))) for j in range(3))
+        scores = T.add(mul(T.matmul(q, swap_last_axes(k)), 1.0 / np.sqrt(dh)), key_mask)
+        head = T.linear(T.matmul(softmax(scores, axis=-1), v), np.eye(d)[h * dh : (h + 1) * dh])
+        total = head if total is None else T.add(total, head)
+    return total
+
+
 def full_length_forward(model, ids):
     """``CrossEncoder.forward`` with every layer over all L positions, then the CLS row.
 
-    The last layer's output projection, residual adds and feed-forward run
-    on rows the head never reads; the result and every gradient are the
-    model's.
+    Every layer projects queries, keys and values for every position with
+    ``linear`` and attends through :func:`per_head_attention`. The last
+    layer's output projection, residual adds and feed-forward run on rows
+    the head never reads; the result and every gradient are the model's.
     """
     cfg, P = model.config, model.params
     ids = np.asarray(ids, dtype=np.intp)
@@ -214,10 +286,10 @@ def full_length_forward(model, ids):
     for i in range(cfg.n_layers):
         pre = f"layers.{i}"
         a = T.layer_norm(x, P[f"{pre}.attn_norm.gain"], P[f"{pre}.attn_norm.bias"])
-        attended = T.attention(T.linear(a, P[f"{pre}.attn.w_qkv"]), real, cfg.n_heads)
+        attended = per_head_attention(T.linear(a, P[f"{pre}.attn.w_qkv"]), real, cfg.n_heads)
         x = T.add(x, T.linear(attended, P[f"{pre}.attn.w_out"], P[f"{pre}.attn.out_bias"]))
         f = T.layer_norm(x, P[f"{pre}.ff_norm.gain"], P[f"{pre}.ff_norm.bias"])
         f = T.relu(T.linear(f, P[f"{pre}.ff.w1"], P[f"{pre}.ff.b1"]))
         x = T.add(x, T.linear(f, P[f"{pre}.ff.w2"], P[f"{pre}.ff.b2"]))
-    cls_state = T.reduce_sum(T.mul(x, np.eye(cfg.max_len, 1)), axis=1)
+    cls_state = reduce_sum(mul(x, np.eye(cfg.max_len, 1)), axis=1)
     return T.sigmoid(T.linear(cls_state, P["head.weight"], P["head.bias"]))

@@ -343,18 +343,37 @@ class TestLastLayerClsOnly:
             rows[names[id(w)]] = int(np.prod(T.as_tensor(x).shape[:-1]))
             return linear(x, w, b)
 
+        # attention projects through np.matmul: record (first column, width) -> rows per w_qkv
+        projections = {}
+        qkv = {name: p.data for name, p in model.parameters() if name.endswith("attn.w_qkv")}
+        matmul = np.matmul
+
+        def spying(a, b, *args, **kwargs):
+            for name, w in qkv.items():
+                if np.shares_memory(b, w):
+                    first = (b.ctypes.data - w.ctypes.data) // w.itemsize
+                    projections.setdefault(name, {})[(first, b.shape[1])] = len(a)
+            return matmul(a, b, *args, **kwargs)
+
         monkeypatch.setattr(T, "linear", recording)
+        monkeypatch.setattr(np, "matmul", spying)
         with Tape() as tape:
             loss = bce_loss(model.forward(batch), np.arange(64) % 2)
         tape.backward(loss)
+        monkeypatch.undo()
         sequences, positions = len(batch), len(batch) * cfg.max_len
+        d = cfg.d_model
         last = f"layers.{n_layers - 1}"
-        assert rows[f"{last}.attn.w_qkv"] == positions  # keys and values need every position
+        # keys and values need every position; the query only the CLS row
+        assert projections.pop(f"{last}.attn.w_qkv") == {(d, 2 * d): positions, (0, d): sequences}
+        for name in projections:
+            assert projections[name] == {(0, 3 * d): positions}, name
+        assert len(projections) == n_layers - 1
         for name in ("attn.w_out", "ff.w1", "ff.w2"):
             assert rows[f"{last}.{name}"] == sequences, name
         assert rows["head.weight"] == sequences
         for i in range(n_layers - 1):
-            for name in ("attn.w_qkv", "attn.w_out", "ff.w1", "ff.w2"):
+            for name in ("attn.w_out", "ff.w1", "ff.w2"):
                 assert rows[f"layers.{i}.{name}"] == positions, name
 
 

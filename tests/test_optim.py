@@ -199,7 +199,7 @@ class TestAdamW:
 def lookup_backward(table, ids, upstream):
     """Backward of sum(lookup(table, ids) * upstream): the table's gradient is the scatter of ``upstream``."""
     with Tape() as tape:
-        loss = T.mul(T.embedding_lookup(table, ids), upstream).sum()
+        loss = oracles.reduce_sum(oracles.mul(T.embedding_lookup(table, ids), upstream))
     tape.backward(loss)
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from reranklab import tensor as T
@@ -39,10 +42,10 @@ class TestMatmul:
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         with Tape() as tape:
-            loss = T.matmul(a, b).sum()
+            loss = oracles.reduce_sum(T.matmul(a, b))
         tape.backward(loss)
-        fd_a = finite_diff_grad(lambda t: T.matmul(t, b).sum(), a)
-        fd_b = finite_diff_grad(lambda t: T.matmul(a, t).sum(), b)
+        fd_a = finite_diff_grad(lambda t: oracles.reduce_sum(T.matmul(t, b)), a)
+        fd_b = finite_diff_grad(lambda t: oracles.reduce_sum(T.matmul(a, t)), b)
         assert max_rel_err(a.grad, fd_a.data) < 1e-4
         assert max_rel_err(b.grad, fd_b.data) < 1e-4
 
@@ -56,11 +59,11 @@ class TestMatmul:
             np.testing.assert_allclose(out.data[i], a.data[i] @ rhs, rtol=1e-12)
         weights = rng.normal(size=(3, 5, 2))
         with Tape() as tape:
-            loss = T.mul(T.matmul(a, b), weights).sum()
+            loss = oracles.reduce_sum(oracles.mul(T.matmul(a, b), weights))
         tape.backward(loss)
         assert b.grad.shape == b_shape
-        fd_a = finite_diff_grad(lambda t: T.mul(T.matmul(t, b), weights).sum(), a)
-        fd_b = finite_diff_grad(lambda t: T.mul(T.matmul(a, t), weights).sum(), b)
+        fd_a = finite_diff_grad(lambda t: oracles.reduce_sum(oracles.mul(T.matmul(t, b), weights)), a)
+        fd_b = finite_diff_grad(lambda t: oracles.reduce_sum(oracles.mul(T.matmul(a, t), weights)), b)
         assert max_rel_err(a.grad, fd_a.data) < 1e-4
         assert max_rel_err(b.grad, fd_b.data) < 1e-4
 
@@ -77,14 +80,14 @@ class TestMatmul:
         b = Tensor(rng.normal(size=(4, 3)), requires_grad=trained == "b")
         weights = rng.normal(size=(2, 3, 5, 3))
         with Tape() as tape:
-            loss = T.mul(T.matmul(a, b), weights).sum()
+            loss = oracles.reduce_sum(oracles.mul(T.matmul(a, b), weights))
         tape.backward(loss)
         if trained == "a":
-            fd = finite_diff_grad(lambda t: T.mul(T.matmul(t, b), weights).sum(), a)
+            fd = finite_diff_grad(lambda t: oracles.reduce_sum(oracles.mul(T.matmul(t, b), weights)), a)
             assert b.grad is None and a.grad.shape == a.shape
             assert max_rel_err(a.grad, fd.data) < 1e-4
         else:
-            fd = finite_diff_grad(lambda t: T.mul(T.matmul(a, t), weights).sum(), b)
+            fd = finite_diff_grad(lambda t: oracles.reduce_sum(oracles.mul(T.matmul(a, t), weights)), b)
             assert a.grad is None and b.grad.shape == b.shape
             assert max_rel_err(b.grad, fd.data) < 1e-4
 
@@ -104,36 +107,20 @@ class TestLinear:
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
         weights = rng.normal(size=(3, 5, 6))
         with Tape() as tape:
-            loss = T.mul(T.linear(x, w, b), weights).sum()
+            loss = oracles.reduce_sum(oracles.mul(T.linear(x, w, b), weights))
         tape.backward(loss)
         leaves = {"x": x, "w": w} if b is None else {"x": x, "w": w, "b": b}
         for name, leaf in leaves.items():
             args = {"x": x, "w": w, "b": b}
 
             def f(t, name=name, args=args):
-                return T.mul(T.linear(**{**args, name: t}), weights).sum()
+                return oracles.reduce_sum(oracles.mul(T.linear(**{**args, name: t}), weights))
 
             assert max_rel_err(leaf.grad, finite_diff_grad(f, leaf).data) < 1e-4, name
 
     def test_bias_shape_checked(self):
         with pytest.raises(ShapeError, match="bias"):
             T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
-
-
-def _per_head_block(a, w_query, w_key_t, w_value, w_out, a_t, real):
-    """The encoder's attention as it was composed of separate ops, one head at a time.
-
-    Keys come in transposed, as leaves of their own (``w_key_t``, ``a_t``),
-    because there is no transpose op.
-    """
-    scale = 1.0 / np.sqrt(w_query[0].shape[1])
-    key_mask = np.where(real, 0.0, -np.inf)[:, None, :]
-    total = None
-    for wq, wkt, wv, wo in zip(w_query, w_key_t, w_value, w_out):
-        scores = T.add(T.mul(T.matmul(T.matmul(a, wq), T.matmul(wkt, a_t)), scale), key_mask)
-        head = T.matmul(T.matmul(oracles.softmax(scores, axis=-1), T.matmul(a, wv)), wo)
-        total = head if total is None else T.add(total, head)
-    return total
 
 
 class TestAttention:
@@ -143,111 +130,130 @@ class TestAttention:
     def _mask(self):
         return np.arange(self.L)[None, :] < np.array(self.REAL_LENGTHS)[:, None]
 
+    def _leaves(self, rng):
+        d = self.H * self.DH
+        x = Tensor(rng.normal(size=(self.B, self.L, d)), requires_grad=True)
+        w_qkv = Tensor(rng.normal(size=(d, 3 * d)), requires_grad=True)
+        return x, w_qkv
+
+    def _check_finite_differences(self, rng, first_query_only):
+        real = self._mask()
+        d = self.H * self.DH
+        for n_heads in (1, 2, 4):
+            x, w_qkv = self._leaves(rng)
+            weights = rng.normal(size=(self.B, d) if first_query_only else (self.B, self.L, d))
+
+            def f(x, w_qkv):
+                out = T.attention(x, w_qkv, real, n_heads, first_query_only=first_query_only)
+                return oracles.reduce_sum(oracles.mul(out, weights))
+
+            with Tape() as tape:
+                loss = f(x, w_qkv)
+            tape.backward(loss)
+            assert max_rel_err(x.grad, finite_diff_grad(lambda t: f(t, w_qkv), x).data) < 1e-4, n_heads
+            assert max_rel_err(w_qkv.grad, finite_diff_grad(lambda t: f(x, t), w_qkv).data) < 1e-4, n_heads
+            yield x, w_qkv
+
     def test_backward_matches_finite_differences(self, rng):
         real = self._mask()
-        qkv = Tensor(rng.normal(size=(self.B, self.L, 3 * self.H * self.DH)), requires_grad=True)
-        weights = rng.normal(size=(self.B, self.L, self.H * self.DH))
-        with Tape() as tape:
-            loss = T.mul(T.attention(qkv, real, self.H), weights).sum()
-        tape.backward(loss)
-        fd = finite_diff_grad(lambda t: T.mul(T.attention(t, real, self.H), weights).sum(), qkv)
-        assert max_rel_err(qkv.grad, fd.data) < 1e-4
-        # padded keys get no weight, so their key and value columns get no gradient
-        d = self.H * self.DH
-        for b, n in enumerate(self.REAL_LENGTHS):
-            assert not qkv.grad[b, n:, d:].any()
+        assert min(self.REAL_LENGTHS) < self.L
+        for x, w_qkv in self._check_finite_differences(rng, first_query_only=False):
+            # padded keys get no weight, so no real row's output reads a padded position
+            moved = x.data.copy()
+            moved[~real] = rng.normal(size=moved[~real].shape)
+            before = T.attention(x, w_qkv, real, self.H).data
+            after = T.attention(moved, w_qkv, real, self.H).data
+            np.testing.assert_array_equal(after[real], before[real])
 
     def test_matches_per_head_composition(self, rng):
         d = self.H * self.DH
         real = self._mask()
-        a = Tensor(rng.normal(size=(self.B, self.L, d)), requires_grad=True)
-        heads = {
-            name: [rng.normal(size=shape) for _ in range(self.H)]
-            for name, shape in (("q", (d, self.DH)), ("k", (d, self.DH)), ("v", (d, self.DH)), ("o", (self.DH, d)))
-        }
-        # The fused leaves: all heads' queries, then keys, then values; output rows head by head.
-        w_qkv = Tensor(np.concatenate(heads["q"] + heads["k"] + heads["v"], axis=1), requires_grad=True)
-        w_out = Tensor(np.concatenate(heads["o"], axis=0), requires_grad=True)
+        a, w_qkv = self._leaves(rng)
+        w_out = Tensor(rng.normal(size=(d, d)), requires_grad=True)
         weights = rng.normal(size=(self.B, self.L, d))
         with Tape() as tape:
-            fused = T.linear(T.attention(T.linear(a, w_qkv), real, self.H), w_out)
-            loss = T.mul(fused, weights).sum()
+            fused = T.linear(T.attention(a, w_qkv, real, self.H), w_out)
+            loss = oracles.reduce_sum(oracles.mul(fused, weights))
         tape.backward(loss)
 
-        a_t = Tensor(np.swapaxes(a.data, 1, 2), requires_grad=True)
-        w_key_t = [Tensor(w.T, requires_grad=True) for w in heads["k"]]
-        ref_a = Tensor(a.data, requires_grad=True)
-        ref = {name: [Tensor(w, requires_grad=True) for w in ws] for name, ws in heads.items()}
+        ref = {name: Tensor(t.data, requires_grad=True) for name, t in (("a", a), ("w_qkv", w_qkv), ("w_out", w_out))}
         with Tape() as tape:
-            composed = _per_head_block(ref_a, ref["q"], w_key_t, ref["v"], ref["o"], a_t, real)
-            ref_loss = T.mul(composed, weights).sum()
+            attended = oracles.per_head_attention(T.linear(ref["a"], ref["w_qkv"]), real, self.H)
+            composed = T.linear(attended, ref["w_out"])
+            ref_loss = oracles.reduce_sum(oracles.mul(composed, weights))
         tape.backward(ref_loss)
 
         np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(a.grad, ref_a.grad + np.swapaxes(a_t.grad, 1, 2), rtol=0, atol=1e-12)
-        blocks = {
-            name: np.split(w_qkv.grad[:, j * d : (j + 1) * d], self.H, axis=1)
-            for j, name in enumerate(("q", "k", "v"))
-        }
-        blocks["o"] = np.split(w_out.grad, self.H, axis=0)
-        for name in ("q", "v", "o"):
-            for g, r in zip(blocks[name], ref[name]):
-                np.testing.assert_allclose(g, r.grad, rtol=0, atol=1e-12)
-        for g, r in zip(blocks["k"], w_key_t):
-            np.testing.assert_allclose(g, r.grad.T, rtol=0, atol=1e-12)
+        for name, t in (("a", a), ("w_qkv", w_qkv), ("w_out", w_out)):
+            np.testing.assert_allclose(t.grad, ref[name].grad, rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_first_query_only_is_row_zero_of_full_attention(self, rng, n_heads):
         real = self._mask()
         d = self.H * self.DH
-        data = rng.normal(size=(self.B, self.L, 3 * d))
+        full_x, full_w = self._leaves(rng)
+        x, w_qkv = Tensor(full_x.data, requires_grad=True), Tensor(full_w.data, requires_grad=True)
         weights = rng.normal(size=(self.B, d))
-        full_qkv = Tensor(data, requires_grad=True)
         row0 = np.zeros((self.B, self.L, d))
         row0[:, 0] = weights  # the full loss reads row 0 only
         with Tape() as tape:
-            full = T.attention(full_qkv, real, n_heads)
-            tape.backward(T.mul(full, row0).sum())
-        qkv = Tensor(data, requires_grad=True)
+            full = T.attention(full_x, full_w, real, n_heads)
+            tape.backward(oracles.reduce_sum(oracles.mul(full, row0)))
         with Tape() as tape:
-            first = T.attention(qkv, real, n_heads, first_query_only=True)
-            tape.backward(T.mul(first, weights).sum())
+            first = T.attention(x, w_qkv, real, n_heads, first_query_only=True)
+            tape.backward(oracles.reduce_sum(oracles.mul(first, weights)))
         assert first.shape == (self.B, d)
         np.testing.assert_allclose(first.data, full.data[:, 0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(qkv.grad, full_qkv.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, full_x.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_qkv.grad, full_w.grad, rtol=0, atol=1e-12)
 
     def test_first_query_only_backward_matches_finite_differences(self, rng):
-        real = self._mask()
-        d = self.H * self.DH
-        qkv = Tensor(rng.normal(size=(self.B, self.L, 3 * d)), requires_grad=True)
-        weights = rng.normal(size=(self.B, d))
-
-        def f(t):
-            return T.mul(T.attention(t, real, self.H, first_query_only=True), weights).sum()
-
-        with Tape() as tape:
-            loss = f(qkv)
-        tape.backward(loss)
-        fd = finite_diff_grad(f, qkv)
-        assert max_rel_err(qkv.grad, fd.data) < 1e-4
-        # only position 0 queries, so the other positions' query columns get no gradient
-        assert not qkv.grad[:, 1:, :d].any()
-        # padded keys get no weight, so their key and value columns get no gradient
         assert min(self.REAL_LENGTHS) < self.L
-        for b, n in enumerate(self.REAL_LENGTHS):
-            assert not qkv.grad[b, n:, d:].any()
+        for x, _ in self._check_finite_differences(rng, first_query_only=True):
+            # only position 0 queries and padded keys get no weight, so padded rows get no gradient
+            for b, n in enumerate(self.REAL_LENGTHS):
+                assert not x.grad[b, n:].any()
 
-    def test_sequence_without_real_token_rejected(self):
+    def test_sequence_without_real_token_rejected(self, rng):
         real = self._mask()
         real[1] = False
         with pytest.raises(ValueError, match="no real token"):
-            T.attention(Tensor(np.zeros((self.B, self.L, 3 * self.H * self.DH))), real, self.H)
+            T.attention(*self._leaves(rng), real, self.H)
 
     def test_shapes_checked(self):
+        x = Tensor(np.zeros((self.B, self.L, 4)))
         with pytest.raises(ShapeError, match="heads"):
-            T.attention(Tensor(np.zeros((self.B, self.L, 10))), self._mask(), self.H)
+            T.attention(x, Tensor(np.zeros((4, 10))), self._mask(), self.H)
+        with pytest.raises(ShapeError, match="heads"):
+            T.attention(x, Tensor(np.zeros((5, 12))), self._mask(), self.H)
         with pytest.raises(ShapeError, match="key mask"):
-            T.attention(Tensor(np.zeros((self.B, self.L, 12))), self._mask()[:, :3], self.H)
+            T.attention(x, Tensor(np.zeros((4, 12))), self._mask()[:, :3], self.H)
+
+
+class TestFirstRow:
+    def test_row_zero_of_each_sequence(self, rng):
+        a = Tensor(rng.normal(size=(3, 5, 4)))
+        out = T.first_row(a)
+        assert out.shape == (3, 4)
+        np.testing.assert_array_equal(out.data, a.data[:, 0])
+
+    def test_backward_matches_finite_differences(self, rng):
+        a = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        weights = rng.normal(size=(3, 4))
+
+        def f(t):
+            return oracles.reduce_sum(oracles.mul(T.first_row(t), weights))
+
+        with Tape() as tape:
+            loss = f(a)
+        tape.backward(loss)
+        assert max_rel_err(a.grad, finite_diff_grad(f, a).data) < 1e-4
+        np.testing.assert_array_equal(a.grad[:, 0], weights)
+        assert not a.grad[:, 1:].any()
+
+    def test_rank_one_rejected(self):
+        with pytest.raises(ShapeError, match="row 0"):
+            T.first_row(Tensor(np.ones(3)))
 
 
 class TestElementwise:
@@ -277,24 +283,24 @@ class TestElementwise:
 
     def test_scalar_operands(self):
         x = Tensor([1.0, 2.0])
-        np.testing.assert_array_equal(T.add(T.mul(x, 2.0), 1.0).data, [3.0, 5.0])
-        np.testing.assert_array_equal(T.mul(x, -1.0).data, [-1.0, -2.0])
+        np.testing.assert_array_equal(T.add(oracles.mul(x, 2.0), 1.0).data, [3.0, 5.0])
+        np.testing.assert_array_equal(oracles.mul(x, -1.0).data, [-1.0, -2.0])
 
     @pytest.mark.parametrize(
         "op,shapes",
         [
             (T.add, ((3, 4), (4,))),
-            (T.mul, ((3, 4), (4,))),
+            (oracles.mul, ((3, 4), (4,))),
         ],
     )
     def test_binary_backward_matches_oracle(self, rng, op, shapes):
         a = Tensor(rng.normal(size=shapes[0]), requires_grad=True)
         b = Tensor(rng.normal(size=shapes[1]), requires_grad=True)
         with Tape() as tape:
-            loss = T.mul(op(a, b), op(a, b)).sum()
+            loss = oracles.reduce_sum(oracles.mul(op(a, b), op(a, b)))
         tape.backward(loss)
-        fd_a = finite_diff_grad(lambda t: T.mul(op(t, b), op(t, b)).sum(), a)
-        fd_b = finite_diff_grad(lambda t: T.mul(op(a, t), op(a, t)).sum(), b)
+        fd_a = finite_diff_grad(lambda t: oracles.reduce_sum(oracles.mul(op(t, b), op(t, b))), a)
+        fd_b = finite_diff_grad(lambda t: oracles.reduce_sum(oracles.mul(op(a, t), op(a, t))), b)
         assert max_rel_err(a.grad, fd_a.data) < 1e-4
         assert max_rel_err(b.grad, fd_b.data) < 1e-4
 
@@ -302,9 +308,9 @@ class TestElementwise:
     def test_unary_backward_matches_oracle(self, rng, op):
         x = Tensor(rng.normal(size=(3, 5)) + 0.3, requires_grad=True)
         with Tape() as tape:
-            loss = op(x).sum()
+            loss = oracles.reduce_sum(op(x))
         tape.backward(loss)
-        fd = finite_diff_grad(lambda t: op(t).sum(), x)
+        fd = finite_diff_grad(lambda t: oracles.reduce_sum(op(t)), x)
         assert max_rel_err(x.grad, fd.data) < 1e-4
 
 
@@ -339,7 +345,7 @@ class TestSoftmax:
         w = Tensor(rng.normal(size=(3, 4)))
 
         def f(t):
-            return T.mul(oracles.softmax(t, axis=1), w).sum()
+            return oracles.reduce_sum(oracles.mul(oracles.softmax(t, axis=1), w))
 
         with Tape() as tape:
             loss = f(x)
@@ -373,7 +379,7 @@ class TestLayerNorm:
         w = Tensor(rng.normal(size=(4, 6)))
 
         def f(_):
-            return T.mul(T.layer_norm(x, gain, bias), w).sum()
+            return oracles.reduce_sum(oracles.mul(T.layer_norm(x, gain, bias), w))
 
         with Tape() as tape:
             loss = f(None)
@@ -397,7 +403,7 @@ class TestEmbeddingLookup:
         assert out.shape == (2, 3, 3)
         np.testing.assert_array_equal(out.data[1, 2], table.data[1])
         with Tape() as tape:
-            loss = T.embedding_lookup(table, ids).sum()
+            loss = oracles.reduce_sum(T.embedding_lookup(table, ids))
         tape.backward(loss)
         np.testing.assert_array_equal(np.asarray(table.grad)[:, 0], [2.0, 1.0, 1.0, 0.0, 2.0])
 
@@ -412,9 +418,9 @@ class TestEmbeddingLookup:
     def test_gradient_scatters_additively(self, rng):
         table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         with Tape() as tape:
-            loss = T.embedding_lookup(table, [1, 1]).sum()
+            loss = oracles.reduce_sum(T.embedding_lookup(table, [1, 1]))
         tape.backward(loss)
-        fd = finite_diff_grad(lambda t: T.embedding_lookup(t, [1, 1]).sum(), table)
+        fd = finite_diff_grad(lambda t: oracles.reduce_sum(T.embedding_lookup(t, [1, 1])), table)
         assert max_rel_err(np.asarray(table.grad), fd.data) < 1e-4
         np.testing.assert_array_equal(np.asarray(table.grad)[1], [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(np.asarray(table.grad)[0], 0.0)
@@ -435,7 +441,7 @@ class TestRowGrad:
         ids = np.array([[7, 3, 7, 39], [0, 7, 3, 7], [12, 12, 12, 12]])
         g = self._upstream(rng, ids.shape)
         with Tape() as tape:
-            loss = T.mul(T.embedding_lookup(table, ids), g).sum()
+            loss = oracles.reduce_sum(oracles.mul(T.embedding_lookup(table, ids), g))
         tape.backward(loss)
         grad = table.grad
         assert isinstance(grad, RowGrad)
@@ -449,8 +455,8 @@ class TestRowGrad:
         g1, g2 = self._upstream(rng, ids1.shape), self._upstream(rng, ids2.shape)
         with Tape() as tape:
             loss = T.add(
-                T.mul(T.embedding_lookup(table, ids1), g1).sum(),
-                T.mul(T.embedding_lookup(table, ids2), g2).sum(),
+                oracles.reduce_sum(oracles.mul(T.embedding_lookup(table, ids1), g1)),
+                oracles.reduce_sum(oracles.mul(T.embedding_lookup(table, ids2), g2)),
             )
         tape.backward(loss)
         want = oracles.dense_scatter(self.SHAPE, ids1, g1) + oracles.dense_scatter(self.SHAPE, ids2, g2)
@@ -461,7 +467,10 @@ class TestRowGrad:
         ids, w = rng.integers(0, 40, size=9), rng.normal(size=self.SHAPE)
         g = self._upstream(rng, ids.shape)
         with Tape() as tape:
-            loss = T.add(T.mul(T.embedding_lookup(table, ids), g).sum(), T.mul(table, w).sum())
+            loss = T.add(
+                oracles.reduce_sum(oracles.mul(T.embedding_lookup(table, ids), g)),
+                oracles.reduce_sum(oracles.mul(table, w)),
+            )
         tape.backward(loss)
         assert same_bits(table.grad, w + oracles.dense_scatter(self.SHAPE, ids, g))
 
@@ -472,23 +481,58 @@ class TestRowGrad:
             ids = rng.integers(0, 40, size=(2, 6))
             g = self._upstream(rng, ids.shape)
             with Tape() as tape:
-                loss = T.mul(T.embedding_lookup(table, ids), g).sum()
+                loss = oracles.reduce_sum(oracles.mul(T.embedding_lookup(table, ids), g))
             tape.backward(loss)
             scatter = oracles.dense_scatter(self.SHAPE, ids, g)
             want = scatter if want is None else want + scatter
         assert same_bits(table.grad, want)
 
 
+@st.composite
+def _lookups(draw):
+    """(rows, ids, upstream gradient) of one lookup: few rows, so ids repeat."""
+    rows = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(1,), (7,), (3, 4)]))
+    ids = draw(hnp.arrays(np.intp, shape, elements=st.integers(0, rows - 1)))
+    values = st.floats(-1e300, 1e300) | st.sampled_from([-0.0, 0.0, 5e-324, 1e300])
+    return rows, ids, draw(hnp.arrays(np.float64, shape + (draw(st.integers(1, 5)),), elements=values))
+
+
+class TestEmbeddingScatter:
+    """The lookup's backward against ``np.add.at`` into zeros, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lookup=_lookups())
+    @example(lookup=(3, np.array([1]), np.array([[-0.0]])))  # one id, width 1
+    @example(lookup=(2, np.ones((3, 4), dtype=np.intp), np.linspace(-1.0, 1.0, 36).reshape(3, 4, 3) * 1e17))  # all equal
+    def test_matches_add_at_into_zeros(self, lookup):
+        rows, ids, g = lookup
+        width = g.shape[-1]
+        table = Tensor(np.zeros((rows, width)), requires_grad=True)
+        with Tape() as tape:
+            out = T.embedding_lookup(table, ids)
+        (grad,) = tape.nodes[0].rule(g)
+        touched, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+        want = np.zeros((touched.size, width))
+        np.add.at(want, inverse.reshape(-1), g.reshape(-1, width))
+        np.testing.assert_array_equal(grad.rows, touched)
+        assert out.shape == g.shape and same_bits(grad.values, want)
+
+
 class TestReduce:
     def test_sum(self):
-        assert T.reduce_sum(Tensor([1.0, 2.0, 3.0])).item() == 6.0
+        assert oracles.reduce_sum(Tensor([1.0, 2.0, 3.0])).item() == 6.0
 
     def test_axis_reduction_backward(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+
+        def f(t):
+            return oracles.reduce_sum(oracles.mul(oracles.reduce_sum(t, axis=0), oracles.reduce_sum(t, axis=0)))
+
         with Tape() as tape:
-            loss = T.mul(x.sum(axis=0), x.sum(axis=0)).sum()
+            loss = f(x)
         tape.backward(loss)
-        fd = finite_diff_grad(lambda t: T.mul(t.sum(axis=0), t.sum(axis=0)).sum(), x)
+        fd = finite_diff_grad(f, x)
         assert max_rel_err(x.grad, fd.data) < 1e-4
 
 
@@ -507,9 +551,9 @@ class TestBCE:
         x = Tensor(rng.uniform(0.05, 0.95, size=(4, 3)), requires_grad=True)
         y = (rng.uniform(size=(4, 3)) < 0.5).astype(float)
         with Tape() as tape:
-            loss = T.mul(T.bce(x, y, 1e-12), 3.0)
+            loss = oracles.mul(T.bce(x, y, 1e-12), 3.0)
         tape.backward(loss)
-        fd = finite_diff_grad(lambda t: T.mul(T.bce(t, y, 1e-12), 3.0), x)
+        fd = finite_diff_grad(lambda t: oracles.mul(T.bce(t, y, 1e-12), 3.0), x)
         assert max_rel_err(x.grad, fd.data) < 1e-6
 
     def test_wide_clamp_zeroes_gradient_outside(self, rng):
@@ -533,21 +577,21 @@ class TestBackward:
     def test_sum_gives_ones(self, rng):
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         with Tape() as tape:
-            loss = x.sum()
+            loss = oracles.reduce_sum(x)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_sum_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.mul(x, x).sum()
+            loss = oracles.reduce_sum(oracles.mul(x, x))
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
     def test_backward_twice_doubles(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.mul(x, x).sum()
+            loss = oracles.reduce_sum(oracles.mul(x, x))
         tape.backward(loss)
         first = x.grad.copy()
         tape.backward(loss)
@@ -556,7 +600,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = T.mul(x, x)
+            y = oracles.mul(x, x)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
@@ -568,7 +612,7 @@ class TestBackward:
         x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         with Tape() as tape:
             y = T.sigmoid(T.matmul(x, x))
-            loss = T.mul(y, y).sum()
+            loss = oracles.reduce_sum(oracles.mul(y, y))
         calls = [0] * len(tape.nodes)
         for idx, node in enumerate(tape.nodes):
 
@@ -586,7 +630,7 @@ class TestBackward:
         w2 = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
 
         def f(_=None):
-            return T.sigmoid(T.matmul(T.relu(T.matmul(x, w1)), w2)).sum()
+            return oracles.reduce_sum(T.sigmoid(T.matmul(T.relu(T.matmul(x, w1)), w2)))
 
         with Tape() as tape:
             loss = f()
@@ -600,7 +644,7 @@ class TestBackward:
     def test_shared_input_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.add(T.mul(x, x), x).sum()  # d/dx = 2x + 1
+            loss = oracles.reduce_sum(T.add(oracles.mul(x, x), x))  # d/dx = 2x + 1
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [7.0], atol=1e-12)
 
@@ -608,22 +652,22 @@ class TestBackward:
 class TestFiniteDiff:
     def test_sum_function(self, rng):
         x = Tensor(rng.normal(size=(2, 3)))
-        fd = finite_diff_grad(lambda t: t.sum(), x)
+        fd = finite_diff_grad(lambda t: oracles.reduce_sum(t), x)
         np.testing.assert_allclose(fd.data, 1.0, atol=1e-8)
 
     def test_square_at_three(self):
-        fd = finite_diff_grad(lambda t: T.mul(t, t).item(), Tensor(3.0), h=1e-4)
+        fd = finite_diff_grad(lambda t: oracles.mul(t, t).item(), Tensor(3.0), h=1e-4)
         assert abs(fd.item() - 6.0) < 1e-6
 
     def test_restores_input(self, rng):
         x = Tensor(rng.normal(size=4))
         before = x.data.copy()
-        finite_diff_grad(lambda t: T.mul(t, t).sum(), x)
+        finite_diff_grad(lambda t: oracles.reduce_sum(oracles.mul(t, t)), x)
         np.testing.assert_array_equal(x.data, before)
 
     def test_invalid_h(self):
         with pytest.raises(ValueError):
-            finite_diff_grad(lambda t: t.sum(), Tensor([1.0]), h=0.0)
+            finite_diff_grad(lambda t: oracles.reduce_sum(t), Tensor([1.0]), h=0.0)
 
     def test_agrees_with_backward_on_two_layer_network(self, rng):
         w1 = Tensor(rng.normal(size=(4, 8)) * 0.5, requires_grad=True)
@@ -632,7 +676,7 @@ class TestFiniteDiff:
 
         def f(_):
             hidden = T.sigmoid(T.matmul(x, w1))
-            return T.sigmoid(T.matmul(hidden, w2)).sum()
+            return oracles.reduce_sum(T.sigmoid(T.matmul(hidden, w2)))
 
         with Tape() as tape:
             loss = f(None)
@@ -650,7 +694,7 @@ class TestTensorBasics:
     def test_grad_matches_data_length(self, rng):
         x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
         with Tape() as tape:
-            loss = x.sum()
+            loss = oracles.reduce_sum(x)
         tape.backward(loss)
         assert x.grad.shape == x.data.shape
 
@@ -667,16 +711,16 @@ class TestTensorBasics:
     def test_tensor_backward_method(self):
         x = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.mul(x, x).sum()
+            loss = oracles.reduce_sum(oracles.mul(x, x))
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [4.0], atol=1e-12)
 
     def test_backward_off_tape_rejected(self):
         x = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
-            T.mul(x, x).sum()
+            oracles.reduce_sum(oracles.mul(x, x))
         with Tape():
-            other = T.mul(x, x).sum()
+            other = oracles.reduce_sum(oracles.mul(x, x))
         for loss in (Tensor(1.0), other):
             with pytest.raises(ValueError, match="this tape"):
                 tape.backward(loss)
