@@ -6,8 +6,9 @@
 # train, rerank and eval, once per optimizer: the benchmark's models have 1
 # layer, so only this run reaches the full-length attention of a layer
 # before the last end to end, next to the last layer's CLS-row query and
-# the embedding scatter. The Lion run is also scored with exponential gains,
-# and the first-stage run as is.
+# the embedding scatter. Each trained checkpoint is loaded and serialized
+# again, and must give its file's bytes back. The Lion run is also scored
+# with exponential gains, and the first-stage run as is.
 set -euo pipefail
 work=$1
 reranklab --help
@@ -20,6 +21,17 @@ printf '%s\n' "[run]" "name = two-layer" "out_dir = $work/out" "[data]" \
   "d_ff = 32" "[train]" "optimizer = lion" "batch_size = 8" "epochs = 1" > "$work/run.ini"
 for optimizer in lion adamw; do
   reranklab train --config "$work/run.ini" --optimizer "$optimizer"
+  python - "$work/out/two-layer-$optimizer-epoch1.ckpt" <<'EOF'
+import sys
+from pathlib import Path
+
+from reranklab.checkpoint import checkpoint_text, load_checkpoint
+
+path = Path(sys.argv[1])
+bundle = load_checkpoint(path)
+if checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer) != path.read_text(encoding="utf-8"):
+    sys.exit(f"{path} does not reload bit-identically")
+EOF
   reranklab rerank --checkpoint "$work/out/two-layer-$optimizer-epoch1.ckpt" --queries "$work/data/queries.tsv" \
     --passages "$work/data/passages.tsv" --candidates "$work/data/candidates.run" --out "$work/reranked-$optimizer.run"
   reranklab eval --run "$work/reranked-$optimizer.run" --qrels "$work/data/qrels.txt" --out "$work/metrics-$optimizer"

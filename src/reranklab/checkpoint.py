@@ -2,27 +2,36 @@
 
 Layout (UTF-8, line oriented):
 
-    reranklab checkpoint v1
+    reranklab checkpoint v2
     [config]
     <field>=<int>            one line per CrossEncoderConfig field
     [vocab]
     tok <token>              regular tokens in id order (ids 4..)
     [param <dims>] <name>    dims like 100x64; one row of the buffer per
-    <hex> <hex> ...          line, values as float.hex() for bit-exact
-    ...                      round trips
-    [optimizer <kind>]       optional; hyperparameters as <key>=<hex>
+    <base64>                 line, as base64 of its little-endian float64
+    ...                      bytes, for bit-exact round trips
+    [optimizer <kind>]       optional; hyperparameters as <key>=<float.hex>
     step=<int>               AdamW only
     [state <dims>] <key>     optimizer buffers, same encoding as params
     [end]
 
-Arrays go in the order and under the names of ``model.checkpoint_views``:
-each layer's fused attention weights as per-head blocks. Save followed by load
-reproduces every buffer bit-exactly. Loading rejects a non-finite value (inf,
-nan) in any array or hyperparameter, and a name given twice.
+Arrays go under the model's parameter names and the optimizer's buffer keys,
+in their order, so each layer's attention weights are the fused ``w_qkv`` and
+``w_out``. Save followed by load reproduces every buffer bit-exactly, and
+save, load, save writes the same bytes. Loading rejects a non-finite value
+(inf, nan) in any array or hyperparameter, and a name given twice; a bad row
+is named by its array and its index from 0.
+
+v1 files still load. They have the same sections, but a row is its values as
+space-separated ``float.hex()`` text, and arrays go in the order and under
+the names of ``model.checkpoint_views``: each layer's attention weights as
+per-head blocks. Only the row decoder and the array names depend on the
+version.
 """
 
 from __future__ import annotations
 
+import base64
 import binascii
 import io
 import math
@@ -37,7 +46,7 @@ from reranklab.optim import OPTIMIZERS, Optimizer
 
 __all__ = ["CheckpointError", "CheckpointBundle", "save_checkpoint", "load_checkpoint", "checkpoint_text"]
 
-MAGIC = "reranklab checkpoint v1"
+MAGIC = "reranklab checkpoint v2"
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(CrossEncoderConfig))
 
@@ -70,79 +79,17 @@ def _parse_value(parse, text: str, field: str):
 def _parse_dims(text: str, name: str) -> tuple[int, ...]:
     if text == "scalar":
         return ()
-    return tuple(_parse_value(int, part, f"dims of {name}") for part in text.split("x"))
-
-
-# The writer prints exactly what float.hex() prints, without a Python object
-# per value. Each value gets a fixed 25-byte slot of a byte matrix: a sign byte,
-# "0x1.", 13 mantissa digits, the exponent suffix and a separator, with NUL for
-# every unused byte; one bytes.translate then deletes the NULs. Values go
-# through in blocks of _BLOCK, so the matrix and its temporaries stay under
-# about 0.5 MB whatever the array's size: 16,384-value blocks (2 MB) wrote no
-# faster and left train-desk's peak RSS higher. All bit arithmetic is on
-# np.uint64 operands, which promote the same way under numpy 1.x and 2.x.
-_BLOCK = 4096
-_SLOT = np.dtype({
-    "names": ["head", "body", "tail", "sep"],
-    "formats": ["<u8", "<u8", "<u8", "u1"],
-    "offsets": [0, 8, 16, 24],
-    "itemsize": 25,
-})
-
-
-def _word(text: bytes, shift: int = 0) -> np.uint64:
-    """Eight bytes of a slot as one little-endian word, ``text`` starting at byte ``shift``."""
-    return np.uint64(int.from_bytes(text, "little") << (8 * shift))
-
-
-_MANTISSA = np.uint64((1 << 52) - 1)
-_SIGN_BYTE = np.uint64(0xFF)
-_MINUS = _word(b"-")
-_HEAD = _word(b"0x1.", 1)
-_SUBNORMAL = _word(b"1", 3) ^ _word(b"0", 3)  # flips the leading "1" to "0"
-_ZERO_HEAD, _ZERO_BODY = _word(b"0x0.0p+", 1), _word(b"0")
-_INF_HEAD = _word(b"inf", 1)
-_NAN_HEAD = _word(b"nan")
-# The exponent suffix ("p+0" ... "p-1022") at bytes 2-7 of the tail word, by
-# biased exponent; 0 is the subnormals' p-1022.
-_SUFFIX = np.array(
-    [int(_word(f"p{max(e, 1) - 1023:+d}".encode(), 2)) for e in range(2048)], dtype=np.uint64
-)
+    dims = tuple(_parse_value(int, part, f"dims of {name}") for part in text.split("x"))
+    if min(dims) < 0:
+        raise CheckpointError(f"dims of {name}: {text} has a negative dim")
+    return dims
 
 
 def _write_array(out: io.StringIO, header: str, name: str, data: np.ndarray) -> None:
     out.write(f"[{header} {_dims(data.shape)}] {name}\n")
-    row_len = data.shape[-1] if data.ndim > 1 else data.size
-    bits = np.ascontiguousarray(data, dtype=np.float64).reshape(-1).view(np.uint64)
-    for start in range(0, bits.size, _BLOCK):
-        b = bits[start : start + _BLOCK]
-        exp = ((b >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.intp)
-        mant = b & _MANTISSA
-        # 16 hex digits per value, the first 3 always "000": digits 0-4 in the
-        # high half's bytes 3-7, digits 5-12 in the low half.
-        digits = np.frombuffer(binascii.hexlify(mant.astype(">u8").tobytes()), "<u8").reshape(-1, 2)
-        hi, lo = digits[:, 0], digits[:, 1]
-        head = ((b >> np.uint64(63)) * _MINUS) | _HEAD | ((hi >> np.uint64(24)) << np.uint64(40))
-        body = (hi >> np.uint64(48)) | (lo << np.uint64(16))
-        tail = (lo >> np.uint64(48)) | _SUFFIX.take(exp)
-        low = exp == 0
-        if low.any():
-            head[low] ^= _SUBNORMAL
-            zero = low & (mant == 0)
-            head[zero] = (head[zero] & _SIGN_BYTE) | _ZERO_HEAD
-            body[zero] = _ZERO_BODY
-            tail[zero] = 0
-        high = exp == 0x7FF
-        if high.any():
-            head[high] = (head[high] & _SIGN_BYTE) | _INF_HEAD
-            body[high] = tail[high] = 0
-            head[high & (mant != 0)] = _NAN_HEAD  # float.hex prints every NaN as "nan"
-        slots = np.empty(b.size, _SLOT)
-        slots["head"], slots["body"], slots["tail"] = head, body, tail
-        sep = slots["sep"]
-        sep[...] = ord(" ")
-        sep[row_len - 1 - start % row_len :: row_len] = ord("\n")
-        out.write(slots.tobytes().translate(None, b"\0").decode("ascii"))
+    row_len = data.shape[-1] if data.ndim else 1
+    rows = np.ascontiguousarray(data, dtype="<f8").reshape(math.prod(data.shape[:-1]), row_len)
+    out.write(b"".join(map(binascii.b2a_base64, rows)).decode("ascii"))
 
 
 def _float_kv(key: str, value: float) -> str:
@@ -163,9 +110,8 @@ def checkpoint_text(model: CrossEncoder, vocab: Vocab, optimizer: Optimizer | No
     out.write("[vocab]\n")
     for tok in vocab.tokens:
         out.write(f"tok {tok}\n")
-    n_heads = model.config.n_heads
-    for name, data in checkpoint_views({n: p.data for n, p in model.parameters()}, n_heads).items():
-        _write_array(out, "param", name, data)
+    for name, p in model.parameters():
+        _write_array(out, "param", name, p.data)
     if optimizer is not None:
         state = optimizer.state_dict()
         out.write(f"[optimizer {state['kind']}]\n")
@@ -173,7 +119,7 @@ def checkpoint_text(model: CrossEncoder, vocab: Vocab, optimizer: Optimizer | No
             out.write(_float_kv(key, state[key]) + "\n")
         if "step" in state:
             out.write(f"step={state['step']}\n")
-        for key, buf in checkpoint_views(state["buffers"], n_heads).items():
+        for key, buf in state["buffers"].items():
             _write_array(out, "state", key, buf)
     out.write("[end]\n")
     return out.getvalue()
@@ -201,33 +147,61 @@ class _Reader:
             yield self.next()
 
 
-def _read_array(reader: _Reader, dims: tuple[int, ...], name: str) -> np.ndarray:
+def _hex_row(line: str, row_len: int, label: str) -> list[float]:
+    """A v1 row: ``row_len`` space-separated ``float.hex()`` values."""
+    parts = line.split()
+    if len(parts) != row_len:
+        raise CheckpointError(f"{label}: expected {row_len} values, got {len(parts)}")
+    try:
+        return list(map(float.fromhex, parts))
+    except (ValueError, OverflowError):
+        # parse again value by value, to name the bad one
+        return [_parse_value(float.fromhex, p, label) for p in parts]
+
+
+def _base64_row(line: str, row_len: int, label: str) -> np.ndarray:
+    """A v2 row: base64 of ``row_len`` little-endian float64 values."""
+    try:
+        # validate: a2b_base64 alone skips characters outside the alphabet
+        raw = base64.b64decode(line, validate=True)
+    except ValueError:
+        raise CheckpointError(f"{label}: malformed base64") from None
+    if len(raw) != 8 * row_len:
+        raise CheckpointError(f"{label}: {len(raw)} bytes, expected {8 * row_len}")
+    return np.frombuffer(raw, "<f8")
+
+
+# Magic line -> (row decoder, the names arrays are stored under).
+_FORMATS = {
+    "reranklab checkpoint v1": (_hex_row, checkpoint_views),
+    MAGIC: (_base64_row, lambda arrays, n_heads: arrays),
+}
+
+
+def _read_array(reader: _Reader, dims: tuple[int, ...], name: str, decode_row) -> np.ndarray:
     n_rows = math.prod(dims[:-1])  # Python ints: a huge header cannot wrap to a small count
     row_len = dims[-1] if dims else 1
-    first_row = reader.pos
-    values = []
-    for _ in range(n_rows):
-        parts = reader.next().split()
-        if len(parts) != row_len:
-            raise CheckpointError(f"{name}: expected {row_len} values per row, got {len(parts)}")
-        try:
-            values.append(list(map(float.fromhex, parts)))
-        except (ValueError, OverflowError):
-            # parse again value by value, to name the bad one
-            values.append([_parse_value(float.fromhex, p, name) for p in parts])
-    data = np.array(values, dtype=np.float64).reshape(dims)
+    rows = []
+    for row in range(n_rows):
+        label = f"{name} row {row}"
+        if reader.pos == len(reader.lines):
+            raise CheckpointError(f"{label}: unexpected end of checkpoint")
+        rows.append(decode_row(reader.next(), row_len, label))
+    data = np.array(rows, dtype=np.float64).reshape(dims)
     if not np.isfinite(data).all():
-        row, col = divmod(int(np.flatnonzero(~np.isfinite(data))[0]), row_len)
-        token = reader.lines[first_row + row].split()[col]
-        raise CheckpointError(f"{name}: value {token!r} is not finite")
+        at = int(np.flatnonzero(~np.isfinite(data))[0])
+        row, col = divmod(at, row_len)
+        raise CheckpointError(f"{name} row {row}, column {col}: value '{data.flat[at]}' is not finite")
     return data
 
 
 def parse_checkpoint(text: str) -> CheckpointBundle:
     lines = text.splitlines()
     reader = _Reader(lines)
-    if reader.next() != MAGIC:
+    version = _FORMATS.get(reader.next())
+    if version is None:
         raise CheckpointError("not a reranklab checkpoint (bad magic line)")
+    decode_row, views = version
     if reader.next() != "[config]":
         raise CheckpointError("missing [config] section")
     config_kv: dict[str, int] = {}
@@ -277,7 +251,7 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
             label = f"[{kind}] {name}"
             if label in arrays:
                 raise CheckpointError(f"{name}: repeated [{kind}] block")
-            arrays[label] = _read_array(reader, _parse_dims(dims, name), name)
+            arrays[label] = _read_array(reader, _parse_dims(dims, name), name, decode_row)
         elif line.startswith("[optimizer "):
             if opt_kind is not None:
                 raise CheckpointError(f"{line}: a second optimizer section")
@@ -295,8 +269,8 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
             raise CheckpointError(f"unexpected line in checkpoint: {line!r}")
 
     optimizer = None
-    views = checkpoint_views({name: p.data for name, p in model.parameters()}, config.n_heads)
-    targets = {f"[param] {name}": data for name, data in views.items()}
+    params = views({name: p.data for name, p in model.parameters()}, config.n_heads)
+    targets = {f"[param] {name}": data for name, data in params.items()}
     if opt_kind is not None:
         cls = OPTIMIZERS.get(opt_kind)
         if cls is None:
@@ -318,8 +292,8 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
             if opt_hypers["step"] < 0:  # the next step would divide by a bias correction <= 0
                 raise CheckpointError(f"[optimizer {opt_kind}] step: must be >= 0, got {opt_hypers['step']}")
             optimizer.step_count = opt_hypers["step"]
-        views = checkpoint_views(optimizer.state_dict()["buffers"], config.n_heads)
-        targets.update({f"[state] {key}": buf for key, buf in views.items()})
+        buffers = views(optimizer.state_dict()["buffers"], config.n_heads)
+        targets.update({f"[state] {key}": buf for key, buf in buffers.items()})
 
     # Parameters and optimizer buffers alike: check every name and shape, then copy.
     if arrays.keys() != targets.keys():

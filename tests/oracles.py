@@ -1,5 +1,5 @@
 """Brute-force reference implementations of the ranking metrics, of the
-checkpoint array writer, of the optimizer updates and embedding gradient,
+checkpoint v1 writer, of the optimizer updates and embedding gradient,
 of the tape ops the encoder no longer calls (elementwise product, sum,
 softmax, slicing, transposition) and of the encoder's full-length forward
 pass.
@@ -15,13 +15,14 @@ position, each head's attention composed from separate ops, before it
 keeps the CLS row. Only suitable for small cases.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 
 from reranklab import tensor as T
-from reranklab.model import PAD_ID
+from reranklab.model import PAD_ID, checkpoint_views
 
 
 def dcg(grades_in_rank_order, k, exponential=False):
@@ -159,6 +160,30 @@ def float_hex_section(header, name, data):
     lines = [f"[{header} {dims}] {name}"]
     lines += [" ".join(v.hex() for v in row.tolist()) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def v1_checkpoint_text(model, vocab, optimizer=None):
+    """The state as a checkpoint v1 file: float.hex() rows, attention weights per head.
+
+    Arrays go under the names and in the order of ``checkpoint_views``.
+    The config, vocab and optimizer lines are the same as in v2.
+    """
+    parts = ["reranklab checkpoint v1\n[config]\n"]
+    parts += [f"{f.name}={getattr(model.config, f.name)}\n" for f in dataclasses.fields(model.config)]
+    parts += ["[vocab]\n"] + [f"tok {tok}\n" for tok in vocab.tokens]
+    n_heads = model.config.n_heads
+    views = checkpoint_views({name: p.data for name, p in model.parameters()}, n_heads)
+    parts += [float_hex_section("param", name, data) for name, data in views.items()]
+    if optimizer is not None:
+        state = optimizer.state_dict()
+        parts.append(f"[optimizer {state['kind']}]\n")
+        parts += [f"{key}={float(state[key]).hex()}\n" for key in optimizer.HYPERS]
+        if "step" in state:
+            parts.append(f"step={state['step']}\n")
+        views = checkpoint_views(state["buffers"], n_heads)
+        parts += [float_hex_section("state", key, buf) for key, buf in views.items()]
+    parts.append("[end]\n")
+    return "".join(parts)
 
 
 def dense_scatter(shape, ids, grad):

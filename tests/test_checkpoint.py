@@ -1,8 +1,8 @@
 """Checkpoint round trips must be bit-exact, including optimizer state."""
 
+import base64
 import hashlib
 import io
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +22,12 @@ from reranklab.model import CrossEncoderConfig, Vocab, checkpoint_views, init_pa
 from reranklab.optim import OPTIMIZERS, AdamW, Lion
 
 import oracles
+from conftest import same_bits
+
+
+def b64_row(*values):
+    """One v2 row line: base64 of the values' little-endian float64 bytes."""
+    return base64.b64encode(np.array(values, "<f8").tobytes()).decode("ascii")
 
 
 @pytest.fixture
@@ -109,9 +115,9 @@ class TestRoundTrip:
             assert checkpoint_text(bundle.model, vocab, bundle.optimizer) == checkpoint_text(model, vocab, opt)
 
 
-# float64 bit patterns that float.hex() prints specially or that sit at the
-# edge of a field: signed zeros, the extreme subnormals and normals, 1.0, the
-# infinities, and NaNs of either sign, quiet and signalling.
+# float64 bit patterns at the edge of a field: signed zeros, the extreme
+# subnormals and normals, 1.0, the infinities, and NaNs of either sign,
+# quiet and signalling.
 EDGE_BITS = [
     0x0000_0000_0000_0000,
     0x8000_0000_0000_0000,
@@ -128,56 +134,103 @@ EDGE_BITS = [
 ]
 
 
-def assert_writes_float_hex(data):
-    """The array's section equals the reference writer's, compared line by line."""
-    out = io.StringIO()
-    checkpoint._write_array(out, "state", "x", data)
-    # Lists of lines: a failure then names the first bad line, where a diff
-    # of two long strings would take minutes to print.
-    assert out.getvalue().split("\n") == oracles.float_hex_section("state", "x", data).split("\n")
+def finite_bits(bits):
+    return (bits >> 52) & 0x7FF != 0x7FF
+
+
+FINITE_BITS = (st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_BITS)).filter(finite_bits)
+NON_FINITE_BITS = st.sampled_from([b for b in EDGE_BITS if not finite_bits(b)]) | st.builds(
+    lambda sign, mantissa: sign << 63 | 0x7FF << 52 | mantissa, st.integers(0, 1), st.integers(0, 2**52 - 1)
+)
 
 
 @st.composite
-def float_arrays(draw):
-    """float64 arrays of shape (n,), (r, c) or (a, b, c) from arbitrary 64-bit patterns."""
-    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9))
-    bits = st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_BITS)
-    return draw(hnp.arrays(np.uint64, shape, elements=bits)).view(np.float64)
+def float_arrays(draw, shape=None):
+    """Finite float64 arrays of shape (n,), (r, c) or (a, b, c) from arbitrary 64-bit patterns."""
+    if shape is None:
+        shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9))
+    return draw(hnp.arrays(np.uint64, shape, elements=FINITE_BITS)).view(np.float64)
 
 
-class TestWriter:
-    """The block writer prints exactly what float.hex() prints, value by value."""
+def v2_section(data):
+    out = io.StringIO()
+    checkpoint._write_array(out, "state", "x", data)
+    return out.getvalue()
+
+
+def read_v2_section(text):
+    header, *rows = text.splitlines()
+    dims = checkpoint._parse_dims(header[len("[state ") : header.index("]")], "x")
+    return checkpoint._read_array(checkpoint._Reader(rows), dims, "x", checkpoint._base64_row)
+
+
+class TestV2Encoding:
+    """Each row is one base64 line of its float64 bytes, so every bit pattern round-trips."""
 
     @settings(max_examples=300, deadline=None)
-    @given(data=float_arrays(), block=st.integers(1, 40))
-    def test_matches_float_hex(self, data, block):
-        # Small blocks put block edges inside rows, on row ends, and past the array.
-        with mock.patch.object(checkpoint, "_BLOCK", block):
-            assert_writes_float_hex(data)
+    @given(data=float_arrays())
+    def test_section_round_trip_bit_exact(self, data):
+        text = v2_section(data)
+        assert len(text.splitlines()) == 1 + data.size // data.shape[-1]
+        parsed = read_v2_section(text)
+        assert same_bits(parsed, data)
+        assert v2_section(parsed) == text
 
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            (checkpoint._BLOCK - 1, 1),
-            (checkpoint._BLOCK + 1, 1),
-            (3, checkpoint._BLOCK // 2 + 1),
-            (checkpoint._BLOCK + 1,),
-        ],
-    )
-    def test_matches_float_hex_at_block_size(self, shape, rng):
-        bits = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
-        edges = rng.random(shape) < 0.1
-        bits[edges] = rng.choice(np.array(EDGE_BITS, dtype=np.uint64), size=int(edges.sum()))
-        data = bits.view(np.float64)
-        assert_writes_float_hex(data)
+    @settings(max_examples=200, deadline=None)
+    @given(data=float_arrays(), where=st.integers(0, 2**32), bits=NON_FINITE_BITS)
+    def test_non_finite_value_named_by_row_and_column(self, data, where, bits):
+        at = where % data.size
+        data.view(np.uint64).flat[at] = bits
+        row, col = divmod(at, data.shape[-1])
+        with pytest.raises(CheckpointError) as info:
+            read_v2_section(v2_section(data))
+        assert str(info.value) == f"x row {row}, column {col}: value '{data.flat[at]}' is not finite"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_whole_checkpoint_save_load_save(self, data):
+        vocab = Vocab(["alpha", "beta"])
+        model = init_params(CrossEncoderConfig(vocab_size=vocab.size, d_model=4, n_heads=2, d_ff=8, max_len=8))
+        opt = AdamW(model.params)
+        arrays = {name: p.data for name, p in model.parameters()} | opt.state_dict()["buffers"]
+        for array in arrays.values():
+            array[...] = data.draw(float_arrays(array.shape))
+        text = checkpoint_text(model, vocab, opt)
+        bundle = parse_checkpoint(text)
+        restored = {name: p.data for name, p in bundle.model.parameters()} | bundle.optimizer.state_dict()["buffers"]
+        assert all(same_bits(restored[key], array) for key, array in arrays.items())
+        assert checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer) == text
 
     def test_scalar_and_float32(self):
         for data in (np.float64(-2.5).reshape(()), np.arange(6, dtype=np.float32).reshape(2, 3) / 3):
-            assert_writes_float_hex(data)
+            text = v2_section(data)
+            assert text.startswith(f"[state {'scalar' if data.ndim == 0 else '2x3'}] x\n")
+            assert same_bits(read_v2_section(text), data.astype(np.float64))
+
+
+class TestV1Files:
+    """Files written in checkpoint v1 still load, with the same values."""
+
+    @pytest.mark.parametrize("kind", [None, "lion", "adamw"])
+    def test_loads_same_values(self, setup, rng, kind):
+        model, vocab = setup
+        opt = None if kind is None else OPTIMIZERS[kind](model.params, lr=1e-3)
+        if opt is not None:
+            for _, p in model.parameters():
+                p.grad = rng.normal(size=p.shape)
+            opt.step()
+        bundle = parse_checkpoint(oracles.v1_checkpoint_text(model, vocab, opt))
+        for (name_a, pa), (name_b, pb) in zip(model.parameters(), bundle.model.parameters()):
+            assert name_a == name_b and same_bits(pa.data, pb.data)
+        if opt is not None:
+            restored = bundle.optimizer.state_dict()["buffers"]
+            for key, buf in opt.state_dict()["buffers"].items():
+                assert same_bits(buf, restored[key]), key
+        assert checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer) == checkpoint_text(model, vocab, opt)
 
 
 class TestGoldenDigests:
-    """sha256 of whole checkpoints, taken with the per-value float.hex() writer.
+    """sha256 of whole checkpoints: v1 text from the per-value float.hex() oracle, and v2.
 
     The state comes from optimizer steps on seeded gradients, not from a
     training run: steps are elementwise IEEE arithmetic and give the same bits
@@ -188,9 +241,13 @@ class TestGoldenDigests:
     a batch does not hold, so the state has runs of zeros.
     """
 
-    DIGESTS = {
+    V1_DIGESTS = {
         "lion": "93aefc4929276c55ad5c2a4e12af8321486edaaafc34cba459c616121e20e0b4",
         "adamw": "6db5588096e4b48763bccbab1f98d4a22cd03dc2453d0afe459befba22060cda",
+    }
+    V2_DIGESTS = {
+        "lion": "de71e77bfda5fdecd207100541208ea9d86d69b23152b7e16b74260689fc4b31",
+        "adamw": "14167d612e6f1f06f21563549128e2ea70fc9d00a6990288e2ad23c1a616eda4",
     }
 
     @pytest.mark.parametrize("kind", ["lion", "adamw"])
@@ -210,8 +267,12 @@ class TestGoldenDigests:
                 if name == "token_embedding":
                     grad[::2] = 0.0
             opt.step()
+        v1_text = oracles.v1_checkpoint_text(model, vocab, opt)
         text = checkpoint_text(model, vocab, opt)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[kind]
+        assert hashlib.sha256(v1_text.encode()).hexdigest() == self.V1_DIGESTS[kind]
+        assert hashlib.sha256(text.encode()).hexdigest() == self.V2_DIGESTS[kind]
+        bundle = parse_checkpoint(v1_text)
+        assert checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer) == text
 
 
 class TestOptimizerBlock:
@@ -246,13 +307,13 @@ class TestOptimizerBlock:
             opt.step()
         lines = checkpoint_text(model, vocab, opt).splitlines()
         block = lines[lines.index(f"[optimizer {kind}]") + 1 : lines.index("[end]")]
-        keys = [line for line in block if "=" in line]
+        keys = block[: next(i for i, line in enumerate(block) if line.startswith("[state "))]
         params = [line.partition("] ")[2] for line in lines if line.startswith("[param ")]
         buffers = [line.partition("] ")[2] for line in block if line.startswith("[state ")]
         assert keys == self.HYPER_LINES[kind]
-        assert "layers.1.attn.head1.w_out" in params
+        assert params == [name for name, _ in model.parameters()]
+        assert "layers.1.attn.w_qkv" in params
         assert buffers == [f"{prefix}/{name}" for prefix in self.PREFIXES[kind] for name in params]
-        assert block[: len(keys)] == keys
 
 
 class TestValidation:
@@ -315,14 +376,14 @@ class TestValidation:
     def test_misshaped_state_buffer_named(self, setup, kind):
         model, vocab = setup
         text = checkpoint_text(model, vocab, OPTIMIZERS[kind](model.params))
-        broken = text.replace("[state 1] m/head.bias\n0x0.0p+0\n", "[state 2] m/head.bias\n0x0.0p+0 0x0.0p+0\n", 1)
+        broken = text.replace(f"[state 1] m/head.bias\n{b64_row(0.0)}\n", f"[state 2] m/head.bias\n{b64_row(0.0, 0.0)}\n", 1)
         with pytest.raises(CheckpointError) as info:
             parse_checkpoint(broken)
         assert str(info.value) == "[state] m/head.bias has shape (2,), expected (1,)"
 
     def test_state_block_without_optimizer_named(self, setup):
         model, vocab = setup
-        text = checkpoint_text(model, vocab).replace("[end]\n", "[state 1] m/head.bias\n0x0.0p+0\n[end]\n")
+        text = checkpoint_text(model, vocab).replace("[end]\n", f"[state 1] m/head.bias\n{b64_row(0.0)}\n[end]\n")
         with pytest.raises(CheckpointError, match=r"extra \['\[state\] m/head.bias'\]"):
             parse_checkpoint(text)
 
@@ -352,22 +413,26 @@ class TestValidation:
         ],
     )
     def test_bad_row_value_named(self, setup, name, value, problem):
+        """v1 text: the error names the array, its row 0 and, for a non-finite value, the column."""
         model, vocab = setup
-        lines = checkpoint_text(model, vocab, Lion(model.params)).splitlines()
+        lines = oracles.v1_checkpoint_text(model, vocab, Lion(model.params)).splitlines()
         row = next(i for i, l in enumerate(lines) if l.endswith(f"] {name}")) + 1
         parts = lines[row].split()
         parts[-1] = value
         lines[row] = " ".join(parts)
         with pytest.raises(CheckpointError) as info:
             parse_checkpoint("\n".join(lines) + "\n")
-        assert str(info.value) == f"{name}: {problem}"
+        where = "row 0, column 0" if problem.endswith("not finite") else "row 0"
+        assert str(info.value) == f"{name} {where}: {problem}"
 
     def test_row_count_beyond_int64_named(self, setup):
         model, vocab = setup
-        text = checkpoint_text(model, vocab)
-        huge = text.replace("[param 1] head.bias", "[param 4294967296x4294967296x1] head.bias", 1)
-        with pytest.raises(CheckpointError, match="head.bias"):
-            parse_checkpoint(huge)
+        for write in (checkpoint_text, oracles.v1_checkpoint_text):
+            text = write(model, vocab)
+            huge = text.replace("[param 1] head.bias", "[param 4294967296x4294967296x1] head.bias", 1)
+            # row 1 is the [end] line
+            with pytest.raises(CheckpointError, match=r"^head\.bias row 1: malformed"):
+                parse_checkpoint(huge)
 
     @pytest.mark.parametrize("kind", ["lion", "adamw"])
     def test_hyperparameter_out_of_float_range_named(self, setup, kind):
@@ -389,11 +454,20 @@ class TestValidation:
 
     def test_non_finite_value_named_in_later_row(self, setup):
         model, vocab = setup
-        lines = checkpoint_text(model, vocab).splitlines()
+        lines = oracles.v1_checkpoint_text(model, vocab).splitlines()
         row = next(i for i, l in enumerate(lines) if l.endswith("] token_embedding")) + 3
         parts = lines[row].split()
         parts[2] = "-inf"
         lines[row] = " ".join(parts)
         with pytest.raises(CheckpointError) as info:
             parse_checkpoint("\n".join(lines) + "\n")
-        assert str(info.value) == "token_embedding: value '-inf' is not finite"
+        assert str(info.value) == "token_embedding row 2, column 2: value '-inf' is not finite"
+
+    @pytest.mark.parametrize("write", [checkpoint_text, oracles.v1_checkpoint_text], ids=["v2", "v1"])
+    @pytest.mark.parametrize("dims", ["-1x8", "7x-8"])
+    def test_negative_dim_named(self, setup, write, dims):
+        model, vocab = setup
+        text = write(model, vocab).replace("[param 7x8] token_embedding", f"[param {dims}] token_embedding", 1)
+        with pytest.raises(CheckpointError) as info:
+            parse_checkpoint(text)
+        assert str(info.value) == f"dims of token_embedding: {dims} has a negative dim"

@@ -1,17 +1,21 @@
 """End-to-end CLI behavior at tiny scale: commands, files, exit codes."""
 
+import base64
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from reranklab import cli, train as train_mod
-from reranklab.checkpoint import CheckpointError, parse_checkpoint, save_checkpoint
+from reranklab.checkpoint import CheckpointError, load_checkpoint, parse_checkpoint, save_checkpoint
 from reranklab.ir_eval import read_qrels, read_run
 from reranklab.model import CrossEncoderConfig, Vocab, init_params
 from reranklab.optim import AdamW, Lion
 from reranklab.synth import SynthConfig
 from reranklab.train import NonFiniteLossError, TrainConfig, load_triplets
+
+import oracles
 
 
 def run_cli(*argv):
@@ -459,7 +463,8 @@ class TestRerank:
 
 
     def test_checkpoint_value_out_of_float_range_is_config_error(self, tmp_path, synth_dir, trained, capsys):
-        lines = trained.read_text(encoding="utf-8").splitlines()
+        bundle = load_checkpoint(trained)
+        lines = oracles.v1_checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer).splitlines()
         row = next(i for i, l in enumerate(lines) if l.startswith("[param ")) + 1
         lines[row] = " ".join(["0x1.0000000000000p+1024"] + lines[row].split()[1:])
         broken = tmp_path / "broken.ckpt"
@@ -474,7 +479,7 @@ class TestRerank:
         )
         assert code == cli.EXIT_CONFIG
         name = lines[row - 1].partition("] ")[2]
-        assert f"{name}: value '0x1.0000000000000p+1024' is out of float range" in capsys.readouterr().err
+        assert f"{name} row 0: value '0x1.0000000000000p+1024' is out of float range" in capsys.readouterr().err
 
 
 def _insert_after(text, anchor, block):
@@ -491,6 +496,32 @@ def _repeat_array(text, name):
     return "\n".join(lines[: at + 2] + lines[at : at + 2] + lines[at + 2 :]) + "\n"
 
 
+def _row_line(lines, name, row):
+    """Index in ``lines`` of row ``row`` of array ``name``."""
+    return next(i for i, l in enumerate(lines) if l.endswith(f"] {name}")) + 1 + row
+
+
+def _edit_row(text, name, row, edit):
+    """``text`` with row ``row`` of array ``name`` replaced by ``edit(line)``."""
+    lines = text.splitlines()
+    at = _row_line(lines, name, row)
+    lines[at] = edit(lines[at])
+    return "\n".join(lines) + "\n"
+
+
+def _cut_before_row(text, name, row):
+    """``text`` cut off at the start of row ``row`` of array ``name``."""
+    lines = text.splitlines()
+    return "\n".join(lines[: _row_line(lines, name, row)]) + "\n"
+
+
+def _set_value(line, col, value):
+    """A v2 row line with the value in column ``col`` set to ``value``."""
+    values = np.frombuffer(base64.b64decode(line), "<f8").copy()
+    values[col] = value
+    return base64.b64encode(values.tobytes()).decode("ascii")
+
+
 @pytest.fixture
 def tiny_checkpoint(tmp_path):
     """A Lion checkpoint of an untrained model, and its text."""
@@ -502,7 +533,10 @@ def tiny_checkpoint(tmp_path):
 
 
 class TestCheckpointNames:
-    """A checkpoint name or key given twice, or one the format lacks, is a config error that names it."""
+    """A checkpoint name or key given twice, or one the format lacks, is a config error that names it.
+
+    So is a corrupt row of an array, named by the array and the row.
+    """
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -513,8 +547,21 @@ class TestCheckpointNames:
             (lambda text: _insert_after(text, "[config]", ["seed=4"]), "[config] seed: repeated key"),
             (lambda text: _insert_after(text, "[config]", ["bogus=3"]), "[config] bogus: unknown key"),
             (lambda text: text.replace("[end]\n", "[optimizer lion]\n[end]\n"), "[optimizer lion]: a second optimizer section"),
+            (lambda text: _edit_row(text, "token_embedding", 3, lambda l: l[:5] + "!" + l[5:]),
+             "token_embedding row 3: malformed base64"),
+            (lambda text: _edit_row(text, "token_embedding", 3, lambda l: l.replace("A", "é", 1)),
+             "token_embedding row 3: malformed base64"),
+            (lambda text: _edit_row(text, "token_embedding", 3,
+                                    lambda l: base64.b64encode(base64.b64decode(l)[:-8]).decode("ascii")),
+             "token_embedding row 3: 56 bytes, expected 64"),
+            (lambda text: _cut_before_row(text, "token_embedding", 3), "token_embedding row 3: unexpected end of checkpoint"),
+            (lambda text: _edit_row(text, "token_embedding", 4, lambda l: _set_value(l, 7, np.nan)),
+             "token_embedding row 4, column 7: value 'nan' is not finite"),
+            (lambda text: _edit_row(text, "m/layers.0.ff.w1", 5, lambda l: _set_value(l, 9, -np.inf)),
+             "m/layers.0.ff.w1 row 5, column 9: value '-inf' is not finite"),
         ],
-        ids=["param", "state", "optimizer-key", "config-key", "config-unknown", "optimizer-section"],
+        ids=["param", "state", "optimizer-key", "config-key", "config-unknown", "optimizer-section",
+             "base64-char", "non-ascii", "row-bytes", "truncated", "nan", "state-inf"],
     )
     def test_rerank_exits_2_naming_it(self, tmp_path, tiny_checkpoint, capsys, edit, named):
         _, text = tiny_checkpoint
