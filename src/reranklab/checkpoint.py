@@ -27,6 +27,9 @@ space-separated ``float.hex()`` text, and arrays go in the order and under
 the names of ``model.checkpoint_views``: each layer's attention weights as
 per-head blocks. Only the row decoder and the array names depend on the
 version.
+
+``save_checkpoint`` streams the sections into ``<path>.tmp``, then renames
+it to ``path``; ``load_checkpoint`` reads the file one section at a time.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ import binascii
 import io
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from reranklab.ir_eval import open_utf8
+from reranklab.ir_eval import open_replacing, open_utf8
 from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, checkpoint_views
 from reranklab.optim import OPTIMIZERS, Optimizer
 
@@ -85,24 +88,19 @@ def _parse_dims(text: str, name: str) -> tuple[int, ...]:
     return dims
 
 
-def _write_array(out: io.StringIO, header: str, name: str, data: np.ndarray) -> None:
+def _write_array(out: TextIO, header: str, name: str, data: np.ndarray) -> None:
     out.write(f"[{header} {_dims(data.shape)}] {name}\n")
     row_len = data.shape[-1] if data.ndim else 1
     rows = np.ascontiguousarray(data, dtype="<f8").reshape(math.prod(data.shape[:-1]), row_len)
     out.write(b"".join(map(binascii.b2a_base64, rows)).decode("ascii"))
 
 
-def _float_kv(key: str, value: float) -> str:
-    return f"{key}={float(value).hex()}"
-
-
-def checkpoint_text(model: CrossEncoder, vocab: Vocab, optimizer: Optimizer | None = None) -> str:
-    """Serialize to the checkpoint text format."""
+def _write(out: TextIO, model: CrossEncoder, vocab: Vocab, optimizer: Optimizer | None) -> None:
+    """Write the checkpoint to the text stream ``out``, one section at a time."""
     if vocab.size != model.config.vocab_size:
         raise CheckpointError(
             f"vocab size {vocab.size} mismatches config vocab_size {model.config.vocab_size}"
         )
-    out = io.StringIO()
     out.write(MAGIC + "\n")
     out.write("[config]\n")
     for field in _CONFIG_FIELDS:
@@ -116,35 +114,44 @@ def checkpoint_text(model: CrossEncoder, vocab: Vocab, optimizer: Optimizer | No
         state = optimizer.state_dict()
         out.write(f"[optimizer {state['kind']}]\n")
         for key in optimizer.HYPERS:
-            out.write(_float_kv(key, state[key]) + "\n")
+            out.write(f"{key}={float(state[key]).hex()}\n")
         if "step" in state:
             out.write(f"step={state['step']}\n")
         for key, buf in state["buffers"].items():
             _write_array(out, "state", key, buf)
     out.write("[end]\n")
+
+
+def checkpoint_text(model: CrossEncoder, vocab: Vocab, optimizer: Optimizer | None = None) -> str:
+    """The text ``save_checkpoint`` writes, as one string."""
+    out = io.StringIO()
+    _write(out, model, vocab, optimizer)
     return out.getvalue()
 
 
-def save_checkpoint(path, model: CrossEncoder, vocab: Vocab, optimizer=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(checkpoint_text(model, vocab, optimizer))
+def save_checkpoint(path, model: CrossEncoder, vocab: Vocab, optimizer: Optimizer | None = None) -> None:
+    """Stream the checkpoint into ``<path>.tmp``, then rename it to ``path``, so ``path`` is never partial."""
+    with open_replacing(path) as fh:
+        _write(fh, model, vocab, optimizer)
 
 
-class _Reader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.pos = 0
+def _sections(lines: Iterable[str]) -> Iterator[tuple[str, list[str]]]:
+    """``(header, body)`` pairs: each ``[`` line and the lines up to the next one.
 
-    def next(self) -> str:
-        if self.pos == len(self.lines):
-            raise CheckpointError("unexpected end of checkpoint")
-        self.pos += 1
-        return self.lines[self.pos - 1]
-
-    def section(self):
-        """Yield the lines up to the next ``[`` header or the end."""
-        while self.pos < len(self.lines) and not self.lines[self.pos].startswith("["):
-            yield self.next()
+    The magic line heads the first section. ``lines`` come from a text
+    stream with universal newlines, so each ends in ``\\n`` alone.
+    """
+    header, body = None, []
+    for line in lines:
+        line = line.removesuffix("\n")
+        if header is None or line.startswith("["):
+            if header is not None:
+                yield header, body
+            header, body = line, []
+        else:
+            body.append(line)
+    if header is not None:
+        yield header, body
 
 
 def _hex_row(line: str, row_len: int, label: str) -> list[float]:
@@ -178,16 +185,17 @@ _FORMATS = {
 }
 
 
-def _read_array(reader: _Reader, dims: tuple[int, ...], name: str, decode_row) -> np.ndarray:
+def _read_array(rows: list[str], dims: tuple[int, ...], name: str, decode_row, rest: Iterator) -> np.ndarray:
+    """The array of one section's ``rows``; ``rest``, the sections after it, names what cut it short."""
     n_rows = math.prod(dims[:-1])  # Python ints: a huge header cannot wrap to a small count
     row_len = dims[-1] if dims else 1
-    rows = []
-    for row in range(n_rows):
-        label = f"{name} row {row}"
-        if reader.pos == len(reader.lines):
-            raise CheckpointError(f"{label}: unexpected end of checkpoint")
-        rows.append(decode_row(reader.next(), row_len, label))
-    data = np.array(rows, dtype=np.float64).reshape(dims)
+    decoded = [decode_row(line, row_len, f"{name} row {row}") for row, line in enumerate(rows[:n_rows])]
+    if len(rows) > n_rows:
+        raise CheckpointError(f"{name} row {n_rows}: more rows than its dims {_dims(dims)}")
+    if len(rows) < n_rows:
+        found = next(rest, ("end of checkpoint",))[0]
+        raise CheckpointError(f"{name} row {len(rows)}: unexpected {found}")
+    data = np.array(decoded, dtype=np.float64).reshape(dims)
     if not np.isfinite(data).all():
         at = int(np.flatnonzero(~np.isfinite(data))[0])
         row, col = divmod(at, row_len)
@@ -195,17 +203,18 @@ def _read_array(reader: _Reader, dims: tuple[int, ...], name: str, decode_row) -
     return data
 
 
-def parse_checkpoint(text: str) -> CheckpointBundle:
-    lines = text.splitlines()
-    reader = _Reader(lines)
-    version = _FORMATS.get(reader.next())
+def _parse(lines: Iterable[str]) -> CheckpointBundle:
+    sections = _sections(lines)
+    magic, after_magic = next(sections, ("", []))
+    version = _FORMATS.get(magic)
     if version is None:
         raise CheckpointError("not a reranklab checkpoint (bad magic line)")
     decode_row, views = version
-    if reader.next() != "[config]":
+    header, body = next(sections, ("", []))
+    if after_magic or header != "[config]":
         raise CheckpointError("missing [config] section")
     config_kv: dict[str, int] = {}
-    for line in reader.section():
+    for line in body:
         key, _, value = line.partition("=")
         field = f"[config] {key}"
         if key not in _CONFIG_FIELDS:
@@ -221,10 +230,11 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
     except ValueError as exc:
         raise CheckpointError(f"[config] {exc}") from None
 
-    if reader.next() != "[vocab]":
+    header, body = next(sections, ("", []))
+    if header != "[vocab]":
         raise CheckpointError("missing [vocab] section")
     tokens = []
-    for line in reader.section():
+    for line in body:
         if not line.startswith("tok "):
             raise CheckpointError(f"malformed vocab line: {line!r}")
         tokens.append(line[4:])
@@ -241,22 +251,21 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
     arrays: dict[str, np.ndarray] = {}  # by "[param] <name>" or "[state] <key>"
     opt_kind = None
     opt_hypers: dict[str, float] = {}
-    while True:
-        line = reader.next()
-        if line == "[end]":
+    for header, body in sections:
+        if header == "[end]":
             break
-        if line.startswith(("[param ", "[state ")):
-            header, _, name = line.partition("] ")
-            kind, _, dims = header[1:].partition(" ")
+        if header.startswith(("[param ", "[state ")):
+            head, _, name = header.partition("] ")
+            kind, _, dims = head[1:].partition(" ")
             label = f"[{kind}] {name}"
             if label in arrays:
                 raise CheckpointError(f"{name}: repeated [{kind}] block")
-            arrays[label] = _read_array(reader, _parse_dims(dims, name), name, decode_row)
-        elif line.startswith("[optimizer "):
+            arrays[label] = _read_array(body, _parse_dims(dims, name), name, decode_row, sections)
+        elif header.startswith("[optimizer "):
             if opt_kind is not None:
-                raise CheckpointError(f"{line}: a second optimizer section")
-            opt_kind = line[len("[optimizer "):-1]
-            for key_line in reader.section():
+                raise CheckpointError(f"{header}: a second optimizer section")
+            opt_kind = header[len("[optimizer "):-1]
+            for key_line in body:
                 key, _, value = key_line.partition("=")
                 field = f"[optimizer {opt_kind}] {key}"
                 if key in opt_hypers:
@@ -266,7 +275,9 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
                 if not math.isfinite(opt_hypers[key]):
                     raise CheckpointError(f"{field}: value {value!r} is not finite")
         else:
-            raise CheckpointError(f"unexpected line in checkpoint: {line!r}")
+            raise CheckpointError(f"unexpected line in checkpoint: {header!r}")
+    else:
+        raise CheckpointError("unexpected end of checkpoint")
 
     optimizer = None
     params = views({name: p.data for name, p in model.parameters()}, config.n_heads)
@@ -309,6 +320,12 @@ def parse_checkpoint(text: str) -> CheckpointBundle:
     return CheckpointBundle(model=model, vocab=vocab, optimizer=optimizer)
 
 
+def parse_checkpoint(text: str) -> CheckpointBundle:
+    """The checkpoint in ``text``, split into lines as ``load_checkpoint`` splits a file."""
+    return _parse(io.StringIO(text, newline=None))
+
+
 def load_checkpoint(path) -> CheckpointBundle:
+    """Read the file at ``path`` one section at a time; its lines split as in ``parse_checkpoint``."""
     with open_utf8(path, CheckpointError) as fh:
-        return parse_checkpoint(fh.read())
+        return _parse(fh)

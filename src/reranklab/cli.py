@@ -70,7 +70,7 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
-def write_manifest(out_dir: Path, command: str, seed: int, config_snapshot: dict, artifacts: list[str]) -> Path:
+def write_manifest(out_dir: Path, command: str, seed: int, config_snapshot: dict, artifacts: list[str]) -> None:
     manifest = {
         "format_version": MANIFEST_VERSION,
         "command": command,
@@ -79,11 +79,7 @@ def write_manifest(out_dir: Path, command: str, seed: int, config_snapshot: dict
         "config": config_snapshot,
         "artifacts": sorted(artifacts),
     }
-    path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return path
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def _align_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -126,8 +122,6 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
     try:
         with ir_eval.open_utf8(path, ConfigError) as fh:
             parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config {path} is not valid INI: {exc}") from exc
     for section in parser.sections():
@@ -251,27 +245,6 @@ def _load_run_config(args) -> _Run:
     return _Run(parser, seed, name, out_dir, vocab, pairs, model_config)
 
 
-def _run_one_training(run: _Run, config: TrainConfig):
-    result = run_training(init_params(run.model_config), run.vocab, run.pairs, config, run_name=run.name)
-    optimizer = config.optimizer
-
-    artifacts = []
-    for ckpt_name, text in result.checkpoints:
-        rel = f"{ckpt_name}.ckpt"
-        (run.out_dir / rel).write_text(text, encoding="utf-8")
-        artifacts.append(rel)
-    loss_rel = f"loss-{optimizer}.tsv"
-    train_mod.write_loss_log(run.out_dir / loss_rel, result.loss_log)
-    artifacts.append(loss_rel)
-    stats_rel = f"stats-{optimizer}.txt"
-    (run.out_dir / stats_rel).write_text(
-        "\n".join(train_mod.resource_stats_lines(result.stats, optimizer)) + "\n",
-        encoding="utf-8",
-    )
-    artifacts.append(stats_rel)
-    return result, artifacts
-
-
 def cmd_train(args) -> int:
     if args.epochs is not None and args.epochs < 1:
         raise ConfigError(f"--epochs: expected a positive integer, got {args.epochs}")
@@ -290,8 +263,9 @@ def cmd_train(args) -> int:
     configs = [run.train_config(opt) for opt in _select_optimizers(parser, args.optimizer)]
     artifacts: list[str] = []
     for config in configs:
-        result, produced = _run_one_training(run, config)
-        artifacts.extend(produced)
+        model = init_params(run.model_config)
+        result = run_training(model, run.vocab, run.pairs, config, run.out_dir, run_name=run.name)
+        artifacts.extend(result.files)
         final_epoch = result.loss_log[-1].epoch
         final = [r.loss for r in result.loss_log if r.epoch == final_epoch]
         print(
@@ -398,9 +372,10 @@ def cmd_bench_optim(args) -> int:
     stats = {}
     artifacts: list[str] = []
     for config in configs:
-        result, produced = _run_one_training(run, config)
+        model = init_params(run.model_config)
+        result = run_training(model, run.vocab, run.pairs, config, run.out_dir, run_name=run.name)
         stats[config.optimizer] = result.stats
-        artifacts.extend(produced)
+        artifacts.extend(result.files)
 
     rows = [
         [
@@ -546,7 +521,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError) as exc:
+    except (ConfigError, CheckpointError, OSError) as exc:  # an OSError's message names its file
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ir_eval.ParseError as exc:

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import contextmanager
+import os
+from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -33,6 +35,7 @@ __all__ = [
     "read_qrels",
     "read_corpus_tsv",
     "open_utf8",
+    "open_replacing",
     "line_list",
     "rerank",
     "evaluate",
@@ -62,6 +65,20 @@ def open_utf8(path, error: type[ValueError] = ParseError):
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise error(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
+
+
+@contextmanager
+def open_replacing(path):
+    """``<path>.tmp`` opened to write UTF-8 text, then renamed to ``path``, or removed if the block raises."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # A ParseError lists at most this many line numbers, then the total count.
@@ -229,13 +246,6 @@ def rerank(
 # per-query metrics (None marks "undefined for this query")
 
 
-def _check_cutoffs(k: int, binarize_at: int = 1) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if binarize_at < 1:
-        raise ValueError(f"binarize_at must be >= 1, got {binarize_at}")
-
-
 def _gain(grade: int, exponential: bool) -> float:
     # a float power raises OverflowError at once; 2**grade would first build a grade-bit integer
     return 2.0**grade - 1.0 if exponential else float(grade)
@@ -261,10 +271,6 @@ def _ndcg(ranking: Sequence[str], grades: Mapping[str, int], k: int, exponential
     return dcg / idcg
 
 
-def _relevant_set(grades: Mapping[str, int], binarize_at: int) -> set[str]:
-    return {docid for docid, grade in grades.items() if grade >= binarize_at}
-
-
 _BINARY_METRICS = METRIC_NAMES[1:]
 
 
@@ -274,7 +280,7 @@ def _binary_metrics(
     """MAP, MRR@k, Recall@k, R-Prec and P@k from one walk of ``ranking``.
 
     Values come in :data:`METRIC_NAMES` order; None when nothing is
-    relevant. Every occurrence of a relevant docid counts as a hit.
+    relevant.
     """
     n_relevant = len(relevant)
     if not n_relevant:
@@ -337,10 +343,13 @@ def evaluate(
     warning. A sorted copy of each query's pairs, (score desc, docid
     desc), gives the ranking, matching reference-evaluator behavior; the
     run itself is not changed. Raises ValueError when ``k`` or
-    ``binarize_at`` is below 1, or when a query's NDCG gains overflow a
-    float.
+    ``binarize_at`` is below 1, when an evaluated query ranks a docid
+    twice, or when a query's NDCG gains overflow a float.
     """
-    _check_cutoffs(k, binarize_at)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if binarize_at < 1:
+        raise ValueError(f"binarize_at must be >= 1, got {binarize_at}")
     per_query: dict[str, dict[str, Optional[float]]] = {m: {} for m in METRIC_NAMES}
     ndcg_column = per_query["ndcg@10"]
     binary_columns = [per_query[m] for m in _BINARY_METRICS]
@@ -355,13 +364,17 @@ def evaluate(
             continue
         evaluated_ids.append(qid)
         ranking = [docid for _, docid in sorted(run[qid], reverse=True)]
+        if len(set(ranking)) < len(ranking):
+            docid = next(d for d, n in Counter(ranking).items() if n > 1)
+            raise ValueError(f"query {qid!r}: docid {docid!r} is ranked more than once")
         try:
             ndcg_column[qid] = _ndcg(ranking, grades, k, exponential_gain)
         except OverflowError:
             raise ValueError(
                 f"query {qid!r}: the NDCG gain of grade {max(grades.values())} overflows a float"
             ) from None
-        values = _binary_metrics(ranking, _relevant_set(grades, binarize_at), k) or undefined
+        relevant = {docid for docid, grade in grades.items() if grade >= binarize_at}
+        values = _binary_metrics(ranking, relevant, k) or undefined
         for column, value in zip(binary_columns, values):
             column[qid] = value
 

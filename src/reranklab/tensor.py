@@ -173,8 +173,7 @@ class Workspace:
     with the same shapes as the last one gets the same buffers back and
     the memory stays mapped. No buffer is lent twice within one pass. A
     lent buffer is valid until the workspace is entered again, so run the
-    backward pass and read the loss before the next pass; ``clear`` drops
-    every buffer.
+    backward pass and read the loss before the next pass.
     """
 
     def __init__(self):
@@ -200,11 +199,6 @@ class Workspace:
             pool.append(np.empty(shape))
         self._lent[shape] = index + 1
         return pool[index]
-
-    def clear(self) -> None:
-        """Drop every pooled buffer."""
-        self._pool = {}
-        self._lent = {}
 
 
 def _buffer(shape: tuple[int, ...]) -> np.ndarray:

@@ -12,13 +12,14 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from reranklab import tensor as T
-from reranklab.checkpoint import checkpoint_text
-from reranklab.ir_eval import ParseError, line_list, open_utf8
+from reranklab.checkpoint import save_checkpoint
+from reranklab.ir_eval import ParseError, line_list, open_replacing, open_utf8
 from reranklab.model import CrossEncoder, Vocab, tokenize_pair
 from reranklab.optim import OPTIMIZERS, ScheduleSpec, lr_at
 from reranklab.tensor import Tape, Tensor, Workspace
@@ -127,8 +128,7 @@ class LossRecord:
 
 @dataclass
 class TrainResult:
-    model: CrossEncoder
-    checkpoints: list[tuple[str, str]]  # (name, serialized checkpoint text)
+    files: list[str]  # names of the files written in the output directory
     loss_log: list[LossRecord]
     stats: ResourceStats
 
@@ -202,24 +202,25 @@ def run_training(
     vocab: Vocab,
     pairs: Sequence[TrainPair],
     config: TrainConfig,
+    out_dir,
     run_name: str = "crossenc",
 ) -> TrainResult:
-    """Train ``model`` in place and return checkpoints, loss log, and stats.
+    """Train ``model`` in place, writing the run's files into the directory ``out_dir``.
 
     Deterministic for a fixed config: the per-epoch shuffle is seeded
-    with seed + epoch index, batches keep the final partial batch, and
-    one checkpoint (with optimizer state) is serialized per epoch under
-    the name ``{run_name}-{optimizer}-epoch{K}``.
+    with seed + epoch index, and batches keep the final partial batch.
+    As epoch K ends, its checkpoint (with optimizer state) is written to
+    ``{run_name}-{optimizer}-epoch{K}.ckpt`` and ``loss-{optimizer}.tsv``
+    is rewritten with every row so far; ``stats-{optimizer}.txt`` follows
+    the last epoch. Each file goes through a temp file and a rename, so a
+    run that fails keeps its finished epochs' checkpoints and loss rows.
     """
     if not pairs:
         raise ValueError("run_training requires a non-empty pair list")
-    steps_per_epoch = math.ceil(len(pairs) / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
+    out_dir = Path(out_dir)
+    total_steps = config.epochs * math.ceil(len(pairs) / config.batch_size)
     spec = ScheduleSpec(
-        kind=config.schedule,
-        base_lr=config.base_lr,
-        warmup_ratio=config.warmup_ratio,
-        total_steps=total_steps,
+        kind=config.schedule, base_lr=config.base_lr, warmup_ratio=config.warmup_ratio, total_steps=total_steps
     )
     optimizer = OPTIMIZERS[config.optimizer](model.params, lr=config.base_lr, weight_decay=config.weight_decay)
 
@@ -229,7 +230,8 @@ def run_training(
     labels = np.array([pair.label for pair in pairs])
 
     loss_log: list[LossRecord] = []
-    checkpoints: list[tuple[str, str]] = []
+    checkpoints: list[str] = []
+    loss_name = f"loss-{config.optimizer}.tsv"
     step_times_ms: list[float] = []
     update_times_ms: list[float] = []
     global_step = 0
@@ -259,16 +261,11 @@ def run_training(
             step_times_ms.append((time.perf_counter() - t0) * 1000.0)
             loss_log.append(LossRecord(step=global_step, epoch=epoch, lr=lr, loss=loss_value))
             global_step += 1
-        # The held buffers would otherwise add to the checkpoint text's peak memory.
-        workspace.clear()
-        name = f"{run_name}-{config.optimizer}-epoch{epoch}"
-        checkpoints.append((name, checkpoint_text(model, vocab, optimizer)))
-        logger.info(
-            "epoch %d/%d done, mean loss %.6f",
-            epoch,
-            config.epochs,
-            float(np.mean([r.loss for r in loss_log if r.epoch == epoch])),
-        )
+        checkpoints.append(f"{run_name}-{config.optimizer}-epoch{epoch}.ckpt")
+        save_checkpoint(out_dir / checkpoints[-1], model, vocab, optimizer)
+        write_loss_log(out_dir / loss_name, loss_log)
+        epoch_mean = float(np.mean([r.loss for r in loss_log if r.epoch == epoch]))
+        logger.info("epoch %d/%d done, mean loss %.6f", epoch, config.epochs, epoch_mean)
 
     times = np.asarray(step_times_ms)
     stats = ResourceStats(
@@ -279,7 +276,10 @@ def run_training(
         n_steps=len(step_times_ms),
         mean_update_ms=float(np.mean(update_times_ms)),
     )
-    return TrainResult(model=model, checkpoints=checkpoints, loss_log=loss_log, stats=stats)
+    stats_name = f"stats-{config.optimizer}.txt"
+    with open_replacing(out_dir / stats_name) as fh:
+        fh.write("\n".join(resource_stats_lines(stats, config.optimizer)) + "\n")
+    return TrainResult(files=checkpoints + [loss_name, stats_name], loss_log=loss_log, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,8 @@ def format_loss_log(records: Iterable[LossRecord]) -> str:
 
 
 def write_loss_log(path, records: Iterable[LossRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """The loss log, written through ``<path>.tmp`` and a rename."""
+    with open_replacing(path) as fh:
         fh.write(format_loss_log(records))
 
 

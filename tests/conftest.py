@@ -22,7 +22,7 @@ def same_bits(a, b):
 def query_metrics(ranking, grades, k=10, binarize_at=1, exponential=False):
     """The six metrics of one ranking, from ``evaluate`` on a one-query run.
 
-    Scores ``n - i`` keep the ranking's order, repeated docids included.
+    Scores ``n - i`` keep the ranking's order.
     """
     n = len(ranking)
     run = {"q": [(float(n - i), docid) for i, docid in enumerate(ranking)]}

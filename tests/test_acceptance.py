@@ -179,7 +179,7 @@ def test_c08_schedule_checks():
           "constant schedule flat")
 
 
-def _desk_scale_training(optimizer: str, data, vocab, pairs):
+def _desk_scale_training(optimizer: str, data, vocab, pairs, out_dir):
     config = CrossEncoderConfig(
         vocab_size=vocab.size, d_model=64, n_layers=1, n_heads=2, d_ff=128, max_len=16, seed=12
     )
@@ -187,11 +187,12 @@ def _desk_scale_training(optimizer: str, data, vocab, pairs):
     train_config = TrainConfig(
         batch_size=64, epochs=3, seed=12, optimizer=optimizer, base_lr=2e-4, schedule="constant"
     )
-    result = run_training(model, vocab, pairs, train_config, run_name="desk")
+    out_dir.mkdir()
+    result = run_training(model, vocab, pairs, train_config, out_dir, run_name="desk")
     return model, result
 
 
-def test_c09_end_to_end_desk_scale_run():
+def test_c09_end_to_end_desk_scale_run(tmp_path):
     started = time.perf_counter()
     data = generate(SynthConfig(seed=12, vocab_size=100, n_triplets=1000,
                                 n_eval_queries=20, n_candidates=50))
@@ -207,7 +208,7 @@ def test_c09_end_to_end_desk_scale_run():
 
     summaries = {}
     for optimizer in ("lion", "adamw"):
-        model, result = _desk_scale_training(optimizer, data, vocab, pairs)
+        model, result = _desk_scale_training(optimizer, data, vocab, pairs, tmp_path / optimizer)
         final_epoch = max(r.epoch for r in result.loss_log)
         final_mean = float(np.mean([r.loss for r in result.loss_log if r.epoch == final_epoch]))
         assert final_mean < 0.3, f"{optimizer}: final-epoch mean BCE {final_mean}"
@@ -218,8 +219,11 @@ def test_c09_end_to_end_desk_scale_run():
         summaries[optimizer] = (final_mean, ndcg, result)
 
     # bit-identical reproducibility of the lion run
-    _, rerun = _desk_scale_training("lion", data, vocab, pairs)
+    _, rerun = _desk_scale_training("lion", data, vocab, pairs, tmp_path / "rerun")
     assert format_loss_log(rerun.loss_log) == format_loss_log(summaries["lion"][2].loss_log)
+    for name in rerun.files:
+        if not name.startswith("stats-"):  # the stats file holds step times
+            assert (tmp_path / "rerun" / name).read_bytes() == (tmp_path / "lion" / name).read_bytes(), name
 
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0

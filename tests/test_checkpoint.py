@@ -161,7 +161,7 @@ def v2_section(data):
 def read_v2_section(text):
     header, *rows = text.splitlines()
     dims = checkpoint._parse_dims(header[len("[state ") : header.index("]")], "x")
-    return checkpoint._read_array(checkpoint._Reader(rows), dims, "x", checkpoint._base64_row)
+    return checkpoint._read_array(rows, dims, "x", checkpoint._base64_row, iter(()))
 
 
 class TestV2Encoding:
@@ -430,8 +430,8 @@ class TestValidation:
         for write in (checkpoint_text, oracles.v1_checkpoint_text):
             text = write(model, vocab)
             huge = text.replace("[param 1] head.bias", "[param 4294967296x4294967296x1] head.bias", 1)
-            # row 1 is the [end] line
-            with pytest.raises(CheckpointError, match=r"^head\.bias row 1: malformed"):
+            # the section holds row 0 only, and [end] follows
+            with pytest.raises(CheckpointError, match=r"^head\.bias row 1: unexpected \[end\]$"):
                 parse_checkpoint(huge)
 
     @pytest.mark.parametrize("kind", ["lion", "adamw"])

@@ -13,6 +13,7 @@ from reranklab.ir_eval import read_qrels, read_run
 from reranklab.model import CrossEncoderConfig, Vocab, init_params
 from reranklab.optim import AdamW, Lion
 from reranklab.synth import SynthConfig
+from reranklab.tensor import Tensor
 from reranklab.train import NonFiniteLossError, TrainConfig, load_triplets
 
 import oracles
@@ -103,7 +104,8 @@ class TestSyntheticData:
     @pytest.mark.parametrize(
         "flag, value, field, low",
         [("--triplets", -5, "n_triplets", 0), ("--eval-queries", -3, "n_eval_queries", 0),
-         ("--candidates", -1, "n_candidates", 0), ("--query-len", 0, "query_len", 1),
+         ("--candidates", -1, "n_candidates", 1), ("--candidates", 0, "n_candidates", 1),
+         ("--query-len", 0, "query_len", 1),
          ("--marker-repeats", 0, "marker_repeats", 1)],
     )
     def test_out_of_range_size_exits_2_naming_the_flag(self, tmp_path, capsys, flag, value, field, low):
@@ -198,6 +200,39 @@ class TestTrain:
         monkeypatch.setattr(cli, "run_training", explode)
         assert run_cli("train", "--config", config) == cli.EXIT_NUMERIC
 
+    def test_unwritable_checkpoint_is_config_error(self, tmp_path, synth_dir, capsys):
+        config = write_config(tmp_path, synth_dir)
+        blocker = tmp_path / "out" / "toy-lion-epoch1.ckpt"
+        blocker.mkdir(parents=True)
+        assert run_cli("train", "--config", config) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(blocker) in err
+        # it failed as epoch 1 ended: nothing after that checkpoint was written
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["toy-lion-epoch1.ckpt"]
+
+    @pytest.mark.parametrize("optimizer", ["lion", "adamw"])
+    def test_non_finite_loss_in_epoch_3_keeps_epochs_1_and_2(self, tmp_path, synth_dir, monkeypatch, optimizer):
+        config = write_config(tmp_path, synth_dir)  # 24 pairs at batch 16: 2 steps per epoch, 3 epochs
+        assert run_cli("train", "--config", config, "--optimizer", optimizer, "--out", tmp_path / "whole") == 0
+        calls = []
+        loss = train_mod.bce_loss
+
+        def nan_at_epoch_3(y_hat, y):
+            calls.append(None)
+            return Tensor(np.nan) if len(calls) == 5 else loss(y_hat, y)  # step 4, the first of epoch 3
+
+        monkeypatch.setattr(train_mod, "bce_loss", nan_at_epoch_3)
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", config, "--optimizer", optimizer) == cli.EXIT_NUMERIC
+        names = [f"toy-{optimizer}-epoch{k}.ckpt" for k in (1, 2)]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + [f"loss-{optimizer}.tsv"])
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+        whole_log = (tmp_path / "whole" / f"loss-{optimizer}.tsv").read_text().splitlines()
+        assert (out / f"loss-{optimizer}.tsv").read_text().splitlines() == whole_log[:4]
+        assert {line.split("\t")[1] for line in whole_log[:4]} == {"1", "2"}
+
     def test_out_root_env_var(self, tmp_path, synth_dir, monkeypatch):
         config = write_config(tmp_path, synth_dir)
         monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "root"))
@@ -280,7 +315,7 @@ class TestConfigValidation:
 
         seen = {}
 
-        def capture(model, vocab, pairs, config, run_name):
+        def capture(model, vocab, pairs, config, out_dir, run_name):
             seen.update(model=model.config, train=config)
             raise Stop
 
@@ -509,6 +544,13 @@ def _edit_row(text, name, row, edit):
     return "\n".join(lines) + "\n"
 
 
+def _drop_row(text, name, row):
+    """``text`` without row ``row`` of array ``name``."""
+    lines = text.splitlines()
+    del lines[_row_line(lines, name, row)]
+    return "\n".join(lines) + "\n"
+
+
 def _cut_before_row(text, name, row):
     """``text`` cut off at the start of row ``row`` of array ``name``."""
     lines = text.splitlines()
@@ -559,17 +601,26 @@ class TestCheckpointNames:
              "token_embedding row 4, column 7: value 'nan' is not finite"),
             (lambda text: _edit_row(text, "m/layers.0.ff.w1", 5, lambda l: _set_value(l, 9, -np.inf)),
              "m/layers.0.ff.w1 row 5, column 9: value '-inf' is not finite"),
+            (lambda text: _edit_row(text, "token_embedding", 5, lambda l: f"{l}\n{l}"),
+             "token_embedding row 6: more rows than its dims 6x8"),
+            (lambda text: _drop_row(text, "head.weight", 7), "head.weight row 7: unexpected [param 1] head.bias"),
+            (lambda text: _drop_row(text, "m/head.bias", 0), "m/head.bias row 0: unexpected [end]"),
+            # str.splitlines() would split the row at U+0085; a file's lines end at \n only
+            (lambda text: _edit_row(text, "token_embedding", 3, lambda l: l[:8] + "\x85" + l[8:]),
+             "token_embedding row 3: malformed base64"),
         ],
         ids=["param", "state", "optimizer-key", "config-key", "config-unknown", "optimizer-section",
-             "base64-char", "non-ascii", "row-bytes", "truncated", "nan", "state-inf"],
+             "base64-char", "non-ascii", "row-bytes", "truncated", "nan", "state-inf",
+             "extra-row", "rows-missing", "rows-missing-at-end", "nel-in-row"],
     )
     def test_rerank_exits_2_naming_it(self, tmp_path, tiny_checkpoint, capsys, edit, named):
         _, text = tiny_checkpoint
         broken = tmp_path / "broken.ckpt"
         broken.write_text(edit(text), encoding="utf-8")
-        with pytest.raises(CheckpointError) as info:
-            parse_checkpoint(broken.read_text(encoding="utf-8"))
-        assert str(info.value) == named
+        for read in (lambda: parse_checkpoint(broken.read_text(encoding="utf-8")), lambda: load_checkpoint(broken)):
+            with pytest.raises(CheckpointError) as info:
+                read()
+            assert str(info.value) == named
         code = run_cli(
             "rerank",
             "--checkpoint", broken,
@@ -844,6 +895,26 @@ class TestEval:
         assert not report_dir.exists()
         # linear gains of the same judgments evaluate as before
         assert run_cli("eval", "--run", run, "--qrels", qrels) == cli.EXIT_OK
+
+    def test_repeated_docid_is_input_error(self, tmp_path, capsys):
+        run = tmp_path / "x.run"
+        qrels = tmp_path / "qrels.txt"
+        run.write_text("q1 Q0 d1 1 3.0 t\nq1 Q0 d1 2 2.0 t\nq1 Q0 d2 3 1.0 t\n", encoding="utf-8")
+        qrels.write_text("q1 0 d1 1\n", encoding="utf-8")
+        assert run_cli("eval", "--run", run, "--qrels", qrels) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == "input error: query 'q1': docid 'd1' is ranked more than once\n"
+
+    def test_unwritable_metrics_file_is_config_error(self, tmp_path, capsys):
+        run = tmp_path / "x.run"
+        qrels = tmp_path / "qrels.txt"
+        run.write_text("q1 Q0 a 1 1.000000 t\n", encoding="utf-8")
+        qrels.write_text("q1 0 a 1\n", encoding="utf-8")
+        blocker = tmp_path / "report" / "metrics.tsv"
+        blocker.mkdir(parents=True)
+        assert run_cli("eval", "--run", run, "--qrels", qrels, "--out", tmp_path / "report") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(blocker) in err
 
     def test_malformed_run_is_parse_error(self, tmp_path):
         run = tmp_path / "bad.run"

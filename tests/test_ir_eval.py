@@ -438,6 +438,12 @@ class TestEvaluate:
             with pytest.raises(ValueError, match=rf"^{named} must be >= 1, got 0$"):
                 evaluate(run, qrels, **kwargs)
 
+    def test_repeated_docid_rejected_naming_query_and_docid(self):
+        run = parse_run(["q1 Q0 d1 1 3.0 t", "q1 Q0 d1 2 2.0 t", "q1 Q0 d2 3 1.0 t", "q2 Q0 d1 1 1.0 t"])
+        with pytest.raises(ValueError) as info:
+            evaluate(run, {"q1": {"d1": 1}, "q2": {"d1": 1}})
+        assert str(info.value) == "query 'q1': docid 'd1' is ranked more than once"
+
     def test_leaves_the_run_unchanged(self):
         run = {"q1": [(0.1, "a"), (0.9, "b"), (0.5, "c")], "q0": [(1.0, "x")], "qX": [(2.0, "y"), (3.0, "z")]}
         before = copy.deepcopy(run)

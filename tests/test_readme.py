@@ -29,6 +29,9 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
         "passages": data.passages,
     }
     exec(compile(library_use_block(), str(README), "exec"), names)
+    written = [f"crossenc-lion-epoch{k}.ckpt" for k in (1, 2, 3)] + ["loss-lion.tsv", "stats-lion.txt"]
+    assert names["result"].files == written
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == sorted(written)
     assert len(names["scores"]) == len(candidates)
     assert all(0.0 < s < 1.0 for s in names["scores"])
     assert (tmp_path / "reranked.run").read_text().count("\n") == sum(map(len, data.candidates.values()))

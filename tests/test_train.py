@@ -183,74 +183,72 @@ class TestTrainConfig:
 
 
 class TestRunTraining:
-    def test_step_count_uses_ceil(self):
+    def test_step_count_uses_ceil(self, tmp_path):
         model, vocab, pairs = _tiny_setup(n_triplets=5)  # 10 pairs
-        result = run_training(model, vocab, pairs, TrainConfig(batch_size=64, epochs=3, seed=12))
+        result = run_training(model, vocab, pairs, TrainConfig(batch_size=64, epochs=3, seed=12), tmp_path)
         assert result.stats.n_steps == 3  # one step per epoch
         assert [r.epoch for r in result.loss_log] == [1, 2, 3]
 
-    def test_bit_identical_loss_logs(self):
+    def test_bit_identical_loss_logs(self, tmp_path):
         logs = []
         for _ in range(2):
             model, vocab, pairs = _tiny_setup()
-            result = run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=2, seed=12))
+            result = run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=2, seed=12), tmp_path)
             logs.append(format_loss_log(result.loss_log))
         assert logs[0] == logs[1]
 
-    def test_bit_identical_parameters_after_training(self):
+    def test_bit_identical_parameters_after_training(self, tmp_path):
         states = []
         for _ in range(2):
             model, vocab, pairs = _tiny_setup()
-            run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=2, seed=12))
+            run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=2, seed=12), tmp_path)
             states.append({name: p.data.copy() for name, p in model.parameters()})
         for name in states[0]:
             np.testing.assert_array_equal(states[0][name], states[1][name])
 
-    def test_seed_changes_shuffle(self):
+    def test_seed_changes_shuffle(self, tmp_path):
         logs = []
         for seed in (12, 13):
             model, vocab, pairs = _tiny_setup()
-            result = run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=1, seed=seed))
+            result = run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=1, seed=seed), tmp_path)
             logs.append([r.loss for r in result.loss_log])
         assert logs[0] != logs[1]
 
     @pytest.mark.parametrize("optimizer", ["lion", "adamw"])
-    def test_separable_data_loss_decreases(self, optimizer):
+    def test_separable_data_loss_decreases(self, optimizer, tmp_path):
         model, vocab, pairs = _tiny_setup(n_triplets=64, d_model=32)
         config = TrainConfig(batch_size=32, epochs=3, seed=12, optimizer=optimizer, base_lr=2e-4)
-        result = run_training(model, vocab, pairs, config)
+        result = run_training(model, vocab, pairs, config, tmp_path)
         by_epoch = {}
         for r in result.loss_log:
             by_epoch.setdefault(r.epoch, []).append(r.loss)
         means = {e: float(np.mean(v)) for e, v in by_epoch.items()}
         assert means[3] < means[1]
 
-    def test_checkpoint_per_epoch_with_naming(self):
+    def test_checkpoint_per_epoch_with_naming(self, tmp_path):
         model, vocab, pairs = _tiny_setup()
         result = run_training(
-            model, vocab, pairs, TrainConfig(batch_size=16, epochs=3, seed=12), run_name="toy"
+            model, vocab, pairs, TrainConfig(batch_size=16, epochs=3, seed=12), tmp_path, run_name="toy"
         )
-        assert [name for name, _ in result.checkpoints] == [
-            "toy-lion-epoch1",
-            "toy-lion-epoch2",
-            "toy-lion-epoch3",
-        ]
+        written = [f"toy-lion-epoch{k}.ckpt" for k in (1, 2, 3)] + ["loss-lion.tsv", "stats-lion.txt"]
+        assert result.files == written
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
 
-    def test_empty_pairs_rejected(self):
+    def test_empty_pairs_rejected(self, tmp_path):
         model, vocab, _ = _tiny_setup()
         with pytest.raises(ValueError, match="non-empty"):
-            run_training(model, vocab, [], TrainConfig())
+            run_training(model, vocab, [], TrainConfig(), tmp_path)
 
-    def test_non_finite_loss_aborts_with_step(self):
+    def test_non_finite_loss_aborts_with_step(self, tmp_path):
         model, vocab, pairs = _tiny_setup()
         model.params["head.weight"].data[0, 0] = np.nan
         with pytest.raises(NonFiniteLossError) as err:
-            run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=1, seed=12))
+            run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=1, seed=12), tmp_path)
         assert err.value.step == 0
 
-    def test_resource_stats_populated(self):
+    def test_resource_stats_populated(self, tmp_path):
         model, vocab, pairs = _tiny_setup()
-        result = run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=1, seed=12))
+        result = run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=1, seed=12), tmp_path)
         stats = result.stats
         assert stats.n_steps == len(result.loss_log) >= 1
         assert stats.peak_step_ms >= stats.mean_step_ms >= 0.0
@@ -258,10 +256,10 @@ class TestRunTraining:
         assert 0.0 < stats.mean_update_ms <= stats.mean_step_ms
         assert stats.optimizer_state_bytes == 8 * model.parameter_count()
 
-    def test_schedule_total_steps_drives_cosine(self):
+    def test_schedule_total_steps_drives_cosine(self, tmp_path):
         model, vocab, pairs = _tiny_setup(n_triplets=8)  # 16 pairs
         config = TrainConfig(batch_size=8, epochs=2, seed=12, schedule="cosine", warmup_ratio=0.0)
-        result = run_training(model, vocab, pairs, config)
+        result = run_training(model, vocab, pairs, config, tmp_path)
         # 4 total steps; lr follows cosine from base_lr toward (not reaching) 0
         lrs = [r.lr for r in result.loss_log]
         assert lrs[0] == config.base_lr
@@ -270,7 +268,7 @@ class TestRunTraining:
 
 
 class TestStepGraph:
-    def test_one_forward_per_step(self, monkeypatch):
+    def test_one_forward_per_step(self, monkeypatch, tmp_path):
         model, vocab, pairs = _tiny_setup(n_triplets=12)  # 24 pairs
         batch_sizes = []
         forward = CrossEncoder.forward
@@ -280,7 +278,7 @@ class TestStepGraph:
             return forward(self, seqs)
 
         monkeypatch.setattr(CrossEncoder, "forward", counting)
-        run_training(model, vocab, pairs, TrainConfig(batch_size=10, epochs=1, seed=12))
+        run_training(model, vocab, pairs, TrainConfig(batch_size=10, epochs=1, seed=12), tmp_path)
         assert batch_sizes == [10, 10, 4]
 
     def test_graph_freed_without_cycle_collector(self):
@@ -395,19 +393,6 @@ class TestWorkspace:
             buf.fill(np.nan)
         assert scores == kept == score_batch(model, first[0])
 
-    def test_clear_drops_every_buffer(self, monkeypatch):
-        lent = _lending(monkeypatch)
-        model, first, _ = self._batches()
-        workspace = Workspace()
-        with Tape() as tape, workspace:
-            loss = bce_loss(model.forward(first[0]), first[1])
-        refs = [weakref.ref(buf) for buf in lent]
-        del tape, loss
-        lent.clear()
-        assert all(ref() is not None for ref in refs)
-        workspace.clear()
-        assert all(ref() is None for ref in refs)
-
     def test_nested_entry_rejected(self):
         workspace = Workspace()
         with workspace:
@@ -453,12 +438,12 @@ class TestLossLogFormat:
 
 
 class TestShuffleOff:
-    def test_unshuffled_order_deterministic_and_distinct(self):
+    def test_unshuffled_order_deterministic_and_distinct(self, tmp_path):
         logs = []
         for shuffle in (False, False, True):
             model, vocab, pairs = _tiny_setup()
             config = TrainConfig(batch_size=8, epochs=1, seed=12, shuffle=shuffle)
-            result = run_training(model, vocab, pairs, config)
+            result = run_training(model, vocab, pairs, config, tmp_path)
             logs.append([r.loss for r in result.loss_log])
         assert logs[0] == logs[1]
         assert logs[0] != logs[2]
