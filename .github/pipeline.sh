@@ -6,11 +6,13 @@
 # train, rerank and eval, once per optimizer: the benchmark's models have 1
 # layer, so only this run reaches the full-length attention of a layer
 # before the last end to end, next to the last layer's CLS-row query and
-# the embedding scatter. Training runs 2 epochs, each written as it ends
-# through a temp file and a rename: both epochs' checkpoints are loaded and
-# serialized again, and must give their files' bytes back, and no *.tmp file
-# may be left in the output directory. The Lion run is also scored with
-# exponential gains, and the first-stage run as is.
+# the embedding scatter. Training runs 2 epochs, each written as it ends:
+# both epochs' checkpoints are loaded and serialized again, and must give
+# their files' bytes back. The Lion run is also scored with exponential
+# gains, and the first-stage run as is. Every file is written through a
+# temp file and a rename, so at the end no *.tmp file may be left anywhere
+# under WORK_DIR, and every directory a command populated must hold its
+# manifest.json.
 set -euo pipefail
 work=$1
 reranklab --help
@@ -34,13 +36,20 @@ for path in map(Path, sys.argv[1:]):
     if checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer) != path.read_text(encoding="utf-8"):
         sys.exit(f"{path} does not reload bit-identically")
 EOF
-  if compgen -G "$work/out/*.tmp" > /dev/null; then
-    echo "temp files left in $work/out:" "$work"/out/*.tmp >&2
-    exit 1
-  fi
   reranklab rerank --checkpoint "$work/out/two-layer-$optimizer-epoch2.ckpt" --queries "$work/data/queries.tsv" \
     --passages "$work/data/passages.tsv" --candidates "$work/data/candidates.run" --out "$work/reranked-$optimizer.run"
   reranklab eval --run "$work/reranked-$optimizer.run" --qrels "$work/data/qrels.txt" --out "$work/metrics-$optimizer"
 done
 reranklab eval --run "$work/reranked-lion.run" --qrels "$work/data/qrels.txt" --exponential-gain --binarize-at 2 --k 5
 reranklab eval --run "$work/data/candidates.run" --qrels "$work/data/qrels.txt"
+leftover=$(find "$work" -name '*.tmp')
+if [ -n "$leftover" ]; then
+  echo "temp files left under $work:" $leftover >&2
+  exit 1
+fi
+for dir in "$work/data" "$work/out" "$work"/metrics-*; do
+  if [ ! -f "$dir/manifest.json" ]; then
+    echo "no manifest.json in $dir" >&2
+    exit 1
+  fi
+done

@@ -79,7 +79,7 @@ def write_manifest(out_dir: Path, command: str, seed: int, config_snapshot: dict
         "config": config_snapshot,
         "artifacts": sorted(artifacts),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    ir_eval.write_replacing(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _align_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -209,6 +209,18 @@ class _Run:
     def train_config(self, optimizer: str) -> TrainConfig:
         return _settings(TrainConfig, self.parser, ("train", optimizer), seed=self.seed, optimizer=optimizer)
 
+    def train_each(self, optimizers):
+        """``(config, result)`` for each optimizer, trained in turn into ``out_dir``.
+
+        Every run's settings are checked first. Then the directory's old
+        manifest is deleted, so a manifest only lists a finished command's files.
+        """
+        configs = [self.train_config(opt) for opt in optimizers]
+        (self.out_dir / "manifest.json").unlink(missing_ok=True)
+        for config in configs:
+            model = init_params(self.model_config)
+            yield config, run_training(model, self.vocab, self.pairs, config, self.out_dir, run_name=self.name)
+
 
 def _load_run_config(args) -> _Run:
     """Read ``--config`` and the triplets it names, for ``train`` and ``bench-optim``.
@@ -259,12 +271,8 @@ def cmd_train(args) -> int:
             if parser.has_section(kind):
                 parser.remove_option(kind, "epochs")
 
-    # every run's settings are checked before the first one trains
-    configs = [run.train_config(opt) for opt in _select_optimizers(parser, args.optimizer)]
     artifacts: list[str] = []
-    for config in configs:
-        model = init_params(run.model_config)
-        result = run_training(model, run.vocab, run.pairs, config, run.out_dir, run_name=run.name)
+    for config, result in run.train_each(_select_optimizers(parser, args.optimizer)):
         artifacts.extend(result.files)
         final_epoch = result.loss_log[-1].epoch
         final = [r.loss for r in result.loss_log if r.epoch == final_epoch]
@@ -294,7 +302,7 @@ def cmd_rerank(args) -> int:
     passages = ir_eval.read_corpus_tsv(_require_file(args.passages, "passages"))
     candidates = ir_eval.read_run(_require_file(args.candidates, "candidates run"))
     reranked = ir_eval.rerank(bundle.model, bundle.vocab, queries, passages, candidates)
-    out_path.write_text(ir_eval.format_run(reranked, tag), encoding="utf-8")
+    ir_eval.write_replacing(out_path, ir_eval.format_run(reranked, tag))
     print(f"wrote {sum(map(len, reranked.values()))} reranked lines to {out_path}")
     return EXIT_OK
 
@@ -312,10 +320,8 @@ def cmd_eval(args) -> int:
     print(table, end="")
     if args.out:
         out_dir = _output_dir(args.out, "--out")
-        (out_dir / "metrics.tsv").write_text(
-            "\n".join(ir_eval.report_tsv_lines(report)) + "\n", encoding="utf-8"
-        )
-        (out_dir / "metrics.txt").write_text(table, encoding="utf-8")
+        ir_eval.write_replacing(out_dir / "metrics.tsv", "\n".join(ir_eval.report_tsv_lines(report)) + "\n")
+        ir_eval.write_replacing(out_dir / "metrics.txt", table)
         write_manifest(
             out_dir,
             "eval",
@@ -352,31 +358,7 @@ def _bench_import(path: Path) -> str:
     return _align_table(["label", "adamw_mean", "lion_mean", "efficiency_gain"], rows)
 
 
-def cmd_bench_optim(args) -> int:
-    if args.import_file:
-        for flag, value in (("--config", args.config), ("--seed", args.seed), ("--name", args.name)):
-            if value is not None:
-                raise ConfigError(f"{flag} does not apply to --import, which only tabulates the given means")
-        table = _bench_import(_require_file(args.import_file, "import"))
-        print(table, end="")
-        if args.out:
-            (_output_dir(args.out, "--out") / "bench.txt").write_text(table, encoding="utf-8")
-        return EXIT_OK
-
-    if not args.config:
-        raise ConfigError("bench-optim needs --config or --import")
-    run = _load_run_config(args)
-
-    # AdamW is the baseline and Lion the candidate, the paper's comparison.
-    configs = [run.train_config(opt) for opt in ("adamw", "lion")]
-    stats = {}
-    artifacts: list[str] = []
-    for config in configs:
-        model = init_params(run.model_config)
-        result = run_training(model, run.vocab, run.pairs, config, run.out_dir, run_name=run.name)
-        stats[config.optimizer] = result.stats
-        artifacts.extend(result.files)
-
+def _usage_table(stats: dict[str, train_mod.ResourceStats]) -> str:
     rows = [
         [
             opt,
@@ -391,22 +373,37 @@ def cmd_bench_optim(args) -> int:
     table = _align_table(
         ["optimizer", "state_bytes", "mean_ms", "peak_ms", "std_ms", "data_points"], rows
     )
-    table += (
-        f"efficiency gain (state bytes): "
-        f"{efficiency_gain(stats['adamw'].optimizer_state_bytes, stats['lion'].optimizer_state_bytes):.2f}%\n"
-    )
-    table += (
-        f"efficiency gain (mean step time): "
-        f"{efficiency_gain(stats['adamw'].mean_step_ms, stats['lion'].mean_step_ms):.2f}%\n"
-    )
-    table += (
-        f"efficiency gain (optimizer update time): "
-        f"{efficiency_gain(stats['adamw'].mean_update_ms, stats['lion'].mean_update_ms):.2f}%\n"
-    )
+    for label, field in (("state bytes", "optimizer_state_bytes"), ("mean step time", "mean_step_ms"),
+                         ("optimizer update time", "mean_update_ms")):
+        gain = efficiency_gain(getattr(stats["adamw"], field), getattr(stats["lion"], field))
+        table += f"efficiency gain ({label}): {gain:.2f}%\n"
+    return table
+
+
+def cmd_bench_optim(args) -> int:
+    artifacts: list[str] = []
+    if args.import_file:
+        for flag, value in (("--config", args.config), ("--seed", args.seed), ("--name", args.name)):
+            if value is not None:
+                raise ConfigError(f"{flag} does not apply to --import, which only tabulates the given means")
+        table = _bench_import(_require_file(args.import_file, "import"))
+        out_dir = _output_dir(args.out, "--out") if args.out else None
+        seed, snapshot = 0, {"import": str(args.import_file)}
+    elif not args.config:
+        raise ConfigError("bench-optim needs --config or --import")
+    else:
+        run = _load_run_config(args)
+        stats = {}
+        # AdamW is the baseline and Lion the candidate, the paper's comparison.
+        for config, result in run.train_each(("adamw", "lion")):
+            stats[config.optimizer] = result.stats
+            artifacts.extend(result.files)
+        table = _usage_table(stats)
+        out_dir, seed, snapshot = run.out_dir, run.seed, _config_snapshot(run.parser)
     print(table, end="")
-    (run.out_dir / "bench.txt").write_text(table, encoding="utf-8")
-    artifacts.append("bench.txt")
-    write_manifest(run.out_dir, "bench-optim", run.seed, _config_snapshot(run.parser), artifacts)
+    if out_dir:
+        ir_eval.write_replacing(out_dir / "bench.txt", table)
+        write_manifest(out_dir, "bench-optim", seed, snapshot, artifacts + ["bench.txt"])
     return EXIT_OK
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "read_corpus_tsv",
     "open_utf8",
     "open_replacing",
+    "write_replacing",
     "line_list",
     "rerank",
     "evaluate",
@@ -79,6 +80,12 @@ def open_replacing(path):
         with suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_replacing(path, text: str) -> None:
+    """``text`` written to ``path`` through :func:`open_replacing`."""
+    with open_replacing(path) as fh:
+        fh.write(text)
 
 
 # A ParseError lists at most this many line numbers, then the total count.

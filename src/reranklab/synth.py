@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from reranklab.ir_eval import format_qrels, format_run
+from reranklab.ir_eval import format_qrels, format_run, open_replacing, write_replacing
 from reranklab.train import Triplet
 
 __all__ = ["SynthConfig", "SynthData", "generate", "write_synth_files", "POS_MARKER", "NEG_MARKER"]
@@ -110,7 +110,7 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthData:
 
 
 def write_synth_files(data: SynthData, out_dir) -> dict[str, str]:
-    """Write the dataset; returns artifact name -> relative path."""
+    """Write the dataset, each file through ``<file>.tmp`` and a rename; returns artifact name -> relative path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {
@@ -120,17 +120,15 @@ def write_synth_files(data: SynthData, out_dir) -> dict[str, str]:
         "qrels": "qrels.txt",
         "candidates": "candidates.run",
     }
-    with open(out / files["triplets"], "w", encoding="utf-8") as fh:
+    with open_replacing(out / files["triplets"]) as fh:
         for t in data.triplets:
             fh.write(f"{t.query}\t{t.positive}\t{t.negative}\n")
-    with open(out / files["queries"], "w", encoding="utf-8") as fh:
+    with open_replacing(out / files["queries"]) as fh:
         for qid, text in data.queries.items():
             fh.write(f"{qid}\t{text}\n")
-    with open(out / files["passages"], "w", encoding="utf-8") as fh:
+    with open_replacing(out / files["passages"]) as fh:
         for docid, text in data.passages.items():
             fh.write(f"{docid}\t{text}\n")
-    with open(out / files["qrels"], "w", encoding="utf-8") as fh:
-        fh.write(format_qrels(data.qrels))
-    with open(out / files["candidates"], "w", encoding="utf-8") as fh:
-        fh.write(format_run(data.candidates, "synth-first-stage"))
+    write_replacing(out / files["qrels"], format_qrels(data.qrels))
+    write_replacing(out / files["candidates"], format_run(data.candidates, "synth-first-stage"))
     return files

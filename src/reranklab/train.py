@@ -19,7 +19,7 @@ import numpy as np
 
 from reranklab import tensor as T
 from reranklab.checkpoint import save_checkpoint
-from reranklab.ir_eval import ParseError, line_list, open_replacing, open_utf8
+from reranklab.ir_eval import ParseError, line_list, open_utf8, write_replacing
 from reranklab.model import CrossEncoder, Vocab, tokenize_pair
 from reranklab.optim import OPTIMIZERS, ScheduleSpec, lr_at
 from reranklab.tensor import Tape, Tensor, Workspace
@@ -277,8 +277,7 @@ def run_training(
         mean_update_ms=float(np.mean(update_times_ms)),
     )
     stats_name = f"stats-{config.optimizer}.txt"
-    with open_replacing(out_dir / stats_name) as fh:
-        fh.write("\n".join(resource_stats_lines(stats, config.optimizer)) + "\n")
+    write_replacing(out_dir / stats_name, "\n".join(resource_stats_lines(stats, config.optimizer)) + "\n")
     return TrainResult(files=checkpoints + [loss_name, stats_name], loss_log=loss_log, stats=stats)
 
 
@@ -305,8 +304,7 @@ def format_loss_log(records: Iterable[LossRecord]) -> str:
 
 def write_loss_log(path, records: Iterable[LossRecord]) -> None:
     """The loss log, written through ``<path>.tmp`` and a rename."""
-    with open_replacing(path) as fh:
-        fh.write(format_loss_log(records))
+    write_replacing(path, format_loss_log(records))
 
 
 def resource_stats_lines(stats: ResourceStats, optimizer: str) -> list[str]:

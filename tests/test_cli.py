@@ -1,13 +1,15 @@
 """End-to-end CLI behavior at tiny scale: commands, files, exit codes."""
 
 import base64
+import errno
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
-from reranklab import cli, train as train_mod
+from reranklab import cli, ir_eval, train as train_mod
 from reranklab.checkpoint import CheckpointError, load_checkpoint, parse_checkpoint, save_checkpoint
 from reranklab.ir_eval import read_qrels, read_run
 from reranklab.model import CrossEncoderConfig, Vocab, init_params
@@ -211,10 +213,28 @@ class TestTrain:
         # it failed as epoch 1 ended: nothing after that checkpoint was written
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["toy-lion-epoch1.ckpt"]
 
-    @pytest.mark.parametrize("optimizer", ["lion", "adamw"])
-    def test_non_finite_loss_in_epoch_3_keeps_epochs_1_and_2(self, tmp_path, synth_dir, monkeypatch, optimizer):
+    def test_undeletable_manifest_is_config_error(self, tmp_path, synth_dir, capsys):
+        config = write_config(tmp_path, synth_dir)
+        blocker = tmp_path / "out" / "manifest.json"
+        blocker.mkdir(parents=True)
+        assert run_cli("train", "--config", config) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(blocker) in err
+        # the old manifest is deleted before the first run writes a file
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize(
+        "optimizer, earlier",
+        [("lion", False), ("adamw", False), ("lion", True), ("adamw", True)],
+        ids=["lion", "adamw", "lion-over-a-finished-run", "adamw-over-a-finished-run"],
+    )
+    def test_non_finite_loss_in_epoch_3_keeps_epochs_1_and_2(self, tmp_path, synth_dir, monkeypatch, optimizer, earlier):
         config = write_config(tmp_path, synth_dir)  # 24 pairs at batch 16: 2 steps per epoch, 3 epochs
-        assert run_cli("train", "--config", config, "--optimizer", optimizer, "--out", tmp_path / "whole") == 0
+        flags = ["--optimizer", optimizer, "--seed", "13"]
+        assert run_cli("train", "--config", config, *flags, "--out", tmp_path / "whole") == 0
+        out = tmp_path / "out"
+        if earlier:  # a finished seed-12 run in the same directory; its epoch 3 and stats stay, its manifest goes
+            assert run_cli("train", "--config", config, "--optimizer", optimizer) == 0
         calls = []
         loss = train_mod.bce_loss
 
@@ -223,10 +243,10 @@ class TestTrain:
             return Tensor(np.nan) if len(calls) == 5 else loss(y_hat, y)  # step 4, the first of epoch 3
 
         monkeypatch.setattr(train_mod, "bce_loss", nan_at_epoch_3)
-        out = tmp_path / "out"
-        assert run_cli("train", "--config", config, "--optimizer", optimizer) == cli.EXIT_NUMERIC
+        assert run_cli("train", "--config", config, *flags) == cli.EXIT_NUMERIC
         names = [f"toy-{optimizer}-epoch{k}.ckpt" for k in (1, 2)]
-        assert sorted(p.name for p in out.iterdir()) == sorted(names + [f"loss-{optimizer}.tsv"])
+        stale = [f"toy-{optimizer}-epoch3.ckpt", f"stats-{optimizer}.txt"] if earlier else []
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + [f"loss-{optimizer}.tsv"] + stale)
         for name in names:
             assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
         whole_log = (tmp_path / "whole" / f"loss-{optimizer}.tsv").read_text().splitlines()
@@ -754,6 +774,67 @@ class TestRerankOutDirectory:
         )
 
 
+class _FullDisk:
+    """A text file whose first write stores half its text, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.fh.name)
+
+
+class TestReplacingWrites:
+    """Each output is written to ``<file>.tmp`` and renamed over the file, so it is complete or absent."""
+
+    @staticmethod
+    def rerank_argv(tmp_path, checkpoint, out):
+        for name, text in TestNonUtf8Input.GOOD.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        return ["rerank", "--checkpoint", checkpoint, "--queries", tmp_path / "queries.tsv",
+                "--passages", tmp_path / "passages.tsv", "--candidates", tmp_path / "run.txt", "--out", out]
+
+    @pytest.mark.parametrize("command", ["rerank", "eval", "synthetic-data", "bench-import"])
+    def test_failed_write_keeps_the_earlier_files(self, tmp_path, tiny_checkpoint, monkeypatch, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "rerank": self.rerank_argv(tmp_path, tiny_checkpoint[0], out / "o.run"),
+            "eval": ["eval", "--run", tmp_path / "run.txt", "--qrels", tmp_path / "qrels.txt", "--out", out],
+            "synthetic-data": ["synthetic-data", "--out", out, "--triplets", "4"],
+            "bench-import": ["bench-optim", "--import", tmp_path / "means.tsv", "--out", out],
+        }[command]
+        assert run_cli(*argv) == cli.EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_open = open
+
+        def open_on_full_disk(path, mode="r", **kwargs):
+            fh = real_open(path, mode, **kwargs)
+            return _FullDisk(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(ir_eval, "open", open_on_full_disk, raising=False)
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [Errno {errno.ENOSPC}] ") and ".tmp'" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_symlink_at_rerank_out_is_replaced(self, tmp_path, tiny_checkpoint):
+        target, link = tmp_path / "target.run", tmp_path / "o.run"
+        target.write_text("kept\n", encoding="utf-8")
+        link.symlink_to(target)
+        assert run_cli(*self.rerank_argv(tmp_path, tiny_checkpoint[0], link)) == cli.EXIT_OK
+        assert not link.is_symlink() and link.read_text(encoding="utf-8").startswith("q1 Q0 d1 1 ")
+        assert target.read_text(encoding="utf-8") == "kept\n"
+
+
 class TestEval:
     # sha256 of metrics.tsv for the seed-12 synthetic first-stage run
     # (200 queries x 100 candidates), fixed before the one-walk evaluation
@@ -933,11 +1014,15 @@ class TestBenchOptim:
             "encoder-long-context\t77.04\t74.35\n",
             encoding="utf-8",
         )
-        assert run_cli("bench-optim", "--import", means) == 0
+        out_dir = tmp_path / "bench"
+        assert run_cli("bench-optim", "--import", means, "--out", out_dir) == 0
         out = capsys.readouterr().out
         assert "2.66%" in out
         assert "10.32%" in out
         assert "3.49%" in out
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["artifacts"] == sorted(p.name for p in out_dir.iterdir() if p.name != "manifest.json")
+        assert (manifest["seed"], manifest["config"]) == (0, {"import": str(means)})
 
     @pytest.mark.parametrize("mean", ["0", "-1.5"])
     def test_import_nonpositive_adamw_mean_names_file_and_line(self, tmp_path, capsys, mean):
