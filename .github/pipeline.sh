@@ -9,10 +9,12 @@
 # the embedding scatter. Training runs 2 epochs, each written as it ends:
 # both epochs' checkpoints are loaded and serialized again, and must give
 # their files' bytes back. The Lion run is also scored with exponential
-# gains, and the first-stage run as is. Every file is written through a
-# temp file and a rename, so at the end no *.tmp file may be left anywhere
-# under WORK_DIR, and every directory a command populated must hold its
-# manifest.json.
+# gains, and the first-stage run as is. bench-optim then trains both
+# optimizers from the same config, and tabulates a two-row --import file.
+# Every file is written through a temp file and a rename, so at the end no
+# *.tmp file may be left anywhere under WORK_DIR. Every directory a command
+# populated must hold its manifest.json, and every file a manifest lists
+# must be in that manifest's directory.
 set -euo pipefail
 work=$1
 reranklab --help
@@ -42,14 +44,29 @@ EOF
 done
 reranklab eval --run "$work/reranked-lion.run" --qrels "$work/data/qrels.txt" --exponential-gain --binarize-at 2 --k 5
 reranklab eval --run "$work/data/candidates.run" --qrels "$work/data/qrels.txt"
+reranklab bench-optim --config "$work/run.ini" --out "$work/bench"
+printf 'encoder-small\t33.09\t32.21\nencoder-long-context\t77.04\t74.35\n' > "$work/means.tsv"
+reranklab bench-optim --import "$work/means.tsv" --out "$work/bench-import"
 leftover=$(find "$work" -name '*.tmp')
 if [ -n "$leftover" ]; then
   echo "temp files left under $work:" $leftover >&2
   exit 1
 fi
-for dir in "$work/data" "$work/out" "$work"/metrics-*; do
+dirs=("$work/data" "$work/out" "$work"/metrics-* "$work/bench" "$work/bench-import")
+for dir in "${dirs[@]}"; do
   if [ ! -f "$dir/manifest.json" ]; then
     echo "no manifest.json in $dir" >&2
     exit 1
   fi
 done
+python - "${dirs[@]}" <<'EOF'
+import json
+import sys
+from pathlib import Path
+
+for path in map(Path, sys.argv[1:]):
+    listed = json.loads((path / "manifest.json").read_text(encoding="utf-8"))["artifacts"]
+    missing = [name for name in listed if not (path / name).is_file()]
+    if missing:
+        sys.exit(f"{path}/manifest.json lists files that are not there: {missing}")
+EOF

@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -70,7 +71,17 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
-def write_manifest(out_dir: Path, command: str, seed: int, config_snapshot: dict, artifacts: list[str]) -> None:
+@contextmanager
+def _committing(out_dir: Path, command: str, seed: int, config_snapshot: dict):
+    """Delete ``out_dir``'s manifest, run the block, then write a manifest of the files it names.
+
+    The block appends each file it writes to the yielded list; a block that raises leaves no manifest.
+    Enter it once every setting and input is checked, so that a bad one leaves the directory as it was.
+    """
+    path = out_dir / "manifest.json"
+    path.unlink(missing_ok=True)
+    artifacts: list[str] = []
+    yield artifacts
     manifest = {
         "format_version": MANIFEST_VERSION,
         "command": command,
@@ -79,7 +90,7 @@ def write_manifest(out_dir: Path, command: str, seed: int, config_snapshot: dict
         "config": config_snapshot,
         "artifacts": sorted(artifacts),
     }
-    ir_eval.write_replacing(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    ir_eval.write_replacing(path, json.dumps(manifest, indent=2) + "\n")
 
 
 def _align_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -173,9 +184,7 @@ def _select_optimizers(parser: configparser.ConfigParser, flag_value: str | None
     if flag_value:
         return [flag_value]
     present = [name for name in OPTIMIZERS if parser.has_section(name)]
-    if present:
-        return present
-    return [_ini_value(parser, "train", "optimizer", TrainConfig.optimizer)]
+    return present or [_ini_value(parser, "train", "optimizer", TrainConfig.optimizer)]
 
 
 def _config_snapshot(parser: configparser.ConfigParser) -> dict:
@@ -206,20 +215,17 @@ class _Run:
     pairs: list[TrainPair]
     model_config: CrossEncoderConfig
 
-    def train_config(self, optimizer: str) -> TrainConfig:
-        return _settings(TrainConfig, self.parser, ("train", optimizer), seed=self.seed, optimizer=optimizer)
+    def train_configs(self, kinds) -> list[TrainConfig]:
+        """Every run's settings, all checked before the first run trains."""
+        return [_settings(TrainConfig, self.parser, ("train", kind), seed=self.seed, optimizer=kind) for kind in kinds]
 
-    def train_each(self, optimizers):
-        """``(config, result)`` for each optimizer, trained in turn into ``out_dir``.
-
-        Every run's settings are checked first. Then the directory's old
-        manifest is deleted, so a manifest only lists a finished command's files.
-        """
-        configs = [self.train_config(opt) for opt in optimizers]
-        (self.out_dir / "manifest.json").unlink(missing_ok=True)
+    def train_each(self, configs, artifacts: list[str]):
+        """``(config, result)`` for each config, trained in turn into ``out_dir``; its files join ``artifacts``."""
         for config in configs:
             model = init_params(self.model_config)
-            yield config, run_training(model, self.vocab, self.pairs, config, self.out_dir, run_name=self.name)
+            result = run_training(model, self.vocab, self.pairs, config, self.out_dir, run_name=self.name)
+            artifacts.extend(result.files)
+            yield config, result
 
 
 def _load_run_config(args) -> _Run:
@@ -271,17 +277,16 @@ def cmd_train(args) -> int:
             if parser.has_section(kind):
                 parser.remove_option(kind, "epochs")
 
-    artifacts: list[str] = []
-    for config, result in run.train_each(_select_optimizers(parser, args.optimizer)):
-        artifacts.extend(result.files)
-        final_epoch = result.loss_log[-1].epoch
-        final = [r.loss for r in result.loss_log if r.epoch == final_epoch]
-        print(
-            f"{config.optimizer}: {result.stats.n_steps} steps, "
-            f"final-epoch mean loss {sum(final) / len(final):.6f}, "
-            f"state bytes {result.stats.optimizer_state_bytes}"
-        )
-    write_manifest(run.out_dir, "train", run.seed, _config_snapshot(parser), artifacts)
+    configs = run.train_configs(_select_optimizers(parser, args.optimizer))
+    with _committing(run.out_dir, "train", run.seed, _config_snapshot(parser)) as artifacts:
+        for config, result in run.train_each(configs, artifacts):
+            final_epoch = result.loss_log[-1].epoch
+            final = [r.loss for r in result.loss_log if r.epoch == final_epoch]
+            print(
+                f"{config.optimizer}: {result.stats.n_steps} steps, "
+                f"final-epoch mean loss {sum(final) / len(final):.6f}, "
+                f"state bytes {result.stats.optimizer_state_bytes}"
+            )
     print(f"artifacts in {run.out_dir}")
     return EXIT_OK
 
@@ -320,16 +325,12 @@ def cmd_eval(args) -> int:
     print(table, end="")
     if args.out:
         out_dir = _output_dir(args.out, "--out")
-        ir_eval.write_replacing(out_dir / "metrics.tsv", "\n".join(ir_eval.report_tsv_lines(report)) + "\n")
-        ir_eval.write_replacing(out_dir / "metrics.txt", table)
-        write_manifest(
-            out_dir,
-            "eval",
-            0,
-            {"run": str(args.run), "qrels": str(args.qrels), "k": args.k, "binarize_at": args.binarize_at,
-             "exponential_gain": args.exponential_gain},
-            ["metrics.tsv", "metrics.txt"],
-        )
+        snapshot = {"run": str(args.run), "qrels": str(args.qrels), "k": args.k, "binarize_at": args.binarize_at,
+                    "exponential_gain": args.exponential_gain}
+        with _committing(out_dir, "eval", 0, snapshot) as artifacts:
+            ir_eval.write_replacing(out_dir / "metrics.tsv", "\n".join(ir_eval.report_tsv_lines(report)) + "\n")
+            ir_eval.write_replacing(out_dir / "metrics.txt", table)
+            artifacts += ["metrics.tsv", "metrics.txt"]
         print(f"reports in {out_dir}")
     return EXIT_OK
 
@@ -381,29 +382,28 @@ def _usage_table(stats: dict[str, train_mod.ResourceStats]) -> str:
 
 
 def cmd_bench_optim(args) -> int:
-    artifacts: list[str] = []
     if args.import_file:
         for flag, value in (("--config", args.config), ("--seed", args.seed), ("--name", args.name)):
             if value is not None:
                 raise ConfigError(f"{flag} does not apply to --import, which only tabulates the given means")
         table = _bench_import(_require_file(args.import_file, "import"))
         out_dir = _output_dir(args.out, "--out") if args.out else None
-        seed, snapshot = 0, {"import": str(args.import_file)}
-    elif not args.config:
+        print(table, end="")
+        if out_dir:
+            with _committing(out_dir, "bench-optim", 0, {"import": str(args.import_file)}) as artifacts:
+                ir_eval.write_replacing(out_dir / "bench.txt", table)
+                artifacts.append("bench.txt")
+        return EXIT_OK
+    if not args.config:
         raise ConfigError("bench-optim needs --config or --import")
-    else:
-        run = _load_run_config(args)
-        stats = {}
-        # AdamW is the baseline and Lion the candidate, the paper's comparison.
-        for config, result in run.train_each(("adamw", "lion")):
-            stats[config.optimizer] = result.stats
-            artifacts.extend(result.files)
-        table = _usage_table(stats)
-        out_dir, seed, snapshot = run.out_dir, run.seed, _config_snapshot(run.parser)
-    print(table, end="")
-    if out_dir:
-        ir_eval.write_replacing(out_dir / "bench.txt", table)
-        write_manifest(out_dir, "bench-optim", seed, snapshot, artifacts + ["bench.txt"])
+    run = _load_run_config(args)
+    # AdamW is the baseline and Lion the candidate, the paper's comparison.
+    configs = run.train_configs(("adamw", "lion"))
+    with _committing(run.out_dir, "bench-optim", run.seed, _config_snapshot(run.parser)) as artifacts:
+        table = _usage_table({config.optimizer: result.stats for config, result in run.train_each(configs, artifacts)})
+        print(table, end="")
+        ir_eval.write_replacing(run.out_dir / "bench.txt", table)
+        artifacts.append("bench.txt")
     return EXIT_OK
 
 
@@ -419,9 +419,9 @@ def cmd_synthetic_data(args) -> int:
         raise ConfigError(f"{_synth_flag(str(exc).split()[0])}: {exc}") from None
     data = synth.generate(config)
     out_dir = _output_dir(args.out, "--out")
-    files = synth.write_synth_files(data, out_dir)
-    write_manifest(out_dir, "synthetic-data", config.seed, {"synth": asdict(config)}, list(files.values()))
-    print(f"synthetic corpus in {out_dir}: {', '.join(sorted(files.values()))}")
+    with _committing(out_dir, "synthetic-data", config.seed, {"synth": asdict(config)}) as artifacts:
+        artifacts += synth.write_synth_files(data, out_dir).values()
+    print(f"synthetic corpus in {out_dir}: {', '.join(sorted(artifacts))}")
     return EXIT_OK
 
 

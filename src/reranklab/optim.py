@@ -60,10 +60,10 @@ class Optimizer:
         betas: tuple[float, float],
         weight_decay: float,
     ):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+        if not 0 < lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {lr}")
+        if not 0 <= weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay}")
         self.beta1, self.beta2 = betas
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got ({self.beta1}, {self.beta2})")
@@ -221,8 +221,8 @@ class AdamW(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.01,
     ):
-        if eps < 0:
-            raise ValueError(f"eps must be >= 0, got {eps}")
+        if not 0 <= eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {eps}")
         super().__init__(params, lr, betas, weight_decay)
         self.eps = eps
         self.moment1, self.moment2 = self.state["m"], self.state["v"]
@@ -280,8 +280,8 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "cosine"):
             raise ValueError(f"schedule kind must be 'constant' or 'cosine', got {self.kind!r}")
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ValueError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
         if self.total_steps < 1:

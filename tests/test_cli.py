@@ -415,6 +415,22 @@ class TestConfigValidation:
         # checked before any run trains: bench-optim trains AdamW before Lion
         assert not list((tmp_path / "out").glob("loss-*.tsv"))
 
+    @pytest.mark.parametrize("section", ["train", "lion"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["base_lr", "weight_decay"])
+    def test_non_finite_rate_is_config_error(self, tmp_path, synth_dir, capsys, key, value, section):
+        config = write_config(tmp_path, synth_dir)
+        assert run_cli("train", "--config", config, "--epochs", "1") == cli.EXIT_OK
+        manifest = (tmp_path / "out" / "manifest.json").read_bytes()
+        extra = f"{key} = {value}\n" if section == "train" else f"\n[lion]\n{key} = {value}\n"
+        config = write_config(tmp_path, synth_dir, extra=extra)
+        # the default base_lr is the same 2e-4, so extra may set it again
+        config.write_text(config.read_text().replace("base_lr = 2e-4\n", "", 1), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("train", "--config", config) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: [{section}] {key} must be ")
+        assert (tmp_path / "out" / "manifest.json").read_bytes() == manifest
+
     @pytest.mark.parametrize("command", ["train", "bench-optim"])
     @pytest.mark.parametrize("where, named", [("flag", "--seed"), ("config", "[run] seed")])
     def test_negative_seed_is_config_error(self, tmp_path, synth_dir, capsys, command, where, named):
@@ -823,6 +839,8 @@ class TestReplacingWrites:
         assert run_cli(*argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [Errno {errno.ENOSPC}] ") and ".tmp'" in err
+        if command != "rerank":  # a directory command deletes its old manifest before its first write
+            del before["manifest.json"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert not list(tmp_path.rglob("*.tmp"))
 
@@ -833,6 +851,43 @@ class TestReplacingWrites:
         assert run_cli(*self.rerank_argv(tmp_path, tiny_checkpoint[0], link)) == cli.EXIT_OK
         assert not link.is_symlink() and link.read_text(encoding="utf-8").startswith("q1 Q0 d1 1 ")
         assert target.read_text(encoding="utf-8") == "kept\n"
+
+
+class TestCommitRule:
+    """A command that writes a directory checks its settings and inputs before it deletes the old manifest."""
+
+    @pytest.mark.parametrize("command", ["train", "bench-optim", "bench-import", "eval", "synthetic-data"])
+    def test_bad_setting_or_input_leaves_the_directory_as_it_was(self, tmp_path, synth_dir, command):
+        for name, text in TestNonUtf8Input.GOOD.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        out = tmp_path / "out"  # [run] out_dir in the config
+        config = write_config(tmp_path, synth_dir)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "run.txt").write_text("not a run line\n", encoding="utf-8")
+        (bad / "means.tsv").write_text("encoder-small\t33.09\t32.21\nbroken\t0\t1.0\n", encoding="utf-8")
+        # bench-optim trains AdamW first, so a bad [lion] value must stop it before that run
+        for name, extra in (("train.ini", "warmup_ratio = 1.5\n"), ("bench.ini", "\n[lion]\nweight_decay = -1\n")):
+            (bad / name).write_text(config.read_text(encoding="utf-8") + extra, encoding="utf-8")
+        good_argv, bad_argv, code = {
+            "train": (["train", "--config", config, "--epochs", "1"],
+                      ["train", "--config", bad / "train.ini", "--epochs", "1"], cli.EXIT_CONFIG),
+            "bench-optim": (["bench-optim", "--config", config],
+                            ["bench-optim", "--config", bad / "bench.ini"], cli.EXIT_CONFIG),
+            "bench-import": (["bench-optim", "--import", tmp_path / "means.tsv", "--out", out],
+                             ["bench-optim", "--import", bad / "means.tsv", "--out", out], cli.EXIT_PARSE),
+            "eval": (["eval", "--run", tmp_path / "run.txt", "--qrels", tmp_path / "qrels.txt", "--out", out],
+                     ["eval", "--run", bad / "run.txt", "--qrels", tmp_path / "qrels.txt", "--out", out],
+                     cli.EXIT_PARSE),
+            "synthetic-data": (["synthetic-data", "--out", out, "--triplets", "4"],
+                               ["synthetic-data", "--out", out, "--triplets", "4", "--candidates", "0"],
+                               cli.EXIT_CONFIG),
+        }[command]
+        assert run_cli(*good_argv) == cli.EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "manifest.json" in before
+        assert run_cli(*bad_argv) == code
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestEval:

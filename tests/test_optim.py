@@ -294,12 +294,24 @@ class TestRegistry:
 
     @pytest.mark.parametrize(
         "kwargs, named",
-        [({"lr": 0.0}, "lr"), ({"weight_decay": -0.1}, "weight_decay"), ({"betas": (0.9, 1.0)}, "betas")],
+        [({"lr": 0.0}, "lr"), ({"weight_decay": -0.1}, "weight_decay"), ({"betas": (0.9, 1.0)}, "betas"),
+         # nan fails every comparison, so a bare `lr <= 0` check lets it through
+         ({"lr": float("nan")}, "lr"), ({"lr": float("inf")}, "lr"),
+         ({"weight_decay": float("nan")}, "weight_decay"), ({"weight_decay": float("inf")}, "weight_decay")],
     )
     def test_hyperparameter_checks_every_kind(self, kwargs, named):
         for cls in OPTIMIZERS.values():
             with pytest.raises(ValueError, match=named):
                 cls({}, **kwargs)
+
+    def test_lion_rejects_nan_lr(self):
+        with pytest.raises(ValueError):
+            Lion(make_params({"w": [1.0]}), lr=float("nan"))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_adamw_eps_is_rejected(self, value):
+        with pytest.raises(ValueError, match="^eps must be "):
+            AdamW({}, eps=value)
 
 
 class TestStateBytes:
@@ -360,6 +372,9 @@ class TestSchedule:
             ScheduleSpec(kind="cosine", base_lr=1e-3, warmup_ratio=1.0)
         with pytest.raises(ValueError):
             ScheduleSpec(kind="cosine", base_lr=1e-3, total_steps=0)
+        for base_lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^base_lr must be positive and finite"):
+                ScheduleSpec(kind="constant", base_lr=base_lr)
 
     def test_tiny_run_has_no_warmup_division_issue(self):
         spec = ScheduleSpec(kind="cosine", base_lr=1e-3, warmup_ratio=0.1, total_steps=5)
