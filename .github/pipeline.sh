@@ -9,8 +9,9 @@
 # the embedding scatter. Training runs 2 epochs, each written as it ends:
 # both epochs' checkpoints are loaded and serialized again, and must give
 # their files' bytes back. The Lion run is also scored with exponential
-# gains, and the first-stage run as is. bench-optim then trains both
-# optimizers from the same config, and tabulates a two-row --import file.
+# gains, and the first-stage run as is. report prints the Lion run's stats,
+# loss log and metrics. bench-optim then trains both optimizers from the
+# same config, and tabulates a two-row --import file.
 # Every file is written through a temp file and a rename, so at the end no
 # *.tmp file may be left anywhere under WORK_DIR. Every directory a command
 # populated must hold its manifest.json, and every file a manifest lists
@@ -44,6 +45,7 @@ EOF
 done
 reranklab eval --run "$work/reranked-lion.run" --qrels "$work/data/qrels.txt" --exponential-gain --binarize-at 2 --k 5
 reranklab eval --run "$work/data/candidates.run" --qrels "$work/data/qrels.txt"
+reranklab report "$work/out/stats-lion.txt" "$work/out/loss-lion.tsv" "$work/metrics-lion/metrics.tsv" > /dev/null
 reranklab bench-optim --config "$work/run.ini" --out "$work/bench"
 printf 'encoder-small\t33.09\t32.21\nencoder-long-context\t77.04\t74.35\n' > "$work/means.tsv"
 reranklab bench-optim --import "$work/means.tsv" --out "$work/bench-import"

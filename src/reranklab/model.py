@@ -126,10 +126,10 @@ class CrossEncoderConfig:
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
+            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_len < 8:
             raise ValueError(f"max_len must be >= 8, got {self.max_len}")
 

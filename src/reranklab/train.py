@@ -21,7 +21,7 @@ from reranklab import tensor as T
 from reranklab.checkpoint import save_checkpoint
 from reranklab.ir_eval import ParseError, line_list, open_utf8, write_replacing
 from reranklab.model import CrossEncoder, Vocab, tokenize_pair
-from reranklab.optim import OPTIMIZERS, ScheduleSpec, lr_at
+from reranklab.optim import OPTIMIZERS, Optimizer, ScheduleSpec, lr_at
 from reranklab.tensor import Tape, Tensor, Workspace
 
 logger = logging.getLogger(__name__)
@@ -38,6 +38,7 @@ __all__ = [
     "load_triplets",
     "triplets_to_pairs",
     "bce_loss",
+    "steps",
     "run_training",
     "efficiency_gain",
     "format_loss_log",
@@ -75,7 +76,7 @@ class TrainPair:
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    The schedule's total step count is derived inside ``run_training``
+    The schedule's total step count is derived inside ``steps``
     as epochs * ceil(n_pairs / batch_size). Construction checks every
     field, the schedule and optimizer ones through ``ScheduleSpec`` and
     the optimizer class; each error message starts with the field's name.
@@ -96,6 +97,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {', '.join(OPTIMIZERS)}, got {self.optimizer!r}")
         ScheduleSpec(kind=self.schedule, base_lr=self.base_lr, warmup_ratio=self.warmup_ratio)
@@ -124,6 +127,8 @@ class LossRecord:
     epoch: int
     lr: float
     loss: float
+    step_ms: float  # forward to zero_grad
+    update_ms: float  # optimizer.step alone
 
 
 @dataclass
@@ -197,6 +202,40 @@ def bce_loss(y_hat, y) -> Tensor:
 # training loop
 
 
+def steps(model: CrossEncoder, optimizer: Optimizer, ids: np.ndarray, labels: np.ndarray, config: TrainConfig):
+    """Train ``model`` in place on the ``(N, max_len)`` id matrix ``ids``, yielding each step's record as it ends.
+
+    Deterministic for a fixed config: the per-epoch shuffle is seeded with seed + epoch index, and
+    batches keep the final partial batch. A record is yielded with no tape or workspace active.
+    """
+    per_epoch = math.ceil(len(ids) / config.batch_size)
+    spec = ScheduleSpec(config.schedule, config.base_lr, config.warmup_ratio, total_steps=config.epochs * per_epoch)
+    # Forward activations are reused from step to step; see the README.
+    workspace = Workspace()
+    for epoch_index in range(config.epochs):
+        if config.shuffle:
+            order = np.random.default_rng(config.seed + epoch_index).permutation(len(ids))
+        else:
+            order = np.arange(len(ids))
+        for batch, start in enumerate(range(0, len(ids), config.batch_size)):
+            step = epoch_index * per_epoch + batch
+            batch_ids = order[start : start + config.batch_size]
+            lr = lr_at(spec, step)
+            t0 = time.perf_counter()
+            with Tape() as tape, workspace:
+                batch_loss = bce_loss(model.forward(ids[batch_ids]), labels[batch_ids])
+            loss_value = batch_loss.item()
+            if not math.isfinite(loss_value):
+                raise NonFiniteLossError(step, loss_value)
+            tape.backward(batch_loss)
+            t_update = time.perf_counter()
+            optimizer.step(lr=lr)
+            update_ms = (time.perf_counter() - t_update) * 1000.0
+            optimizer.zero_grad()
+            step_ms = (time.perf_counter() - t0) * 1000.0
+            yield LossRecord(step, epoch_index + 1, lr, loss_value, step_ms, update_ms)
+
+
 def run_training(
     model: CrossEncoder,
     vocab: Vocab,
@@ -205,10 +244,8 @@ def run_training(
     out_dir,
     run_name: str = "crossenc",
 ) -> TrainResult:
-    """Train ``model`` in place, writing the run's files into the directory ``out_dir``.
+    """Train ``model`` in place through ``steps``, writing the run's files into the directory ``out_dir``.
 
-    Deterministic for a fixed config: the per-epoch shuffle is seeded
-    with seed + epoch index, and batches keep the final partial batch.
     As epoch K ends, its checkpoint (with optimizer state) is written to
     ``{run_name}-{optimizer}-epoch{K}.ckpt`` and ``loss-{optimizer}.tsv``
     is rewritten with every row so far; ``stats-{optimizer}.txt`` follows
@@ -218,67 +255,30 @@ def run_training(
     if not pairs:
         raise ValueError("run_training requires a non-empty pair list")
     out_dir = Path(out_dir)
-    total_steps = config.epochs * math.ceil(len(pairs) / config.batch_size)
-    spec = ScheduleSpec(
-        kind=config.schedule, base_lr=config.base_lr, warmup_ratio=config.warmup_ratio, total_steps=total_steps
-    )
     optimizer = OPTIMIZERS[config.optimizer](model.params, lr=config.base_lr, weight_decay=config.weight_decay)
-
-    ids = np.array(
-        [tokenize_pair(vocab, pair.query, pair.passage, model.config.max_len) for pair in pairs], dtype=np.intp
-    )
-    labels = np.array([pair.label for pair in pairs])
-
+    ids = np.array([tokenize_pair(vocab, p.query, p.passage, model.config.max_len) for p in pairs], dtype=np.intp)
+    per_epoch = math.ceil(len(pairs) / config.batch_size)
+    files = [f"{run_name}-{config.optimizer}-epoch{k}.ckpt" for k in range(1, config.epochs + 1)]
+    files += [f"loss-{config.optimizer}.tsv", f"stats-{config.optimizer}.txt"]
     loss_log: list[LossRecord] = []
-    checkpoints: list[str] = []
-    loss_name = f"loss-{config.optimizer}.tsv"
-    step_times_ms: list[float] = []
-    update_times_ms: list[float] = []
-    global_step = 0
-    # Forward activations are reused from step to step; see the README.
-    workspace = Workspace()
-
-    for epoch_index in range(config.epochs):
-        epoch = epoch_index + 1
-        if config.shuffle:
-            order = np.random.default_rng(config.seed + epoch_index).permutation(len(pairs))
-        else:
-            order = np.arange(len(pairs))
-        for start in range(0, len(pairs), config.batch_size):
-            batch_ids = order[start : start + config.batch_size]
-            lr = lr_at(spec, global_step)
-            t0 = time.perf_counter()
-            with Tape() as tape, workspace:
-                batch_loss = bce_loss(model.forward(ids[batch_ids]), labels[batch_ids])
-            loss_value = batch_loss.item()
-            if not math.isfinite(loss_value):
-                raise NonFiniteLossError(global_step, loss_value)
-            tape.backward(batch_loss)
-            t_update = time.perf_counter()
-            optimizer.step(lr=lr)
-            update_times_ms.append((time.perf_counter() - t_update) * 1000.0)
-            optimizer.zero_grad()
-            step_times_ms.append((time.perf_counter() - t0) * 1000.0)
-            loss_log.append(LossRecord(step=global_step, epoch=epoch, lr=lr, loss=loss_value))
-            global_step += 1
-        checkpoints.append(f"{run_name}-{config.optimizer}-epoch{epoch}.ckpt")
-        save_checkpoint(out_dir / checkpoints[-1], model, vocab, optimizer)
-        write_loss_log(out_dir / loss_name, loss_log)
-        epoch_mean = float(np.mean([r.loss for r in loss_log if r.epoch == epoch]))
-        logger.info("epoch %d/%d done, mean loss %.6f", epoch, config.epochs, epoch_mean)
-
-    times = np.asarray(step_times_ms)
+    for record in steps(model, optimizer, ids, np.array([p.label for p in pairs]), config):
+        loss_log.append(record)
+        if len(loss_log) % per_epoch == 0:  # the epoch's last step
+            save_checkpoint(out_dir / files[record.epoch - 1], model, vocab, optimizer)
+            write_loss_log(out_dir / files[-2], loss_log)
+            epoch_mean = float(np.mean([r.loss for r in loss_log[-per_epoch:]]))
+            logger.info("epoch %d/%d done, mean loss %.6f", record.epoch, config.epochs, epoch_mean)
+    times = np.array([r.step_ms for r in loss_log])
     stats = ResourceStats(
         optimizer_state_bytes=optimizer.state_bytes(),
         mean_step_ms=float(times.mean()),
         peak_step_ms=float(times.max()),
         std_step_ms=float(times.std()),
-        n_steps=len(step_times_ms),
-        mean_update_ms=float(np.mean(update_times_ms)),
+        n_steps=len(loss_log),
+        mean_update_ms=float(np.mean([r.update_ms for r in loss_log])),
     )
-    stats_name = f"stats-{config.optimizer}.txt"
-    write_replacing(out_dir / stats_name, "\n".join(resource_stats_lines(stats, config.optimizer)) + "\n")
-    return TrainResult(files=checkpoints + [loss_name, stats_name], loss_log=loss_log, stats=stats)
+    write_replacing(out_dir / files[-1], "\n".join(resource_stats_lines(stats, config.optimizer)) + "\n")
+    return TrainResult(files=files, loss_log=loss_log, stats=stats)
 
 
 # ---------------------------------------------------------------------------

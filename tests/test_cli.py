@@ -624,6 +624,7 @@ class TestCheckpointNames:
             (lambda text: _insert_after(text, "[optimizer lion]", ["lr=0x1p-1"]), "[optimizer lion] lr: repeated key"),
             (lambda text: _insert_after(text, "[config]", ["seed=4"]), "[config] seed: repeated key"),
             (lambda text: _insert_after(text, "[config]", ["bogus=3"]), "[config] bogus: unknown key"),
+            (lambda text: text.replace("\nseed=12\n", "\nseed=-1\n"), "[config] seed must be >= 0, got -1"),
             (lambda text: text.replace("[end]\n", "[optimizer lion]\n[end]\n"), "[optimizer lion]: a second optimizer section"),
             (lambda text: _edit_row(text, "token_embedding", 3, lambda l: l[:5] + "!" + l[5:]),
              "token_embedding row 3: malformed base64"),
@@ -645,7 +646,7 @@ class TestCheckpointNames:
             (lambda text: _edit_row(text, "token_embedding", 3, lambda l: l[:8] + "\x85" + l[8:]),
              "token_embedding row 3: malformed base64"),
         ],
-        ids=["param", "state", "optimizer-key", "config-key", "config-unknown", "optimizer-section",
+        ids=["param", "state", "optimizer-key", "config-key", "config-unknown", "config-seed", "optimizer-section",
              "base64-char", "non-ascii", "row-bytes", "truncated", "nan", "state-inf",
              "extra-row", "rows-missing", "rows-missing-at-end", "nel-in-row"],
     )

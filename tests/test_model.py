@@ -116,6 +116,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             CrossEncoderConfig(vocab_size=0)
 
+    def test_negative_seed_rejected_naming_it(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            CrossEncoderConfig(vocab_size=10, seed=-1)
+
 
 class TestInitParams:
     def test_same_seed_bit_identical(self, tiny_vocab):

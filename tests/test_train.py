@@ -8,12 +8,15 @@ import weakref
 import numpy as np
 import pytest
 
-from reranklab import ir_eval
+from reranklab import ir_eval, tensor
+from reranklab import train as train_mod
 from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
+from reranklab.optim import OPTIMIZERS
 from reranklab.tensor import RowGrad, Tape, Tensor, Workspace, finite_diff_grad
 from reranklab.train import (
     NonFiniteLossError,
     ParseError,
+    LossRecord,
     TrainConfig,
     TrainPair,
     Triplet,
@@ -21,7 +24,9 @@ from reranklab.train import (
     efficiency_gain,
     format_loss_log,
     load_triplets,
+    resource_stats_lines,
     run_training,
+    steps,
     triplets_to_pairs,
 )
 from reranklab.synth import SynthConfig, generate
@@ -174,6 +179,7 @@ class TestTrainConfig:
             ({"base_lr": -1.0}, "base_lr"),
             ({"warmup_ratio": 1.5, "schedule": "cosine"}, "warmup_ratio"),
             ({"weight_decay": -0.5, "optimizer": "adamw"}, "weight_decay"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_bad_field_rejected_naming_it_first(self, kwargs, field):
@@ -267,6 +273,77 @@ class TestRunTraining:
         assert lrs[-1] > 0.0
 
 
+def _steps_inputs(model, vocab, pairs, config):
+    """What ``run_training`` hands ``steps``: a fresh optimizer, the id matrix and the labels."""
+    optimizer = OPTIMIZERS[config.optimizer](model.params, lr=config.base_lr, weight_decay=config.weight_decay)
+    ids = np.array([tokenize_pair(vocab, p.query, p.passage, model.config.max_len) for p in pairs], dtype=np.intp)
+    return optimizer, ids, np.array([p.label for p in pairs])
+
+
+class TestSteps:
+    @pytest.mark.parametrize("shuffle", [True, False], ids=["shuffle", "in-order"])
+    @pytest.mark.parametrize("optimizer", ["lion", "adamw"])
+    def test_records_are_run_trainings_loss_log(self, tmp_path, optimizer, shuffle):
+        config = TrainConfig(batch_size=10, epochs=2, seed=12, optimizer=optimizer, shuffle=shuffle)
+        model, vocab, pairs = _tiny_setup(n_triplets=12)  # 24 pairs: 3 steps per epoch, the last one of 4
+        result = run_training(model, vocab, pairs, config, tmp_path)
+        fresh, _, _ = _tiny_setup(n_triplets=12)
+        records = list(steps(fresh, *_steps_inputs(fresh, vocab, pairs, config), config))
+        rows = [[(r.step, r.epoch, r.lr, r.loss) for r in log] for log in (records, result.loss_log)]
+        assert rows[0] == rows[1]
+        assert [r.step for r in records] == list(range(6))
+        assert [r.epoch for r in records] == [1, 1, 1, 2, 2, 2]
+        for (name, p), (_, q) in zip(model.parameters(), fresh.parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+    def test_resource_stats_come_from_the_records(self, tmp_path):
+        model, vocab, pairs = _tiny_setup()
+        result = run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=2, seed=12), tmp_path)
+        step_ms = np.array([r.step_ms for r in result.loss_log])
+        update_ms = [r.update_ms for r in result.loss_log]
+        assert all(0.0 < r.update_ms < r.step_ms for r in result.loss_log)
+        assert result.stats.n_steps == len(result.loss_log) == 12  # 48 pairs at batch 8, 2 epochs
+        assert result.stats.mean_step_ms == float(step_ms.mean())
+        assert result.stats.peak_step_ms == float(step_ms.max())
+        assert result.stats.std_step_ms == float(step_ms.std())
+        assert result.stats.mean_update_ms == float(np.mean(update_ms))
+        stats_text = (tmp_path / "stats-lion.txt").read_text(encoding="utf-8")
+        assert stats_text == "\n".join(resource_stats_lines(result.stats, "lion")) + "\n"
+
+    @pytest.mark.parametrize("stop", ["break", "close"])
+    def test_stopping_early_leaves_no_tape_workspace_or_gradient(self, stop):
+        model, vocab, pairs = _tiny_setup()
+        config = TrainConfig(batch_size=8, epochs=2, seed=12)
+        records = steps(model, *_steps_inputs(model, vocab, pairs, config), config)
+        for record in records:
+            break
+        if stop == "close":
+            records.close()
+        assert record.step == 0
+        assert tensor._TAPE_STACK == [] and tensor._WORKSPACE_STACK == []
+        assert all(p.grad is None for _, p in model.parameters())
+
+    @pytest.mark.parametrize("bad_step", [0, 4])
+    def test_nan_loss_names_its_step(self, monkeypatch, bad_step):
+        model, vocab, pairs = _tiny_setup()  # 48 pairs at batch 16: 3 steps per epoch
+        config = TrainConfig(batch_size=16, epochs=2, seed=12)
+        calls = []
+        loss = train_mod.bce_loss
+
+        def nan_at(y_hat, y):
+            calls.append(None)
+            return Tensor(np.nan) if len(calls) == bad_step + 1 else loss(y_hat, y)
+
+        monkeypatch.setattr(train_mod, "bce_loss", nan_at)
+        done = []
+        with pytest.raises(NonFiniteLossError) as err:
+            done.extend(steps(model, *_steps_inputs(model, vocab, pairs, config), config))
+        assert err.value.step == bad_step
+        assert math.isnan(err.value.value)
+        assert [r.step for r in done] == list(range(bad_step))
+        assert tensor._TAPE_STACK == [] and tensor._WORKSPACE_STACK == []
+
+
 class TestStepGraph:
     def test_one_forward_per_step(self, monkeypatch, tmp_path):
         model, vocab, pairs = _tiny_setup(n_triplets=12)  # 24 pairs
@@ -327,7 +404,7 @@ def _lending(monkeypatch):
 
 
 def _step(model, seqs, labels, workspace=None):
-    """One training step's forward, loss and backward, as run_training does it."""
+    """One training step's forward, loss and backward, as ``steps`` runs them."""
     with Tape() as tape:
         if workspace is None:
             loss = bce_loss(model.forward(seqs), labels)
@@ -428,9 +505,7 @@ class TestEfficiencyGain:
 
 class TestLossLogFormat:
     def test_tab_separated_ten_significant_digits(self):
-        from reranklab.train import LossRecord
-
-        text = format_loss_log([LossRecord(step=3, epoch=1, lr=1 / 3, loss=2 / 3)])
+        text = format_loss_log([LossRecord(step=3, epoch=1, lr=1 / 3, loss=2 / 3, step_ms=5.0, update_ms=0.5)])
         assert text == "3\t1\t0.3333333333\t0.6666666667\n"
 
     def test_empty_log(self):
