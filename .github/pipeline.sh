@@ -8,7 +8,11 @@
 # before the last end to end, next to the last layer's CLS-row query and
 # the embedding scatter. Training runs 2 epochs, each written as it ends:
 # both epochs' checkpoints are loaded and serialized again, and must give
-# their files' bytes back. The Lion run is also scored with exponential
+# their files' bytes back. Each optimizer then trains again into
+# out-again, and both epochs' checkpoints and the loss log must match the
+# first run's byte for byte: a step's forward and backward buffers are
+# reused from step to step, and this is the only end-to-end run of the
+# full-length backward rules on them. The Lion run is also scored with exponential
 # gains, and the first-stage run as is. report prints the Lion run's stats,
 # loss log and metrics. bench-optim then trains both optimizers from the
 # same config, and tabulates a two-row --import file.
@@ -39,6 +43,10 @@ for path in map(Path, sys.argv[1:]):
     if checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer) != path.read_text(encoding="utf-8"):
         sys.exit(f"{path} does not reload bit-identically")
 EOF
+  reranklab train --config "$work/run.ini" --optimizer "$optimizer" --out "$work/out-again"
+  for file in "two-layer-$optimizer-epoch1.ckpt" "two-layer-$optimizer-epoch2.ckpt" "loss-$optimizer.tsv"; do
+    cmp "$work/out/$file" "$work/out-again/$file"
+  done
   reranklab rerank --checkpoint "$work/out/two-layer-$optimizer-epoch2.ckpt" --queries "$work/data/queries.tsv" \
     --passages "$work/data/passages.tsv" --candidates "$work/data/candidates.run" --out "$work/reranked-$optimizer.run"
   reranklab eval --run "$work/reranked-$optimizer.run" --qrels "$work/data/qrels.txt" --out "$work/metrics-$optimizer"
@@ -54,7 +62,7 @@ if [ -n "$leftover" ]; then
   echo "temp files left under $work:" $leftover >&2
   exit 1
 fi
-dirs=("$work/data" "$work/out" "$work"/metrics-* "$work/bench" "$work/bench-import")
+dirs=("$work/data" "$work/out" "$work/out-again" "$work"/metrics-* "$work/bench" "$work/bench-import")
 for dir in "${dirs[@]}"; do
   if [ ! -f "$dir/manifest.json" ]; then
     echo "no manifest.json in $dir" >&2

@@ -35,7 +35,7 @@ class SynthConfig:
     marker_repeats: int = 3
 
     def __post_init__(self):
-        for name, low in (("n_triplets", 0), ("n_eval_queries", 0), ("n_candidates", 1),
+        for name, low in (("seed", 0), ("n_triplets", 0), ("n_eval_queries", 0), ("n_candidates", 1),
                           ("query_len", 1), ("marker_repeats", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")

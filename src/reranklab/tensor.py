@@ -17,8 +17,9 @@ of a ``RowGrad`` is the dense gradient.
 
 Op outputs own C-contiguous buffers that alias no input; the public
 ``Tensor(data)`` constructor copies the data it is given. Inside an active
-:class:`Workspace` an op's output buffer is lent by the workspace and is
-overwritten once the workspace is entered again; outside one it is fresh.
+:class:`Workspace`, op outputs and backward temporaries are lent by it and
+overwritten once it is entered again; outside one they are fresh. Leaf
+gradients are copied out, so ``.grad`` never aliases a lent buffer.
 
 Tensors and tapes are single-context objects: independent tapes may run
 in parallel, but one tape must never be shared across threads.
@@ -139,8 +140,8 @@ class Tape:
                 prev = pending.get(id(tensor))
                 if prev is None:
                     pending[id(tensor)] = (tensor, grad)
-                else:
-                    pending[id(tensor)] = (tensor, prev[1] + grad)
+                else:  # np.add densifies a RowGrad as its __add__ does
+                    pending[id(tensor)] = (tensor, np.add(prev[1], grad, out=_buffer(tensor.data.shape)))
 
         # Every op output has been popped, so what is left are the leaves. A
         # RowGrad's values are its rule's own array, so it needs no copy.
@@ -159,21 +160,23 @@ _WORKSPACE_STACK: list["Workspace"] = []
 class Workspace:
     """Output buffers that ops reuse from one pass to the next.
 
-    Used as a context manager around a forward pass::
+    Used as a context manager around a forward and backward pass::
 
         workspace = Workspace()
         for batch in batches:
             with Tape() as tape, workspace:
                 loss = f(params, batch)
-            tape.backward(loss)
+                tape.backward(loss)
 
     While it is active, every op takes its output buffer (and any
     activation its backward rule keeps) from here instead of allocating
-    one. Buffers are pooled by shape and lent in request order, so a pass
+    one, as do backward rules for their large temporaries and the
+    backward pass for its gradient sums; leaf gradients are copied out.
+    Buffers are pooled by shape and lent in request order, so a pass
     with the same shapes as the last one gets the same buffers back and
-    the memory stays mapped. No buffer is lent twice within one pass. A
-    lent buffer is valid until the workspace is entered again, so run the
-    backward pass and read the loss before the next pass.
+    the memory stays mapped. No buffer is lent twice within one pass, so
+    a backward temporary never overwrites an activation a rule reads. A
+    lent buffer is valid until the workspace is entered again.
     """
 
     def __init__(self):
@@ -202,7 +205,7 @@ class Workspace:
 
 
 def _buffer(shape: tuple[int, ...]) -> np.ndarray:
-    """An op's output buffer: lent by the active workspace, else fresh."""
+    """An op's output buffer or a backward temporary: lent by the active workspace, else fresh."""
     return _WORKSPACE_STACK[-1].take(shape) if _WORKSPACE_STACK else np.empty(shape)
 
 
@@ -356,8 +359,8 @@ def linear(x, w, b=None) -> Tensor:
 
     def rule(g):
         g2 = g.reshape(-1, n)
-        dx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        dw = x2.T @ g2 if w.requires_grad else None
+        dx = np.matmul(g2, w.data.T, out=_buffer(x2.shape)).reshape(x.shape) if x.requires_grad else None
+        dw = np.matmul(x2.T, g2, out=_buffer(w.shape)) if w.requires_grad else None
         if bias is None:
             return dx, dw
         return dx, dw, g2.sum(axis=0) if bias.requires_grad else None
@@ -422,23 +425,23 @@ def attention(x, w_qkv, key_mask, n_heads: int, first_query_only: bool = False) 
 
     def rule(g):
         g_heads = heads(g)
-        dproj = np.empty(proj.shape)
+        dproj = _buffer(proj.shape)
         d_kind = dproj.reshape(batch, length, -1, n_heads, dh).transpose(2, 0, 3, 1, 4)
         np.matmul(weights.swapaxes(-1, -2), g_heads, out=d_kind[-1])
         # softmax backward, (dw - sum(dw * w)) * w; masked keys have w = 0
-        dscores = g_heads @ v.swapaxes(-1, -2)
-        dscores -= np.sum(dscores * weights, axis=-1, keepdims=True)
+        dscores = np.matmul(g_heads, v.swapaxes(-1, -2), out=_buffer(weights.shape))
+        dscores -= np.sum(np.multiply(dscores, weights, out=_buffer(weights.shape)), axis=-1, keepdims=True)
         dscores *= weights
         dscores *= scale
         np.matmul(dscores.swapaxes(-1, -2), q, out=d_kind[-2])
-        dq = np.empty((batch, d)) if first_query_only else None
+        dq = _buffer((batch, d)) if first_query_only else None
         np.matmul(dscores, k, out=d_kind[0] if dq is None else heads(dq))
         g2 = dproj.reshape(len(x2), -1)
-        dx = (g2 @ w_all.T).reshape(x.shape)
-        dw = np.empty(w.shape)
+        dx = np.matmul(g2, w_all.T, out=_buffer(x2.shape)).reshape(x.shape)
+        dw = _buffer(w.shape)
         np.matmul(x2.T, g2, out=dw[:, w.shape[1] - w_all.shape[1] :])
         if dq is not None:
-            dx[:, 0] += dq @ w.data[:, :d].T
+            dx[:, 0] += np.matmul(dq, w.data[:, :d].T, out=_buffer(x0.shape))
             np.matmul(x0.T, dq, out=dw[:, :d])
         return dx, dw
 
@@ -470,7 +473,8 @@ def first_row(a) -> Tensor:
         raise ShapeError(f"first_row: shape {a.shape} has no row 0 on axis 1")
 
     def rule(g):
-        da = np.zeros(a.shape)
+        da = _buffer(a.shape)
+        da[:, 1:] = 0.0
         da[:, 0] = g
         return (da,)
 
@@ -483,7 +487,7 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
 
     def rule(g):
-        return (g * (a.data > 0),)
+        return (np.multiply(g, a.data > 0, out=_buffer(a.shape)),)
 
     return _emit((a,), np.maximum(a.data, 0.0, out=_buffer(a.shape)), rule)
 
@@ -526,13 +530,13 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     out += bias.data
 
     def rule(g):
-        g_xhat = g * xhat
+        g_xhat = np.multiply(g, xhat, out=_buffer(xhat.shape))
         dgain = g_xhat.reshape(-1, n).sum(axis=0) if gain.requires_grad else None
         dbias = g.reshape(-1, n).sum(axis=0) if bias.requires_grad else None
         if not a.requires_grad:
             return (None, dgain, dbias)
         # With dxhat = g * gain: da = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
-        da = g * gain.data
+        da = np.multiply(g, gain.data, out=_buffer(a.shape))
         da -= np.mean(da, axis=-1, keepdims=True)
         g_xhat *= gain.data
         np.multiply(xhat, np.mean(g_xhat, axis=-1, keepdims=True), out=g_xhat)

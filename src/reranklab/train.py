@@ -210,7 +210,7 @@ def steps(model: CrossEncoder, optimizer: Optimizer, ids: np.ndarray, labels: np
     """
     per_epoch = math.ceil(len(ids) / config.batch_size)
     spec = ScheduleSpec(config.schedule, config.base_lr, config.warmup_ratio, total_steps=config.epochs * per_epoch)
-    # Forward activations are reused from step to step; see the README.
+    # Forward activations and backward temporaries are reused from step to step; see the README.
     workspace = Workspace()
     for epoch_index in range(config.epochs):
         if config.shuffle:
@@ -224,10 +224,10 @@ def steps(model: CrossEncoder, optimizer: Optimizer, ids: np.ndarray, labels: np
             t0 = time.perf_counter()
             with Tape() as tape, workspace:
                 batch_loss = bce_loss(model.forward(ids[batch_ids]), labels[batch_ids])
-            loss_value = batch_loss.item()
-            if not math.isfinite(loss_value):
-                raise NonFiniteLossError(step, loss_value)
-            tape.backward(batch_loss)
+                loss_value = batch_loss.item()
+                if not math.isfinite(loss_value):
+                    raise NonFiniteLossError(step, loss_value)
+                tape.backward(batch_loss)
             t_update = time.perf_counter()
             optimizer.step(lr=lr)
             update_ms = (time.perf_counter() - t_update) * 1000.0

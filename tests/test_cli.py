@@ -108,7 +108,7 @@ class TestSyntheticData:
         [("--triplets", -5, "n_triplets", 0), ("--eval-queries", -3, "n_eval_queries", 0),
          ("--candidates", -1, "n_candidates", 1), ("--candidates", 0, "n_candidates", 1),
          ("--query-len", 0, "query_len", 1),
-         ("--marker-repeats", 0, "marker_repeats", 1)],
+         ("--marker-repeats", 0, "marker_repeats", 1), ("--seed", -1, "seed", 0)],
     )
     def test_out_of_range_size_exits_2_naming_the_flag(self, tmp_path, capsys, flag, value, field, low):
         out = tmp_path / "data"

@@ -347,8 +347,9 @@ class TestLastLayerClsOnly:
             rows[names[id(w)]] = int(np.prod(T.as_tensor(x).shape[:-1]))
             return linear(x, w, b)
 
-        # attention projects through np.matmul: record (first column, width) -> rows per w_qkv
-        projections = {}
+        # attention projects, and back-projects through the transposed weight, with np.matmul:
+        # record (first column, number of columns) of each w_qkv a product reads -> its rows
+        passes = [{}]  # the forward's, then the backward's
         qkv = {name: p.data for name, p in model.parameters() if name.endswith("attn.w_qkv")}
         matmul = np.matmul
 
@@ -356,15 +357,18 @@ class TestLastLayerClsOnly:
             for name, w in qkv.items():
                 if np.shares_memory(b, w):
                     first = (b.ctypes.data - w.ctypes.data) // w.itemsize
-                    projections.setdefault(name, {})[(first, b.shape[1])] = len(a)
+                    columns = b.shape[1] if b.strides[0] > b.strides[1] else b.shape[0]  # w's, or w.T's rows
+                    passes[-1].setdefault(name, {})[(first, columns)] = len(a)
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(T, "linear", recording)
         monkeypatch.setattr(np, "matmul", spying)
         with Tape() as tape:
             loss = bce_loss(model.forward(batch), np.arange(64) % 2)
+        passes.append({})
         tape.backward(loss)
         monkeypatch.undo()
+        projections, back_projections = passes
         sequences, positions = len(batch), len(batch) * cfg.max_len
         d = cfg.d_model
         last = f"layers.{n_layers - 1}"
@@ -379,6 +383,12 @@ class TestLastLayerClsOnly:
         for i in range(n_layers - 1):
             for name in ("attn.w_out", "ff.w1", "ff.w2"):
                 assert rows[f"layers.{i}.{name}"] == positions, name
+        # the backward's input gradient reads the same columns over the same rows: the last layer's
+        # key and value columns over every position, its query columns over the CLS rows
+        assert back_projections.pop(f"{last}.attn.w_qkv") == {(d, 2 * d): positions, (0, d): sequences}
+        for name in back_projections:
+            assert back_projections[name] == {(0, 3 * d): positions}, name
+        assert len(back_projections) == n_layers - 1
 
 
 class TestScoreBatch:

@@ -68,7 +68,7 @@ def test_same_seed_same_data():
     "field, value, low",
     [("n_triplets", -5, 0), ("n_eval_queries", -3, 0), ("n_candidates", -1, 1), ("n_candidates", 0, 1),
      ("query_len", 0, 1),
-     ("marker_repeats", 0, 1)],
+     ("marker_repeats", 0, 1), ("seed", -1, 0)],
 )
 def test_out_of_range_size_rejected_naming_the_field(field, value, low):
     with pytest.raises(ValueError) as info:

@@ -1,16 +1,21 @@
 """Pair construction, BCE loss, the training loop, and resource accounting."""
 
+import contextlib
 import gc
 import logging
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reranklab import ir_eval, tensor
 from reranklab import train as train_mod
-from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
+from reranklab.model import CLS_ID, CrossEncoder, CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
 from reranklab.optim import OPTIMIZERS
 from reranklab.tensor import RowGrad, Tape, Tensor, Workspace, finite_diff_grad
 from reranklab.train import (
@@ -155,7 +160,7 @@ class TestBCELoss:
         assert max_rel_err(y_hat.grad[inside], fd.data[inside]) < 1e-6
 
 
-def _tiny_setup(n_triplets=24, d_model=16, seed=12):
+def _tiny_setup(n_triplets=24, d_model=16, seed=12, n_layers=1):
     data = generate(SynthConfig(seed=seed, n_triplets=n_triplets, n_eval_queries=1, n_candidates=2, n_relevant=1))
     pairs = triplets_to_pairs(data.triplets)
     texts = [t.query for t in data.triplets] + [t.positive for t in data.triplets] + [
@@ -163,7 +168,7 @@ def _tiny_setup(n_triplets=24, d_model=16, seed=12):
     ]
     vocab = Vocab.build(texts)
     config = CrossEncoderConfig(
-        vocab_size=vocab.size, d_model=d_model, n_layers=1, n_heads=2, d_ff=2 * d_model, max_len=16, seed=seed
+        vocab_size=vocab.size, d_model=d_model, n_layers=n_layers, n_heads=2, d_ff=2 * d_model, max_len=16, seed=seed
     )
     return init_params(config), vocab, pairs
 
@@ -404,21 +409,40 @@ def _lending(monkeypatch):
 
 
 def _step(model, seqs, labels, workspace=None):
-    """One training step's forward, loss and backward, as ``steps`` runs them."""
-    with Tape() as tape:
-        if workspace is None:
-            loss = bce_loss(model.forward(seqs), labels)
-        else:
-            with workspace:
-                loss = bce_loss(model.forward(seqs), labels)
-    value = loss.item()
-    tape.backward(loss)
+    """One training step's forward, loss and backward, as ``steps`` runs them: all inside the workspace."""
+    with Tape() as tape, workspace or contextlib.nullcontext():
+        loss = bce_loss(model.forward(seqs), labels)
+        value = loss.item()
+        tape.backward(loss)
     return value
 
 
+def _desk_faults_per_step(optimizer: str, free_4mb_first: bool) -> float:
+    """Minor page faults per desk step (d_model 64, batch 64, max_len 16) over 100 steps of ``steps``.
+
+    Three warm-up steps run first; ``ru_minflt`` is read around the 100 steps only.
+    """
+    import resource
+
+    if free_4mb_first:
+        bytearray(4 << 20)  # allocated and freed at once: glibc then keeps up to 8 MB of freed heap
+    config = CrossEncoderConfig(vocab_size=100, d_model=64, n_layers=1, n_heads=2, d_ff=128, max_len=16, seed=12)
+    model = init_params(config)
+    ids = np.random.default_rng(0).integers(4, config.vocab_size, size=(103 * 64, config.max_len))
+    ids[:, 0] = CLS_ID
+    train_config = TrainConfig(batch_size=64, epochs=1, optimizer=optimizer, seed=12)
+    opt = OPTIMIZERS[optimizer](model.params, lr=train_config.base_lr, weight_decay=train_config.weight_decay)
+    records = steps(model, opt, ids, np.arange(len(ids)) % 2, train_config)
+    for _ in range(3):
+        next(records)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    n = sum(1 for _ in records)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / n
+
+
 class TestWorkspace:
-    def _batches(self):
-        model, vocab, pairs = _tiny_setup(n_triplets=12)
+    def _batches(self, n_layers=1):
+        model, vocab, pairs = _tiny_setup(n_triplets=12, n_layers=n_layers)
         seqs = [tokenize_pair(vocab, p.query, p.passage, model.config.max_len) for p in pairs]
         labels = np.array([p.label for p in pairs])
         return model, (seqs[:8], labels[:8]), (seqs[8:16], labels[8:16])
@@ -437,10 +461,11 @@ class TestWorkspace:
         _step(model, *second, workspace)
         assert [id(buf) for buf in lent[n:]] == [id(buf) for buf in lent[:n]]
 
-    def test_step_bit_identical_with_and_without_workspace(self):
+    @pytest.mark.parametrize("n_layers", [1, 2])  # only a layer before the last runs full-length backward rules
+    def test_step_bit_identical_with_and_without_workspace(self, n_layers):
         runs = []
         for workspace in (None, Workspace()):
-            model, first, second = self._batches()
+            model, first, second = self._batches(n_layers)
             losses = [_step(model, *first, workspace)]
             for p in model.params.values():
                 p.zero_grad()
@@ -469,6 +494,18 @@ class TestWorkspace:
         for buf in lent:
             buf.fill(np.nan)
         assert scores == kept == score_batch(model, first[0])
+
+    @pytest.mark.parametrize("free_4mb_first", [False, True], ids=["fresh-heap", "after-4mb-free"])
+    @pytest.mark.parametrize("optimizer", ["lion", "adamw"])
+    def test_desk_step_faults_in_no_fresh_pages(self, optimizer, free_4mb_first):
+        # Whether fresh allocations fault depends on what the process freed before (glibc raises
+        # its mmap and trim thresholds to the largest mmapped chunk freed), so count in a new process.
+        pytest.importorskip("resource")
+        paths = [str(Path(train_mod.__file__).parents[1]), str(Path(__file__).parent)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "OPENBLAS_NUM_THREADS": "1"}
+        probe = f"from test_train import _desk_faults_per_step; print(_desk_faults_per_step({optimizer!r}, {free_4mb_first}))"
+        child = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert float(child.stdout) < 10
 
     def test_nested_entry_rejected(self):
         workspace = Workspace()
