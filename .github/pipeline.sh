@@ -6,7 +6,10 @@
 # train, rerank and eval, once per optimizer: the benchmark's models have 1
 # layer, so only this run reaches the full-length attention of a layer
 # before the last end to end, next to the last layer's CLS-row query and
-# the embedding scatter. Training runs 2 epochs, each written as it ends:
+# the embedding scatter. It has 4 heads of width 4, so it is also the only
+# end-to-end run of a head count other than the benchmark's 2 through the
+# last layer's absorbed keys and values, in training and in rerank.
+# Training runs 2 epochs, each written as it ends:
 # both epochs' checkpoints are loaded and serialized again, and must give
 # their files' bytes back. Each optimizer then trains again into
 # out-again, and both epochs' checkpoints and the loss log must match the
@@ -28,7 +31,7 @@ for cmd in train rerank eval bench-optim synthetic-data report; do
 done
 reranklab synthetic-data --out "$work/data" --triplets 32 --eval-queries 3 --candidates 8 --relevant 2
 printf '%s\n' "[run]" "name = two-layer" "out_dir = $work/out" "[data]" \
-  "triplets = $work/data/triplets.tsv" "[model]" "d_model = 16" "n_layers = 2" "n_heads = 2" \
+  "triplets = $work/data/triplets.tsv" "[model]" "d_model = 16" "n_layers = 2" "n_heads = 4" \
   "d_ff = 32" "[train]" "optimizer = lion" "batch_size = 8" "epochs = 2" > "$work/run.ini"
 for optimizer in lion adamw; do
   reranklab train --config "$work/run.ini" --optimizer "$optimizer"

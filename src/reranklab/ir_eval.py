@@ -198,9 +198,10 @@ def read_qrels(path) -> dict[str, dict[str, int]]:
 
 
 def read_corpus_tsv(path) -> dict[str, str]:
-    """Read an ``id<TAB>text`` corpus file into an id -> text map."""
+    """Read an ``id<TAB>text`` corpus file into an id -> text map; each id appears once."""
     out: dict[str, str] = {}
     bad: list[int] = []
+    repeated: list[int] = []
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -209,10 +210,14 @@ def read_corpus_tsv(path) -> dict[str, str]:
             parts = line.split("\t", 1)
             if len(parts) != 2 or not parts[0]:
                 bad.append(lineno)
-                continue
-            out[parts[0]] = parts[1]
+            elif parts[0] in out:
+                repeated.append(lineno)
+            else:
+                out[parts[0]] = parts[1]
     if bad:
         raise ParseError(f"{path}: malformed id<TAB>text lines {line_list(bad)}")
+    if repeated:
+        raise ParseError(f"{path}: duplicate ids on lines {line_list(repeated)}")
     return out
 
 

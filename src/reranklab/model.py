@@ -230,8 +230,8 @@ class CrossEncoder:
         The head reads only the CLS position, and nothing after the last
         layer's attention mixes positions, so that layer queries from the
         CLS row alone and runs its output projection, residual adds and
-        feed-forward on one (B, d) row per sequence. Its ``attn_norm`` and
-        the key and value columns of ``w_qkv`` still cover every position.
+        feed-forward on one (B, d) row per sequence. Only its ``attn_norm``
+        still covers every position: no keys or values are formed.
 
         Records on the active tape, so it is the training-path entry
         point; use :func:`score_batch` for plain float inference.

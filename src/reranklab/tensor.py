@@ -378,71 +378,109 @@ def attention(x, w_qkv, key_mask, n_heads: int, first_query_only: bool = False) 
     needs at least one real token. Returns the heads' outputs side by side,
     (B, L, d).
 
-    The projection is the one GEMM ``x @ w_qkv`` over all B * L rows. With
-    ``first_query_only`` only position 0 queries, still over every key and
-    value: keys and values come from ``x @ w_qkv[:, d:]`` over all rows, the
-    query from ``x[:, 0] @ w_qkv[:, :d]`` over B rows, and the result is
-    that row alone, (B, d); the backward fills both column blocks of the
-    weight gradient. The backward rule is written out by hand, softmax and
+    Without ``first_query_only`` the projection is the one GEMM
+    ``x @ w_qkv`` over all B * L rows. With it only position 0 queries,
+    still over every position, and the result is that row alone, (B, d).
+    Keys and values are then never formed: with one query q_h per sequence
+    and head, the key and value weights are absorbed into it, so the scores
+    are ``(q_h W_k,h^T) . x_l`` and the output is ``(sum_l w_l x_l) W_v,h``
+    (the weight absorption of DeepSeek-V2's decoding, arXiv:2405.04434).
+    No product with ``w_qkv`` then reads more than B rows per head, forward
+    or backward. Both backward rules are written out by hand, softmax and
     mask included.
     """
     x, w = as_tensor(x), as_tensor(w_qkv)
     if n_heads < 1 or x.data.ndim != 3 or w.data.ndim != 2 or w.shape[0] != x.shape[-1] or w.shape[1] % (3 * n_heads):
         raise ShapeError(f"attention: input {x.shape} and weight {w.shape} do not give q, k, v of {n_heads} heads")
-    batch, length, k_in = x.shape
-    d = w.shape[1] // 3
-    dh = d // n_heads
+    batch, length = x.shape[:2]
     real = np.asarray(key_mask, dtype=bool)
     if real.shape != (batch, length):
         raise ShapeError(f"attention: key mask {real.shape} does not match (B, L) = {(batch, length)}")
     if not real.any(axis=1).all():
         raise ValueError("attention: a sequence has no real token to attend to")
+    mask = np.where(real, 0.0, -np.inf)
+    scale = 1.0 / np.sqrt(w.shape[1] // (3 * n_heads))
+    return (_first_query_attention if first_query_only else _full_attention)(x, w, mask, n_heads, scale)
+
+
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., rows, d) as (..., n_heads, rows, d / n_heads): one view per head."""
+    return a.reshape(*a.shape[:-1], n_heads, -1).swapaxes(-3, -2)
+
+
+def _softmax(scores: np.ndarray, mask: np.ndarray, scale: float) -> None:
+    """Scale, mask (-inf on padded keys) and normalize scores over the last axis, in place."""
+    scores *= scale
+    scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(dweights: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
+    """The scores' gradient, (dw - sum(dw * w)) * w * scale, in place; masked keys have w = 0."""
+    dweights -= np.sum(np.multiply(dweights, weights, out=_buffer(weights.shape)), axis=-1, keepdims=True)
+    dweights *= weights
+    dweights *= scale
+    return dweights
+
+
+def _full_attention(x: Tensor, w: Tensor, mask: np.ndarray, n_heads: int, scale: float) -> Tensor:
+    batch, length, k_in = x.shape
     x2 = x.data.reshape(-1, k_in)
-
-    def heads(a):  # (B, rows, d) or (B, d) -> (B, H, rows, dh)
-        return a.reshape(batch, -1, n_heads, dh).swapaxes(1, 2)
-
-    w_all = w.data[:, d:] if first_query_only else w.data
-    proj = _buffer((batch, length, w_all.shape[1]))
-    np.matmul(x2, w_all, out=proj.reshape(len(x2), -1))
-    # (B, L, 3 or 2, H, dh) as one (B, H, L, dh) view per kind: q, k, v or k, v
-    per_kind = proj.reshape(batch, length, -1, n_heads, dh).transpose(2, 0, 3, 1, 4)
-    k, v = per_kind[-2:]
-    x0 = x.data[:, 0]
-    q = heads(np.matmul(x0, w.data[:, :d], out=_buffer((batch, d)))) if first_query_only else per_kind[0]
-    rows = q.shape[2]
-    scale = 1.0 / np.sqrt(dh)
-
-    weights = _buffer((batch, n_heads, rows, length))
-    np.matmul(q, k.swapaxes(-1, -2), out=weights)
-    weights *= scale
-    weights += np.where(real, 0.0, -np.inf)[:, None, None, :]
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    out = _buffer((batch, d) if first_query_only else (batch, length, d))
-    np.matmul(weights, v, out=heads(out))
+    proj = np.matmul(x2, w.data, out=_buffer((len(x2), w.shape[1])))
+    # (B, L, 3, H, dh) as one (B, H, L, dh) view per kind
+    q, k, v = proj.reshape(batch, length, 3, n_heads, -1).transpose(2, 0, 3, 1, 4)
+    weights = np.matmul(q, k.swapaxes(-1, -2), out=_buffer((batch, n_heads, length, length)))
+    _softmax(weights, mask[:, None, None, :], scale)
+    out = _buffer((batch, length, w.shape[1] // 3))
+    np.matmul(weights, v, out=_heads(out, n_heads))
 
     def rule(g):
-        g_heads = heads(g)
+        g_heads = _heads(g, n_heads)
         dproj = _buffer(proj.shape)
-        d_kind = dproj.reshape(batch, length, -1, n_heads, dh).transpose(2, 0, 3, 1, 4)
-        np.matmul(weights.swapaxes(-1, -2), g_heads, out=d_kind[-1])
-        # softmax backward, (dw - sum(dw * w)) * w; masked keys have w = 0
-        dscores = np.matmul(g_heads, v.swapaxes(-1, -2), out=_buffer(weights.shape))
-        dscores -= np.sum(np.multiply(dscores, weights, out=_buffer(weights.shape)), axis=-1, keepdims=True)
-        dscores *= weights
-        dscores *= scale
-        np.matmul(dscores.swapaxes(-1, -2), q, out=d_kind[-2])
-        dq = _buffer((batch, d)) if first_query_only else None
-        np.matmul(dscores, k, out=d_kind[0] if dq is None else heads(dq))
-        g2 = dproj.reshape(len(x2), -1)
-        dx = np.matmul(g2, w_all.T, out=_buffer(x2.shape)).reshape(x.shape)
+        dq, dk, dv = dproj.reshape(batch, length, 3, n_heads, -1).transpose(2, 0, 3, 1, 4)
+        np.matmul(weights.swapaxes(-1, -2), g_heads, out=dv)
+        dscores = _softmax_backward(np.matmul(g_heads, v.swapaxes(-1, -2), out=_buffer(weights.shape)), weights, scale)
+        np.matmul(dscores.swapaxes(-1, -2), q, out=dk)
+        np.matmul(dscores, k, out=dq)
+        dx = np.matmul(dproj, w.data.T, out=_buffer(x2.shape)).reshape(x.shape)
+        return dx, np.matmul(x2.T, dproj, out=_buffer(w.shape))
+
+    return _emit((x, w), out, rule)
+
+
+def _first_query_attention(x: Tensor, w: Tensor, mask: np.ndarray, n_heads: int, scale: float) -> Tensor:
+    xs, d = x.data, w.shape[1] // 3
+    batch, length, k_in = xs.shape
+    w_k, w_v = (_heads(w.data[:, i * d : (i + 1) * d], n_heads) for i in (1, 2))  # (H, K, dh) each
+    x0 = xs[:, 0]
+    q = np.matmul(x0, w.data[:, :d], out=_buffer((batch, d)))
+    # qk[b, h] = q_h W_k,h^T, the head's query read back in input space: (H, B, dh) @ (H, dh, K)
+    qk = _buffer((batch, n_heads, k_in))
+    np.matmul(_heads(q, n_heads), w_k.swapaxes(-1, -2), out=qk.swapaxes(0, 1))
+    weights = np.matmul(qk, xs.swapaxes(-1, -2), out=_buffer((batch, n_heads, length)))
+    _softmax(weights, mask[:, None, :], scale)
+    xw = np.matmul(weights, xs, out=_buffer(qk.shape))  # sum_l w_l x_l per sequence and head
+    out = _buffer((batch, d))
+    np.matmul(xw.swapaxes(0, 1), w_v, out=_heads(out, n_heads))
+
+    def rule(g):
+        g_heads = _heads(g, n_heads)
         dw = _buffer(w.shape)
-        np.matmul(x2.T, g2, out=dw[:, w.shape[1] - w_all.shape[1] :])
-        if dq is not None:
-            dx[:, 0] += np.matmul(dq, w.data[:, :d].T, out=_buffer(x0.shape))
-            np.matmul(x0.T, dq, out=dw[:, :d])
+        dw_k, dw_v = (_heads(dw[:, i * d : (i + 1) * d], n_heads) for i in (1, 2))
+        np.matmul(xw.transpose(1, 2, 0), g_heads, out=dw_v)
+        dxw = _buffer(xw.shape)
+        np.matmul(g_heads, w_v.swapaxes(-1, -2), out=dxw.swapaxes(0, 1))
+        dscores = _softmax_backward(np.matmul(dxw, xs.swapaxes(-1, -2), out=_buffer(weights.shape)), weights, scale)
+        dx = np.matmul(weights.swapaxes(-1, -2), dxw, out=_buffer(xs.shape))
+        dx += np.matmul(dscores.swapaxes(-1, -2), qk, out=_buffer(xs.shape))
+        dqk = np.matmul(dscores, xs, out=dxw)  # dxw is spent
+        np.matmul(dqk.transpose(1, 2, 0), _heads(q, n_heads), out=dw_k)
+        dq = _buffer(q.shape)
+        np.matmul(dqk.swapaxes(0, 1), w_k, out=_heads(dq, n_heads))
+        np.matmul(x0.T, dq, out=dw[:, :d])
+        dx[:, 0] += np.matmul(dq, w.data[:, :d].T, out=_buffer(x0.shape))
         return dx, dw
 
     return _emit((x, w), out, rule)

@@ -532,6 +532,18 @@ class TestRerank:
         )
         assert code == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "corpus, text",
+        [("queries.tsv", "q1\talpha\nq1\tbeta\n"), ("passages.tsv", "d1\tbeta\nd1\talpha\n")],
+        ids=["queries", "passages"],
+    )
+    def test_duplicate_corpus_id_is_parse_error(self, tmp_path, tiny_checkpoint, capsys, corpus, text):
+        out = tmp_path / "o.run"
+        argv = TestReplacingWrites.rerank_argv(tmp_path, tiny_checkpoint[0], out)
+        (tmp_path / corpus).write_text(text, encoding="utf-8")
+        assert run_cli(*argv) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == f"input error: {tmp_path / corpus}: duplicate ids on lines [2]\n"
+        assert not out.exists()
 
     def test_checkpoint_value_out_of_float_range_is_config_error(self, tmp_path, synth_dir, trained, capsys):
         bundle = load_checkpoint(trained)

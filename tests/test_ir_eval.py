@@ -564,6 +564,19 @@ class TestCorpusTsv:
         with pytest.raises(ParseError, match=r"\[2\]"):
             read_corpus_tsv(path)
 
+    @pytest.mark.parametrize(
+        "text", ["q1\tfirst\nq2\tok\nq1\tsecond\n", "d1\ta\nd1\ta\nd2\tb\n"], ids=["other-text", "same-text"]
+    )
+    def test_duplicate_id_names_the_later_line(self, tmp_path, text):
+        from reranklab.ir_eval import read_corpus_tsv
+
+        path = tmp_path / "c.tsv"
+        path.write_text(text, encoding="utf-8")
+        line = 3 if text.startswith("q") else 2
+        with pytest.raises(ParseError) as info:
+            read_corpus_tsv(path)
+        assert str(info.value) == f"{path}: duplicate ids on lines [{line}]"
+
     def test_many_bad_lines_counted(self, tmp_path):
         from reranklab.ir_eval import read_corpus_tsv
 

@@ -347,18 +347,20 @@ class TestLastLayerClsOnly:
             rows[names[id(w)]] = int(np.prod(T.as_tensor(x).shape[:-1]))
             return linear(x, w, b)
 
-        # attention projects, and back-projects through the transposed weight, with np.matmul:
-        # record (first column, number of columns) of each w_qkv a product reads -> its rows
-        passes = [{}]  # the forward's, then the backward's
+        # attention's products with each w_qkv, with np.matmul, forward and then backward: per
+        # call, the (first column, number of columns) of the weight it reads (w's, or w.T's rows),
+        # and the leading shape of its other operand
+        passes = [{}]
         qkv = {name: p.data for name, p in model.parameters() if name.endswith("attn.w_qkv")}
         matmul = np.matmul
 
         def spying(a, b, *args, **kwargs):
             for name, w in qkv.items():
+                assert not np.shares_memory(a, w), name  # the weight is always the right operand
                 if np.shares_memory(b, w):
                     first = (b.ctypes.data - w.ctypes.data) // w.itemsize
-                    columns = b.shape[1] if b.strides[0] > b.strides[1] else b.shape[0]  # w's, or w.T's rows
-                    passes[-1].setdefault(name, {})[(first, columns)] = len(a)
+                    columns = b.shape[-1] if b.strides[-2] > b.strides[-1] else b.shape[-2]
+                    passes[-1].setdefault(name, []).append(((first, columns), a.shape[:-1]))
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(T, "linear", recording)
@@ -368,27 +370,25 @@ class TestLastLayerClsOnly:
         passes.append({})
         tape.backward(loss)
         monkeypatch.undo()
-        projections, back_projections = passes
         sequences, positions = len(batch), len(batch) * cfg.max_len
         d = cfg.d_model
         last = f"layers.{n_layers - 1}"
-        # keys and values need every position; the query only the CLS row
-        assert projections.pop(f"{last}.attn.w_qkv") == {(d, 2 * d): positions, (0, d): sequences}
-        for name in projections:
-            assert projections[name] == {(0, 3 * d): positions}, name
-        assert len(projections) == n_layers - 1
         for name in ("attn.w_out", "ff.w1", "ff.w2"):
             assert rows[f"{last}.{name}"] == sequences, name
         assert rows["head.weight"] == sequences
         for i in range(n_layers - 1):
             for name in ("attn.w_out", "ff.w1", "ff.w2"):
                 assert rows[f"layers.{i}.{name}"] == positions, name
-        # the backward's input gradient reads the same columns over the same rows: the last layer's
-        # key and value columns over every position, its query columns over the CLS rows
-        assert back_projections.pop(f"{last}.attn.w_qkv") == {(d, 2 * d): positions, (0, d): sequences}
-        for name in back_projections:
-            assert back_projections[name] == {(0, 3 * d): positions}, name
-        assert len(back_projections) == n_layers - 1
+        for products in passes:  # the forward's, then the backward's
+            # the last layer's keys and values are absorbed into its CLS query: no product with
+            # its weight reads more than B rows, per head where the product is batched by head
+            last_products = products.pop(f"{last}.attn.w_qkv")
+            assert last_products
+            assert {shape for _, shape in last_products} <= {(sequences,), (cfg.n_heads, sequences)}
+            # the layers before project, and back-project, every position through all 3d columns
+            assert len(products) == n_layers - 1
+            for name, calls in products.items():
+                assert calls == [((0, 3 * d), (positions,))], name
 
 
 class TestScoreBatch:

@@ -124,8 +124,8 @@ class TestLinear:
 
 
 class TestAttention:
-    B, L, H, DH = 3, 5, 2, 2
-    REAL_LENGTHS = (5, 3, 2)
+    B, L, H, DH = 4, 5, 2, 2
+    REAL_LENGTHS = (5, 3, 2, 1)  # the last has only its CLS token: a one-hot softmax
 
     def _mask(self):
         return np.arange(self.L)[None, :] < np.array(self.REAL_LENGTHS)[:, None]
@@ -187,14 +187,21 @@ class TestAttention:
         for name, t in (("a", a), ("w_qkv", w_qkv), ("w_out", w_out)):
             np.testing.assert_allclose(t.grad, ref[name].grad, rtol=0, atol=1e-12, err_msg=name)
 
-    @pytest.mark.parametrize("n_heads", [1, 2, 4])
-    def test_first_query_only_is_row_zero_of_full_attention(self, rng, n_heads):
-        real = self._mask()
-        d = self.H * self.DH
-        full_x, full_w = self._leaves(rng)
+    @pytest.mark.parametrize(
+        "n_heads, desk", [(1, False), (2, False), (4, False), (2, True)], ids=["1", "2", "4", "desk"]
+    )
+    def test_first_query_only_is_row_zero_of_full_attention(self, rng, n_heads, desk):
+        if desk:  # the desk model's B 64, L 16, d 64 with random padding, at its init's weight scale
+            batch, length, d = 64, 16, 64
+            real = np.arange(length) < rng.integers(1, length + 1, size=(batch, 1))
+            full_x = Tensor(rng.normal(size=(batch, length, d)), requires_grad=True)
+            full_w = Tensor(rng.normal(size=(d, 3 * d)) / np.sqrt(d), requires_grad=True)
+        else:
+            real, (full_x, full_w) = self._mask(), self._leaves(rng)
+        batch, length, d = full_x.shape
         x, w_qkv = Tensor(full_x.data, requires_grad=True), Tensor(full_w.data, requires_grad=True)
-        weights = rng.normal(size=(self.B, d))
-        row0 = np.zeros((self.B, self.L, d))
+        weights = rng.normal(size=(batch, d))
+        row0 = np.zeros((batch, length, d))
         row0[:, 0] = weights  # the full loss reads row 0 only
         with Tape() as tape:
             full = T.attention(full_x, full_w, real, n_heads)
@@ -202,7 +209,7 @@ class TestAttention:
         with Tape() as tape:
             first = T.attention(x, w_qkv, real, n_heads, first_query_only=True)
             tape.backward(oracles.reduce_sum(oracles.mul(first, weights)))
-        assert first.shape == (self.B, d)
+        assert first.shape == (batch, d)
         np.testing.assert_allclose(first.data, full.data[:, 0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(x.grad, full_x.grad, rtol=0, atol=1e-12)
         np.testing.assert_allclose(w_qkv.grad, full_w.grad, rtol=0, atol=1e-12)
