@@ -11,7 +11,6 @@ from reranklab.model import (
     CrossEncoderConfig,
     Vocab,
     init_params,
-    score,
     score_batch,
     tokenize_pair,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "CrossEncoderConfig",
     "Vocab",
     "init_params",
-    "score",
     "score_batch",
     "tokenize_pair",
     "AdamW",

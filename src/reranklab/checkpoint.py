@@ -111,13 +111,12 @@ def _write(out: TextIO, model: CrossEncoder, vocab: Vocab, optimizer: Optimizer 
     for name, p in model.parameters():
         _write_array(out, "param", name, p.data)
     if optimizer is not None:
-        state = optimizer.state_dict()
-        out.write(f"[optimizer {state['kind']}]\n")
+        out.write(f"[optimizer {optimizer.name}]\n")
         for key in optimizer.HYPERS:
-            out.write(f"{key}={float(state[key]).hex()}\n")
-        if "step" in state:
-            out.write(f"step={state['step']}\n")
-        for key, buf in state["buffers"].items():
+            out.write(f"{key}={float(getattr(optimizer, key)).hex()}\n")
+        if optimizer.COUNTS_STEPS:
+            out.write(f"step={optimizer.step_count}\n")
+        for key, buf in optimizer.buffers().items():
             _write_array(out, "state", key, buf)
     out.write("[end]\n")
 
@@ -303,7 +302,7 @@ def _parse(lines: Iterable[str]) -> CheckpointBundle:
             if opt_hypers["step"] < 0:  # the next step would divide by a bias correction <= 0
                 raise CheckpointError(f"[optimizer {opt_kind}] step: must be >= 0, got {opt_hypers['step']}")
             optimizer.step_count = opt_hypers["step"]
-        buffers = views(optimizer.state_dict()["buffers"], config.n_heads)
+        buffers = views(optimizer.buffers(), config.n_heads)
         targets.update({f"[state] {key}": buf for key, buf in buffers.items()})
 
     # Parameters and optimizer buffers alike: check every name and shape, then copy.

@@ -352,8 +352,8 @@ def _bench_import(path: Path) -> str:
             for column, text, value in (("adamw_mean", parts[1], adamw_mean), ("lion_mean", parts[2], lion_mean)):
                 if not math.isfinite(value):
                     raise ir_eval.ParseError(f"{path}: {column} must be finite on line {lineno}, got {text}")
-            if adamw_mean <= 0:
-                raise ir_eval.ParseError(f"{path}: adamw_mean must be positive on line {lineno}, got {parts[1]}")
+                if value <= 0:
+                    raise ir_eval.ParseError(f"{path}: {column} must be positive on line {lineno}, got {text}")
             rows.append([parts[0], f"{adamw_mean:.2f}", f"{lion_mean:.2f}",
                          f"{efficiency_gain(adamw_mean, lion_mean):.2f}%"])
     return _align_table(["label", "adamw_mean", "lion_mean", "efficiency_gain"], rows)

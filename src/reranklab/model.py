@@ -29,7 +29,6 @@ __all__ = [
     "normalize_text",
     "tokenize_pair",
     "init_params",
-    "score",
     "score_batch",
 ]
 
@@ -276,7 +275,3 @@ def score_batch(model: CrossEncoder, ids) -> list[float]:
         return []
     return model.forward(ids).data[:, 0].tolist()
 
-
-def score(model: CrossEncoder, ids: list[int]) -> float:
-    """Relevance score in (0, 1) of one id sequence; pure and deterministic."""
-    return score_batch(model, [ids])[0]

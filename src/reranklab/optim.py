@@ -124,22 +124,14 @@ class Optimizer:
             g = _ZEROS[:n] if grad is None else grad[start : start + _SLICE]
             rule(views[0], g, *views[1:], s1[:n], s2[:n])
 
-    def _buffers(self) -> dict[str, np.ndarray]:
+    def buffers(self) -> dict[str, np.ndarray]:
         """Every state buffer under its checkpoint key ``<prefix>/<param>``."""
         return {f"{prefix}/{name}": buf for prefix, store in self.state.items() for name, buf in store.items()}
 
     def state_bytes(self) -> int:
         """Exact bytes held in state: the buffers plus the step counter, if any."""
-        buffers = sum(buf.size * FLOAT_BYTES for buf in self._buffers().values())
+        buffers = sum(buf.size * FLOAT_BYTES for buf in self.buffers().values())
         return buffers + (COUNTER_BYTES if self.COUNTS_STEPS else 0)
-
-    def state_dict(self) -> dict:
-        """Kind, ``HYPERS`` in order, ``step`` if counted, then ``buffers``."""
-        state = {"kind": self.name, **{key: getattr(self, key) for key in self.HYPERS}}
-        if self.COUNTS_STEPS:
-            state["step"] = self.step_count
-        state["buffers"] = self._buffers()
-        return state
 
 
 class Lion(Optimizer):
@@ -168,7 +160,6 @@ class Lion(Optimizer):
         weight_decay: float = 0.01,
     ):
         super().__init__(params, lr, betas, weight_decay)
-        self.momentum = self.state["m"]
 
     def step(self, lr: float | None = None) -> None:
         """Apply one update from the gradients currently on the params."""
@@ -225,7 +216,6 @@ class AdamW(Optimizer):
             raise ValueError(f"eps must be finite and >= 0, got {eps}")
         super().__init__(params, lr, betas, weight_decay)
         self.eps = eps
-        self.moment1, self.moment2 = self.state["m"], self.state["v"]
 
     def step(self, lr: float | None = None) -> None:
         """Apply one update from the gradients currently on the params."""

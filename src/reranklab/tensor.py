@@ -17,9 +17,9 @@ of a ``RowGrad`` is the dense gradient.
 
 Op outputs own C-contiguous buffers that alias no input; the public
 ``Tensor(data)`` constructor copies the data it is given. Inside an active
-:class:`Workspace`, op outputs and backward temporaries are lent by it and
-overwritten once it is entered again; outside one they are fresh. Leaf
-gradients are copied out, so ``.grad`` never aliases a lent buffer.
+tape, op outputs and backward temporaries are lent by the tape and
+overwritten once it is entered again; with no tape active they are fresh.
+Leaf gradients are copied out, so ``.grad`` never aliases a lent buffer.
 
 Tensors and tapes are single-context objects: independent tapes may run
 in parallel, but one tape must never be shared across threads.
@@ -36,7 +36,6 @@ __all__ = [
     "Tensor",
     "RowGrad",
     "Tape",
-    "Workspace",
     "as_tensor",
     "matmul",
     "linear",
@@ -69,23 +68,44 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of differentiable ops for one backward pass.
+    """Ordered record of the differentiable ops of one pass, and the buffers they use.
 
-    Used as a context manager::
+    A pass is one entry of the tape as a context manager. A training loop
+    keeps one tape and enters it once per step::
 
-        with Tape() as tape:
-            loss = f(params)
-        tape.backward(loss)
+        tape = Tape()
+        for batch in batches:
+            with tape:
+                loss = f(params, batch)
+                tape.backward(loss)
 
-    The tape references its nodes and their tensors, never the reverse,
-    so a step's graph is freed by reference counting once the caller
-    drops the tape and the loss.
+    Entering the tape starts a pass: the last pass's nodes are forgotten.
+    While it is the innermost active tape, every op takes its output
+    buffer (and any activation its backward rule keeps) from the tape
+    instead of allocating one, as do backward rules for their large
+    temporaries and the backward pass for its gradient sums; leaf
+    gradients are copied out. Buffers are pooled by shape and lent in
+    request order, so a pass with the same shapes as the last one gets the
+    same buffers back and the memory stays mapped. No buffer is lent twice
+    within one pass, so a backward temporary never overwrites an activation
+    a rule reads. A lent buffer is valid until the tape is entered again.
+
+    The tape references its nodes, their tensors and its buffers, never
+    the reverse, so reference counting frees a pass's graph when the tape
+    is entered again, and everything once the caller drops the tape and
+    the loss.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self._pool: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self._lent: dict[tuple[int, ...], int] = {}
 
     def __enter__(self) -> "Tape":
+        if self in _TAPE_STACK:
+            raise RuntimeError("tape is already active")
+        self.nodes.clear()
+        self._lent.clear()
         _TAPE_STACK.append(self)
         return self
 
@@ -100,13 +120,22 @@ class Tape:
         output.node_id = len(self.nodes)
         self.nodes.append(_Node(inputs, output, rule))
 
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A float64 buffer of ``shape`` not yet lent in this pass (contents undefined)."""
+        pool = self._pool.setdefault(shape, [])
+        index = self._lent.get(shape, 0)
+        if index == len(pool):
+            pool.append(np.empty(shape))
+        self._lent[shape] = index + 1
+        return pool[index]
+
     def backward(self, loss: "Tensor") -> None:
         """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
         A leaf is a ``requires_grad`` tensor that no node on this tape
         produced. Op outputs get no ``.grad``: each one's gradient is
         dropped once its node has passed it on. ``loss`` must be a
-        single-element tensor produced on this tape.
+        single-element tensor produced in the tape's last pass.
 
         A leaf whose only gradient is one lookup's :class:`RowGrad` keeps
         it as ``.grad``. Any sum with another gradient, from a second
@@ -154,59 +183,9 @@ class Tape:
                 tensor.grad = grad.copy()
 
 
-_WORKSPACE_STACK: list["Workspace"] = []
-
-
-class Workspace:
-    """Output buffers that ops reuse from one pass to the next.
-
-    Used as a context manager around a forward and backward pass::
-
-        workspace = Workspace()
-        for batch in batches:
-            with Tape() as tape, workspace:
-                loss = f(params, batch)
-                tape.backward(loss)
-
-    While it is active, every op takes its output buffer (and any
-    activation its backward rule keeps) from here instead of allocating
-    one, as do backward rules for their large temporaries and the
-    backward pass for its gradient sums; leaf gradients are copied out.
-    Buffers are pooled by shape and lent in request order, so a pass
-    with the same shapes as the last one gets the same buffers back and
-    the memory stays mapped. No buffer is lent twice within one pass, so
-    a backward temporary never overwrites an activation a rule reads. A
-    lent buffer is valid until the workspace is entered again.
-    """
-
-    def __init__(self):
-        self._pool: dict[tuple[int, ...], list[np.ndarray]] = {}
-        self._lent: dict[tuple[int, ...], int] = {}
-
-    def __enter__(self) -> "Workspace":
-        if self in _WORKSPACE_STACK:
-            raise RuntimeError("workspace is already active")
-        self._lent = {}
-        _WORKSPACE_STACK.append(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        _WORKSPACE_STACK.pop()
-        return False
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A float64 buffer of ``shape`` not yet lent in this pass (contents undefined)."""
-        pool = self._pool.setdefault(shape, [])
-        index = self._lent.get(shape, 0)
-        if index == len(pool):
-            pool.append(np.empty(shape))
-        self._lent[shape] = index + 1
-        return pool[index]
-
-
 def _buffer(shape: tuple[int, ...]) -> np.ndarray:
-    """An op's output buffer or a backward temporary: lent by the active workspace, else fresh."""
-    return _WORKSPACE_STACK[-1].take(shape) if _WORKSPACE_STACK else np.empty(shape)
+    """An op's output buffer or a backward temporary: lent by the innermost active tape, else fresh."""
+    return _TAPE_STACK[-1].take(shape) if _TAPE_STACK else np.empty(shape)
 
 
 class Tensor:

@@ -22,7 +22,7 @@ from reranklab.checkpoint import save_checkpoint
 from reranklab.ir_eval import ParseError, line_list, open_utf8, write_replacing
 from reranklab.model import CrossEncoder, Vocab, tokenize_pair
 from reranklab.optim import OPTIMIZERS, Optimizer, ScheduleSpec, lr_at
-from reranklab.tensor import Tape, Tensor, Workspace
+from reranklab.tensor import Tape, Tensor
 
 logger = logging.getLogger(__name__)
 
@@ -206,12 +206,12 @@ def steps(model: CrossEncoder, optimizer: Optimizer, ids: np.ndarray, labels: np
     """Train ``model`` in place on the ``(N, max_len)`` id matrix ``ids``, yielding each step's record as it ends.
 
     Deterministic for a fixed config: the per-epoch shuffle is seeded with seed + epoch index, and
-    batches keep the final partial batch. A record is yielded with no tape or workspace active.
+    batches keep the final partial batch. A record is yielded with no tape active.
     """
     per_epoch = math.ceil(len(ids) / config.batch_size)
     spec = ScheduleSpec(config.schedule, config.base_lr, config.warmup_ratio, total_steps=config.epochs * per_epoch)
-    # Forward activations and backward temporaries are reused from step to step; see the README.
-    workspace = Workspace()
+    # One tape for every step, so forward activations and backward temporaries are reused; see the README.
+    tape = Tape()
     for epoch_index in range(config.epochs):
         if config.shuffle:
             order = np.random.default_rng(config.seed + epoch_index).permutation(len(ids))
@@ -222,7 +222,7 @@ def steps(model: CrossEncoder, optimizer: Optimizer, ids: np.ndarray, labels: np
             batch_ids = order[start : start + config.batch_size]
             lr = lr_at(spec, step)
             t0 = time.perf_counter()
-            with Tape() as tape, workspace:
+            with tape:
                 batch_loss = bce_loss(model.forward(ids[batch_ids]), labels[batch_ids])
                 loss_value = batch_loss.item()
                 if not math.isfinite(loss_value):

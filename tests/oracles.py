@@ -175,12 +175,11 @@ def v1_checkpoint_text(model, vocab, optimizer=None):
     views = checkpoint_views({name: p.data for name, p in model.parameters()}, n_heads)
     parts += [float_hex_section("param", name, data) for name, data in views.items()]
     if optimizer is not None:
-        state = optimizer.state_dict()
-        parts.append(f"[optimizer {state['kind']}]\n")
-        parts += [f"{key}={float(state[key]).hex()}\n" for key in optimizer.HYPERS]
-        if "step" in state:
-            parts.append(f"step={state['step']}\n")
-        views = checkpoint_views(state["buffers"], n_heads)
+        parts.append(f"[optimizer {optimizer.name}]\n")
+        parts += [f"{key}={float(getattr(optimizer, key)).hex()}\n" for key in optimizer.HYPERS]
+        if optimizer.COUNTS_STEPS:
+            parts.append(f"step={optimizer.step_count}\n")
+        views = checkpoint_views(optimizer.buffers(), n_heads)
         parts += [float_hex_section("state", key, buf) for key, buf in views.items()]
     parts.append("[end]\n")
     return "".join(parts)

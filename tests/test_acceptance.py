@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from reranklab.ir_eval import evaluate, format_qrels, format_run, parse_qrels, parse_run, rerank
-from reranklab.model import CrossEncoderConfig, Vocab, init_params, score, tokenize_pair
+from reranklab.model import CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
 from reranklab.optim import AdamW, Lion, ScheduleSpec, lr_at
 from reranklab.synth import SynthConfig, generate
 from reranklab.tensor import Tape, Tensor, finite_diff_grad
@@ -42,7 +42,7 @@ def test_c01_gradient_correctness_every_parameter_group():
     worst = 0.0
     for name, p in model.parameters():
         assert p.grad is not None, f"no gradient reached {name}"
-        fd = finite_diff_grad(lambda _: score(model, seq), p)
+        fd = finite_diff_grad(lambda _: score_batch(model, [seq])[0], p)
         err = max_rel_err(p.grad, fd.data)
         worst = max(worst, err)
         assert err < 1e-4, f"{name}: relative error {err}"
@@ -64,7 +64,7 @@ def test_c02_lion_single_step_oracle():
     params["w"].grad = np.array([g])
     opt.step()
     assert abs(params["w"].data[0] - 0.9) < 1e-15
-    assert abs(opt.momentum["w"][0] - 0.02) < 1e-15
+    assert abs(opt.state["m"]["w"][0] - 0.02) < 1e-15
     print("ACCEPTANCE C2 PASS: Lion reproduces (c1, theta1, m1) = (0.2, 0.9, 0.02)")
 
 

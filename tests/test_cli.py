@@ -1092,12 +1092,21 @@ class TestBenchOptim:
         assert manifest["artifacts"] == sorted(p.name for p in out_dir.iterdir() if p.name != "manifest.json")
         assert (manifest["seed"], manifest["config"]) == (0, {"import": str(means)})
 
-    @pytest.mark.parametrize("mean", ["0", "-1.5"])
-    def test_import_nonpositive_adamw_mean_names_file_and_line(self, tmp_path, capsys, mean):
+    @pytest.mark.parametrize(
+        "row, column, mean",
+        [
+            ("broken\t0\t1.0", "adamw_mean", "0"),
+            ("broken\t-1.5\t1.0", "adamw_mean", "-1.5"),
+            ("x\t10\t-5", "lion_mean", "-5"),
+            ("y\t10\t0", "lion_mean", "0"),
+        ],
+        ids=["0", "-1.5", "lion_mean--5", "lion_mean-0"],  # the first two ids predate the lion_mean cases
+    )
+    def test_import_nonpositive_adamw_mean_names_file_and_line(self, tmp_path, capsys, row, column, mean):
         means = tmp_path / "means.tsv"
-        means.write_text(f"# label\tadamw\tlion\nencoder-small\t33.09\t32.21\nbroken\t{mean}\t1.0\n", encoding="utf-8")
+        means.write_text(f"# label\tadamw\tlion\nencoder-small\t33.09\t32.21\n{row}\n", encoding="utf-8")
         assert run_cli("bench-optim", "--import", means) == cli.EXIT_PARSE
-        assert f"{means}: adamw_mean must be positive on line 3, got {mean}" in capsys.readouterr().err
+        assert f"{means}: {column} must be positive on line 3, got {mean}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "row, column, value",

@@ -23,7 +23,7 @@ from reranklab.ir_eval import (
     report_table,
     report_tsv_lines,
 )
-from reranklab.model import CrossEncoderConfig, Vocab, init_params, score, tokenize_pair
+from reranklab.model import CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
 
 import oracles
 from conftest import query_metrics
@@ -240,7 +240,7 @@ class TestRerank:
     def test_scores_match_model(self, tiny_vocab, tiny_model):
         out = rerank(tiny_model, tiny_vocab, {"q1": "t0 t1"}, {"d1": "t2"}, {"q1": [(0.0, "d1")]})
         seq = tokenize_pair(tiny_vocab, "t0 t1", "t2", tiny_model.config.max_len)
-        assert out["q1"][0][0] == round(score(tiny_model, seq), 6)
+        assert out["q1"][0][0] == round(score_batch(tiny_model, [seq])[0], 6)
 
     def test_scores_that_print_equal_rank_by_docid(self, tiny_vocab, tiny_model, monkeypatch):
         # at full precision da > db > dc; all three print as 0.500000

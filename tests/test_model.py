@@ -15,7 +15,6 @@ from reranklab.model import (
     Vocab,
     checkpoint_views,
     init_params,
-    score,
     score_batch,
     tokenize_pair,
 )
@@ -216,17 +215,17 @@ class TestScore:
         tiny_model.params["head.weight"].data[...] = 0.0
         tiny_model.params["head.bias"].data[...] = 0.0
         ids = tokenize_pair(tiny_vocab, "t0", "t1 t2", tiny_model.config.max_len)
-        assert score(tiny_model, ids) == 0.5
+        assert score_batch(tiny_model, [ids])[0] == 0.5
 
     def test_deterministic(self, tiny_vocab, tiny_model):
         ids = tokenize_pair(tiny_vocab, "t0 t4", "t1", tiny_model.config.max_len)
-        assert score(tiny_model, ids) == score(tiny_model, ids)
+        assert score_batch(tiny_model, [ids])[0] == score_batch(tiny_model, [ids])[0]
 
     def test_score_in_open_unit_interval(self, tiny_vocab, tiny_model, rng):
         for _ in range(10):
             toks = [f"t{i}" for i in rng.integers(0, 16, size=4)]
             ids = tokenize_pair(tiny_vocab, " ".join(toks[:2]), " ".join(toks[2:]), 8)
-            s = score(tiny_model, ids)
+            s = score_batch(tiny_model, [ids])[0]
             assert 0.0 < s < 1.0
 
     def test_masking_invariance(self, tiny_vocab, tiny_model, rng):
@@ -235,16 +234,16 @@ class TestScore:
         token, position = tiny_model.params["token_embedding"].data, tiny_model.params["position_embedding"].data
         for ids in batch:
             length = ids.index(PAD_ID)
-            base = score(tiny_model, ids)
+            base = score_batch(tiny_model, [ids])[0]
             for _ in range(5):
                 token[PAD_ID] = rng.normal(size=token.shape[1])
                 position[length:] = rng.normal(size=position[length:].shape)
-                assert abs(score(tiny_model, ids) - base) < 1e-12
+                assert abs(score_batch(tiny_model, [ids])[0] - base) < 1e-12
 
     def test_length_mismatch_rejected(self, tiny_vocab, tiny_model):
         ids = tokenize_pair(tiny_vocab, "t0", "t1", 12)
         with pytest.raises(ValueError, match="max_len"):
-            score(tiny_model, ids)
+            score_batch(tiny_model, [ids])[0]
 
     @pytest.mark.parametrize(
         "ids",
@@ -273,7 +272,7 @@ class TestScore:
         tape.backward(out)
         for name in ("position_embedding", "layers.0.attn.w_qkv", "layers.0.attn.w_out", "layers.0.ff.w2", "head.bias"):
             p = model.params[name]
-            fd = finite_diff_grad(lambda _: score(model, ids), p)
+            fd = finite_diff_grad(lambda _: score_batch(model, [ids])[0], p)
             assert max_rel_err(p.grad, fd.data) < 1e-4, name
 
 
@@ -392,14 +391,10 @@ class TestLastLayerClsOnly:
 
 
 class TestScoreBatch:
-    def test_single_item(self, tiny_vocab, tiny_model):
-        seq = tokenize_pair(tiny_vocab, "t0", "t1", 8)
-        assert score_batch(tiny_model, [seq]) == [score(tiny_model, seq)]
-
     def test_matches_per_item_scores(self, tiny_vocab, tiny_model):
         seqs = [tokenize_pair(tiny_vocab, f"t{i}", f"t{i + 1}", 8) for i in range(6)]
         batch = score_batch(tiny_model, seqs)
-        single = [score(tiny_model, s) for s in seqs]
+        single = [score_batch(tiny_model, [s])[0] for s in seqs]
         assert all(abs(a - b) < 1e-12 for a, b in zip(batch, single))
 
     def test_concatenation_of_half_batches(self, tiny_vocab, tiny_model):
@@ -416,7 +411,7 @@ class TestScoreBatch:
             )
         )
         whole = score_batch(model, seqs)
-        assert all(abs(a - score(model, s)) < 1e-12 for a, s in zip(whole, seqs))
+        assert all(abs(a - score_batch(model, [s])[0]) < 1e-12 for a, s in zip(whole, seqs))
         halves = score_batch(model, seqs[:2]) + score_batch(model, seqs[2:])
         assert all(abs(a - b) < 1e-12 for a, b in zip(whole, halves))
 

@@ -30,7 +30,7 @@ class TestLion:
         set_grads(params, {"w": [2.0]})
         opt.step()
         assert abs(params["w"].data[0] - 0.9) < 1e-15
-        assert abs(opt.momentum["w"][0] - 0.02) < 1e-15
+        assert abs(opt.state["m"]["w"][0] - 0.02) < 1e-15
 
     def test_zero_gradient_fixed_point(self):
         params = make_params({"w": [1.5, -2.0]})
@@ -38,7 +38,7 @@ class TestLion:
         set_grads(params, {"w": [0.0, 0.0]})
         opt.step()
         np.testing.assert_array_equal(params["w"].data, [1.5, -2.0])
-        np.testing.assert_array_equal(opt.momentum["w"], [0.0, 0.0])
+        np.testing.assert_array_equal(opt.state["m"]["w"], [0.0, 0.0])
 
     def test_update_magnitude_is_exactly_lr(self, rng):
         params = make_params({"w": rng.normal(size=20)})
@@ -58,7 +58,7 @@ class TestLion:
         set_grads(params, {"w": [4.0]})
         opt.step()
         # momentum from raw g, not from the decayed parameter
-        assert opt.momentum["w"][0] == 2.0
+        assert opt.state["m"]["w"][0] == 2.0
 
     def test_scale_invariance_bitwise(self, rng):
         length, dims = 50, 8
@@ -120,8 +120,8 @@ class TestAdamW:
         set_grads(params, {"w": [2.0]})
         opt.step()
         assert abs(params["w"].data[0] - 0.899) < 1e-12
-        assert abs(opt.moment1["w"][0] - 0.2) < 1e-15
-        assert abs(opt.moment2["w"][0] - 0.004) < 1e-15
+        assert abs(opt.state["m"]["w"][0] - 0.2) < 1e-15
+        assert abs(opt.state["v"]["w"][0] - 0.004) < 1e-15
 
     def test_zero_gradient_no_move(self):
         params = make_params({"w": [3.0]})
@@ -186,7 +186,7 @@ class TestAdamW:
                 ref[name] = ref[name] - 1e-3 * t * step
         for name, p in params.items():
             np.testing.assert_array_equal(p.data, ref[name], err_msg=name)
-            np.testing.assert_array_equal(opt.moment2[name], v[name], err_msg=name)
+            np.testing.assert_array_equal(opt.state["v"][name], v[name], err_msg=name)
 
     def test_shape_mismatch_names_parameter(self):
         params = make_params({"head": np.ones(4)})
@@ -222,7 +222,7 @@ class TestRowGradUpdate:
         opt = OPTIMIZERS[kind]({"table": table, "bias": bias}, lr=1e-3, weight_decay=0.01)
         # Untouched rows start with momentum -0.0 (which the dense formula
         # turns into +0.0) and a negative subnormal (whose sign moves theta).
-        buffers = opt.state_dict()["buffers"]  # the optimizer's own arrays
+        buffers = opt.buffers()  # the optimizer's own arrays
         buffers["m/table"][0::2] = -0.0
         buffers["m/table"][1::2] = -5e-324
         if kind == "adamw":
@@ -250,8 +250,7 @@ class TestRowGradUpdate:
                     ref[name], ref[m], ref[v] = oracles.adamw_dense(
                         ref[name], ref[m], ref[v], g, t, lr, opt.beta1, opt.beta2, opt.eps, opt.weight_decay
                     )
-        state = opt.state_dict()["buffers"]
-        got = {"table": table.data, "bias": bias.data, **state}
+        got = {"table": table.data, "bias": bias.data, **opt.buffers()}
         for key, want in ref.items():
             assert same_bits(got[key], want), key
 

@@ -656,6 +656,44 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [7.0], atol=1e-12)
 
 
+class TestTapePasses:
+    """Each entry of a tape is a pass: it forgets the last pass's nodes and lends its buffers again."""
+
+    def test_second_entry_records_only_its_own_pass(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        tape = Tape()
+        with tape:
+            T.relu(x)
+            T.sigmoid(x)
+        with tape:
+            y = T.relu(x)
+        assert len(tape) == 1
+        assert tape.nodes[0].output is y and y.node_id == 0
+
+    def test_loss_from_the_previous_pass_rejected(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        tape = Tape()
+        with tape:
+            old = oracles.reduce_sum(x)
+        with tape:
+            new = oracles.reduce_sum(T.relu(x))
+        with pytest.raises(ValueError, match="loss was not produced on this tape"):
+            tape.backward(old)
+        tape.backward(new)
+        np.testing.assert_array_equal(x.grad, [1.0, 0.0])
+
+    def test_entry_lends_the_last_pass_buffers_and_no_tape_lends_none(self):
+        x = Tensor([1.0, -2.0])
+        tape = Tape()
+        with tape:
+            first = T.relu(x).data
+        with tape:
+            second = T.relu(x).data
+        assert second is first
+        assert not np.shares_memory(T.relu(x).data, first)
+        with Tape():
+            assert not np.shares_memory(T.relu(x).data, first)  # a fresh tape has a pool of its own
+
 class TestFiniteDiff:
     def test_sum_function(self, rng):
         x = Tensor(rng.normal(size=(2, 3)))

@@ -1,6 +1,5 @@
 """Pair construction, BCE loss, the training loop, and resource accounting."""
 
-import contextlib
 import gc
 import logging
 import math
@@ -17,7 +16,7 @@ from reranklab import ir_eval, tensor
 from reranklab import train as train_mod
 from reranklab.model import CLS_ID, CrossEncoder, CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
 from reranklab.optim import OPTIMIZERS
-from reranklab.tensor import RowGrad, Tape, Tensor, Workspace, finite_diff_grad
+from reranklab.tensor import RowGrad, Tape, Tensor, finite_diff_grad
 from reranklab.train import (
     NonFiniteLossError,
     ParseError,
@@ -325,7 +324,7 @@ class TestSteps:
         if stop == "close":
             records.close()
         assert record.step == 0
-        assert tensor._TAPE_STACK == [] and tensor._WORKSPACE_STACK == []
+        assert tensor._TAPE_STACK == []
         assert all(p.grad is None for _, p in model.parameters())
 
     @pytest.mark.parametrize("bad_step", [0, 4])
@@ -346,7 +345,7 @@ class TestSteps:
         assert err.value.step == bad_step
         assert math.isnan(err.value.value)
         assert [r.step for r in done] == list(range(bad_step))
-        assert tensor._TAPE_STACK == [] and tensor._WORKSPACE_STACK == []
+        assert tensor._TAPE_STACK == []
 
 
 class TestStepGraph:
@@ -395,22 +394,24 @@ class TestStepGraph:
 
 
 def _lending(monkeypatch):
-    """Record every buffer a workspace lends, in order."""
+    """Record every buffer a tape lends, in order."""
     lent = []
-    take = Workspace.take
+    take = Tape.take
 
     def recording(self, shape):
         buf = take(self, shape)
         lent.append(buf)
         return buf
 
-    monkeypatch.setattr(Workspace, "take", recording)
+    monkeypatch.setattr(Tape, "take", recording)
     return lent
 
 
-def _step(model, seqs, labels, workspace=None):
-    """One training step's forward, loss and backward, as ``steps`` runs them: all inside the workspace."""
-    with Tape() as tape, workspace or contextlib.nullcontext():
+def _step(model, seqs, labels, tape=None):
+    """One training step's forward, loss and backward, as ``steps`` runs them: all inside ``tape``, else a fresh one."""
+    # Not ``tape or Tape()``: a tape with no nodes is falsy.
+    tape = Tape() if tape is None else tape
+    with tape:
         loss = bce_loss(model.forward(seqs), labels)
         value = loss.item()
         tape.backward(loss)
@@ -450,26 +451,26 @@ class TestWorkspace:
     def test_no_buffer_lent_twice_in_one_pass(self, monkeypatch):
         lent = _lending(monkeypatch)
         model, first, second = self._batches()
-        workspace = Workspace()
-        _step(model, *first, workspace)
+        tape = Tape()
+        _step(model, *first, tape)
         n = len(lent)
         assert n > 0
         for i in range(n):
             for j in range(i):
                 assert not np.shares_memory(lent[i], lent[j]), (i, j)
         # a pass of the same shapes gets the same buffers back, in order
-        _step(model, *second, workspace)
+        _step(model, *second, tape)
         assert [id(buf) for buf in lent[n:]] == [id(buf) for buf in lent[:n]]
 
     @pytest.mark.parametrize("n_layers", [1, 2])  # only a layer before the last runs full-length backward rules
     def test_step_bit_identical_with_and_without_workspace(self, n_layers):
         runs = []
-        for workspace in (None, Workspace()):
+        for tape in (None, Tape()):  # a fresh tape per pass, then one tape entered twice
             model, first, second = self._batches(n_layers)
-            losses = [_step(model, *first, workspace)]
+            losses = [_step(model, *first, tape)]
             for p in model.params.values():
                 p.zero_grad()
-            losses.append(_step(model, *second, workspace))  # a pass on reused buffers
+            losses.append(_step(model, *second, tape))  # a pass on reused buffers
             runs.append((losses, {name: p.grad for name, p in model.parameters()}))
         assert runs[0][0] == runs[1][0]
         for name, grad in runs[0][1].items():
@@ -478,9 +479,9 @@ class TestWorkspace:
     def test_scores_and_leaf_gradients_own_their_memory(self, monkeypatch):
         lent = _lending(monkeypatch)
         model, first, _ = self._batches()
-        workspace = Workspace()
-        _step(model, *first, workspace)
-        with workspace:
+        tape = Tape()
+        _step(model, *first, tape)
+        with tape:
             scores = score_batch(model, first[0])
         assert lent
         # np.asarray of a RowGrad is a fresh dense copy, so check the array it holds
@@ -508,10 +509,10 @@ class TestWorkspace:
         assert float(child.stdout) < 10
 
     def test_nested_entry_rejected(self):
-        workspace = Workspace()
-        with workspace:
+        tape = Tape()
+        with tape:
             with pytest.raises(RuntimeError, match="already active"):
-                with workspace:
+                with tape:
                     pass
 
 
