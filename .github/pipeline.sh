@@ -16,7 +16,9 @@
 # first run's byte for byte: a step's forward and backward buffers are
 # reused from step to step, and this is the only end-to-end run of the
 # full-length backward rules on them. The Lion run is also scored with exponential
-# gains, and the first-stage run as is. report prints the Lion run's stats,
+# gains, and the first-stage run as is. A copy of the Lion reranked run
+# that starts with a UTF-8 byte-order mark must give the same metrics.tsv
+# bytes as the run itself. report prints the Lion run's stats,
 # loss log and metrics. bench-optim then trains both optimizers from the
 # same config, and tabulates a two-row --import file.
 # Every file is written through a temp file and a rename, so at the end no
@@ -56,6 +58,9 @@ EOF
 done
 reranklab eval --run "$work/reranked-lion.run" --qrels "$work/data/qrels.txt" --exponential-gain --binarize-at 2 --k 5
 reranklab eval --run "$work/data/candidates.run" --qrels "$work/data/qrels.txt"
+{ printf '\xef\xbb\xbf'; cat "$work/reranked-lion.run"; } > "$work/reranked-lion-bom.run"
+reranklab eval --run "$work/reranked-lion-bom.run" --qrels "$work/data/qrels.txt" --out "$work/metrics-lion-bom"
+cmp "$work/metrics-lion/metrics.tsv" "$work/metrics-lion-bom/metrics.tsv"
 reranklab report "$work/out/stats-lion.txt" "$work/out/loss-lion.tsv" "$work/metrics-lion/metrics.tsv" > /dev/null
 reranklab bench-optim --config "$work/run.ini" --out "$work/bench"
 printf 'encoder-small\t33.09\t32.21\nencoder-long-context\t77.04\t74.35\n' > "$work/means.tsv"

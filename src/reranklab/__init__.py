@@ -5,12 +5,11 @@ Trains a toy cross-encoder with the Lion or AdamW optimizer on
 reports the standard IR metric suite plus optimizer resource accounting.
 """
 
-from reranklab.tensor import Tape, Tensor, finite_diff_grad
+from reranklab.tensor import Tape, Tensor
 from reranklab.model import (
     CrossEncoder,
     CrossEncoderConfig,
     Vocab,
-    init_params,
     score_batch,
     tokenize_pair,
 )
@@ -32,11 +31,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Tape",
     "Tensor",
-    "finite_diff_grad",
     "CrossEncoder",
     "CrossEncoderConfig",
     "Vocab",
-    "init_params",
     "score_batch",
     "tokenize_pair",
     "AdamW",

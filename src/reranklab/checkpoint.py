@@ -108,7 +108,7 @@ def _write(out: TextIO, model: CrossEncoder, vocab: Vocab, optimizer: Optimizer 
     out.write("[vocab]\n")
     for tok in vocab.tokens:
         out.write(f"tok {tok}\n")
-    for name, p in model.parameters():
+    for name, p in model.params.items():
         _write_array(out, "param", name, p.data)
     if optimizer is not None:
         out.write(f"[optimizer {optimizer.name}]\n")
@@ -279,7 +279,7 @@ def _parse(lines: Iterable[str]) -> CheckpointBundle:
         raise CheckpointError("unexpected end of checkpoint")
 
     optimizer = None
-    params = views({name: p.data for name, p in model.parameters()}, config.n_heads)
+    params = views({name: p.data for name, p in model.params.items()}, config.n_heads)
     targets = {f"[param] {name}": data for name, data in params.items()}
     if opt_kind is not None:
         cls = OPTIMIZERS.get(opt_kind)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from reranklab import ir_eval, synth, train as train_mod
 from reranklab.checkpoint import CheckpointError, load_checkpoint
-from reranklab.model import CrossEncoderConfig, Vocab, init_params
+from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab
 from reranklab.optim import OPTIMIZERS
 from reranklab.train import (
     NonFiniteLossError,
@@ -222,7 +222,7 @@ class _Run:
     def train_each(self, configs, artifacts: list[str]):
         """``(config, result)`` for each config, trained in turn into ``out_dir``; its files join ``artifacts``."""
         for config in configs:
-            model = init_params(self.model_config)
+            model = CrossEncoder(self.model_config)
             result = run_training(model, self.vocab, self.pairs, config, self.out_dir, run_name=self.name)
             artifacts.extend(result.files)
             yield config, result

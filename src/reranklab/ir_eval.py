@@ -59,9 +59,9 @@ class ParseError(ValueError):
 
 @contextmanager
 def open_utf8(path, error: type[ValueError] = ParseError):
-    """``path`` opened as UTF-8 text; a byte that does not decode raises ``error`` naming the file."""
+    """``path`` as UTF-8 text, less any leading byte-order mark; an undecodable byte raises ``error`` naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]

@@ -28,7 +28,6 @@ __all__ = [
     "checkpoint_views",
     "normalize_text",
     "tokenize_pair",
-    "init_params",
     "score_batch",
 ]
 
@@ -208,15 +207,6 @@ class CrossEncoder:
         self._param("head.weight", self._uniform(rng, (d, 1), d))
         self._param("head.bias", np.zeros(1))
 
-    # -- introspection ------------------------------------------------
-
-    def parameters(self):
-        """Yield (name, tensor) pairs in deterministic construction order."""
-        yield from self.params.items()
-
-    def parameter_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
     # -- forward ------------------------------------------------------
 
     def forward(self, ids) -> Tensor:
@@ -262,11 +252,6 @@ class CrossEncoder:
             x = T.add(x, T.linear(f, P[f"{pre}.ff.w2"], P[f"{pre}.ff.b2"]))
 
         return T.sigmoid(T.linear(x, P["head.weight"], P["head.bias"]))
-
-
-def init_params(config: CrossEncoderConfig) -> CrossEncoder:
-    """Fresh model with seed-deterministic scaled-uniform weights."""
-    return CrossEncoder(config)
 
 
 def score_batch(model: CrossEncoder, ids) -> list[float]:

@@ -78,16 +78,6 @@ class Optimizer:
         # Update temporaries, not state: see _SLICE.
         self._scratch = (np.empty(_SLICE), np.empty(_SLICE))
 
-    def _grads(self):
-        """Yield ``(name, param, grad)`` for each parameter holding a gradient."""
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} mismatches parameter {name!r} {p.data.shape}")
-            yield name, p, g
-
     def _update(self, rule) -> None:
         """Apply ``rule`` in place to every parameter holding a gradient.
 
@@ -101,7 +91,12 @@ class Optimizer:
         back. Each element thus sees the arithmetic, and gets the bits, of
         the dense update.
         """
-        for name, p, g in self._grads():
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            if g.shape != p.data.shape:
+                raise ShapeError(f"gradient shape {g.shape} mismatches parameter {name!r} {p.data.shape}")
             arrays = (p.data, *(self.state[prefix][name] for prefix in self.BUFFERS))
             if not isinstance(g, RowGrad):
                 self._sweep(rule, arrays, g)

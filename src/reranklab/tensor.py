@@ -21,13 +21,14 @@ tape, op outputs and backward temporaries are lent by the tape and
 overwritten once it is entered again; with no tape active they are fresh.
 Leaf gradients are copied out, so ``.grad`` never aliases a lent buffer.
 
-Tensors and tapes are single-context objects: independent tapes may run
-in parallel, but one tape must never be shared across threads.
+The active tape is process-wide: ``with tape:`` pushes onto one stack
+that every thread's ops read, so an op run in any thread records on the
+innermost tape any thread has entered. Use tapes from one thread.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +48,6 @@ __all__ = [
     "layer_norm",
     "embedding_lookup",
     "bce",
-    "finite_diff_grad",
 ]
 
 
@@ -169,14 +169,14 @@ class Tape:
                 prev = pending.get(id(tensor))
                 if prev is None:
                     pending[id(tensor)] = (tensor, grad)
-                else:  # np.add densifies a RowGrad as its __add__ does
+                else:  # np.add densifies a RowGrad through its __array__
                     pending[id(tensor)] = (tensor, np.add(prev[1], grad, out=_buffer(tensor.data.shape)))
 
         # Every op output has been popped, so what is left are the leaves. A
         # RowGrad's values are its rule's own array, so it needs no copy.
         for tensor, grad in pending.values():
             if tensor.grad is not None:
-                tensor.grad = tensor.grad + grad
+                tensor.grad = np.add(tensor.grad, grad)
             elif isinstance(grad, RowGrad):
                 tensor.grad = grad
             else:
@@ -229,8 +229,8 @@ class RowGrad:
 
     ``rows`` holds the touched row indices, sorted and unique; ``values``
     is their (len(rows), d) block of gradients; ``shape`` is the table's.
-    ``np.asarray`` gives the dense gradient, and adding another gradient
-    gives a dense sum.
+    ``np.asarray`` gives the dense gradient, so ``np.add`` with another
+    gradient gives a dense sum.
     """
 
     __slots__ = ("rows", "values", "shape")
@@ -245,9 +245,6 @@ class RowGrad:
         dense = np.zeros(self.shape)
         dense[self.rows] = self.values
         return dense if dtype is None else dense.astype(dtype, copy=False)
-
-    def __add__(self, other):
-        return np.asarray(self) + np.asarray(other)
 
 
 def as_tensor(x) -> Tensor:
@@ -627,38 +624,3 @@ def bce(p, labels, eps: float) -> Tensor:
         return (dq * ((p.data >= lo) & (p.data <= hi)),)
 
     return _emit((p,), out, rule)
-
-
-# ---------------------------------------------------------------------------
-# independent gradient oracle
-
-
-def finite_diff_grad(f: Callable[[Tensor], object], x: Tensor, h: float = 1e-5) -> Tensor:
-    """Central-difference gradient of a scalar function at ``x``.
-
-    ``f`` must be pure; it is called with ``x`` whose buffer is perturbed
-    one coordinate at a time and restored afterwards. Serves as the
-    independent oracle for checking ``Tape.backward``.
-    """
-    if h <= 0:
-        raise ValueError("finite_diff_grad requires h > 0")
-
-    def evaluate() -> float:
-        out = f(x)
-        return out.item() if isinstance(out, Tensor) else float(out)
-
-    base = x.data.copy()
-    grad = np.zeros_like(base)
-    flat = x.data.reshape(-1)
-    try:
-        for i in range(flat.size):
-            orig = base.reshape(-1)[i]
-            flat[i] = orig + h
-            fp = evaluate()
-            flat[i] = orig - h
-            fm = evaluate()
-            flat[i] = orig
-            grad.reshape(-1)[i] = (fp - fm) / (2.0 * h)
-    finally:
-        x.data[...] = base
-    return Tensor(grad)

@@ -34,7 +34,6 @@ __all__ = [
     "LossRecord",
     "TrainResult",
     "NonFiniteLossError",
-    "ParseError",
     "load_triplets",
     "triplets_to_pairs",
     "bce_loss",
@@ -42,7 +41,6 @@ __all__ = [
     "run_training",
     "efficiency_gain",
     "format_loss_log",
-    "write_loss_log",
     "resource_stats_lines",
 ]
 
@@ -265,7 +263,7 @@ def run_training(
         loss_log.append(record)
         if len(loss_log) % per_epoch == 0:  # the epoch's last step
             save_checkpoint(out_dir / files[record.epoch - 1], model, vocab, optimizer)
-            write_loss_log(out_dir / files[-2], loss_log)
+            write_replacing(out_dir / files[-2], format_loss_log(loss_log))
             epoch_mean = float(np.mean([r.loss for r in loss_log[-per_epoch:]]))
             logger.info("epoch %d/%d done, mean loss %.6f", record.epoch, config.epochs, epoch_mean)
     times = np.array([r.step_ms for r in loss_log])
@@ -300,11 +298,6 @@ def format_loss_log(records: Iterable[LossRecord]) -> str:
     """Tab-separated ``step epoch lr loss`` rows, 10 significant digits."""
     lines = [f"{r.step}\t{r.epoch}\t{r.lr:.10g}\t{r.loss:.10g}" for r in records]
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def write_loss_log(path, records: Iterable[LossRecord]) -> None:
-    """The loss log, written through ``<path>.tmp`` and a rename."""
-    write_replacing(path, format_loss_log(records))
 
 
 def resource_stats_lines(stats: ResourceStats, optimizer: str) -> list[str]:

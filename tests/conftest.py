@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reranklab.ir_eval import evaluate
-from reranklab.model import CrossEncoderConfig, Vocab, init_params
+from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab
 
 
 def max_rel_err(a, b, floor=1e-8):
@@ -45,4 +45,4 @@ def tiny_model(tiny_vocab):
     config = CrossEncoderConfig(
         vocab_size=tiny_vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8, seed=7
     )
-    return init_params(config)
+    return CrossEncoder(config)

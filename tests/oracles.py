@@ -1,12 +1,13 @@
 """Brute-force reference implementations of the ranking metrics, of the
-checkpoint v1 writer, of the optimizer updates and embedding gradient,
-of the tape ops the encoder no longer calls (elementwise product, sum,
-softmax, slicing, transposition) and of the encoder's full-length forward
-pass.
+gradient of a scalar function, of the checkpoint v1 writer, of the
+optimizer updates and embedding gradient, of the tape ops the encoder no
+longer calls (elementwise product, sum, softmax, slicing, transposition)
+and of the encoder's full-length forward pass.
 
 Deliberately naive and independent of the production code paths: the
 ideal DCG is found by enumerating orderings of the positively judged
-documents, precision values are recounted from scratch at every rank,
+documents, precision values are recounted from scratch at every rank, a
+gradient is a central difference of two calls per coordinate,
 checkpoint values are printed with one float.hex() call each, optimizer
 updates are the plain whole-array formulas with fresh temporaries, an
 embedding gradient is a dense zero table that each id's gradient row is
@@ -18,10 +19,12 @@ keeps the CLS row. Only suitable for small cases.
 import dataclasses
 import itertools
 import math
+from typing import Callable
 
 import numpy as np
 
 from reranklab import tensor as T
+from reranklab.tensor import Tensor
 from reranklab.model import PAD_ID, checkpoint_views
 
 
@@ -172,7 +175,7 @@ def v1_checkpoint_text(model, vocab, optimizer=None):
     parts += [f"{f.name}={getattr(model.config, f.name)}\n" for f in dataclasses.fields(model.config)]
     parts += ["[vocab]\n"] + [f"tok {tok}\n" for tok in vocab.tokens]
     n_heads = model.config.n_heads
-    views = checkpoint_views({name: p.data for name, p in model.parameters()}, n_heads)
+    views = checkpoint_views({name: p.data for name, p in model.params.items()}, n_heads)
     parts += [float_hex_section("param", name, data) for name, data in views.items()]
     if optimizer is not None:
         parts.append(f"[optimizer {optimizer.name}]\n")
@@ -183,6 +186,37 @@ def v1_checkpoint_text(model, vocab, optimizer=None):
         parts += [float_hex_section("state", key, buf) for key, buf in views.items()]
     parts.append("[end]\n")
     return "".join(parts)
+
+
+def finite_diff_grad(f: Callable[[Tensor], object], x: Tensor, h: float = 1e-5) -> Tensor:
+    """Central-difference gradient of a scalar function at ``x``.
+
+    ``f`` must be pure; it is called with ``x`` whose buffer is perturbed
+    one coordinate at a time and restored afterwards. Serves as the
+    independent oracle for checking ``Tape.backward``.
+    """
+    if h <= 0:
+        raise ValueError("finite_diff_grad requires h > 0")
+
+    def evaluate() -> float:
+        out = f(x)
+        return out.item() if isinstance(out, Tensor) else float(out)
+
+    base = x.data.copy()
+    grad = np.zeros_like(base)
+    flat = x.data.reshape(-1)
+    try:
+        for i in range(flat.size):
+            orig = base.reshape(-1)[i]
+            flat[i] = orig + h
+            fp = evaluate()
+            flat[i] = orig - h
+            fm = evaluate()
+            flat[i] = orig
+            grad.reshape(-1)[i] = (fp - fm) / (2.0 * h)
+    finally:
+        x.data[...] = base
+    return Tensor(grad)
 
 
 def dense_scatter(shape, ids, grad):

@@ -10,10 +10,10 @@ import time
 import numpy as np
 
 from reranklab.ir_eval import evaluate, format_qrels, format_run, parse_qrels, parse_run, rerank
-from reranklab.model import CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
+from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, score_batch, tokenize_pair
 from reranklab.optim import AdamW, Lion, ScheduleSpec, lr_at
 from reranklab.synth import SynthConfig, generate
-from reranklab.tensor import Tape, Tensor, finite_diff_grad
+from reranklab.tensor import Tape, Tensor
 from reranklab.train import (
     TrainConfig,
     efficiency_gain,
@@ -32,7 +32,7 @@ def test_c01_gradient_correctness_every_parameter_group():
     config = CrossEncoderConfig(
         vocab_size=20, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=16, seed=12
     )
-    model = init_params(config)
+    model = CrossEncoder(config)
     seq = tokenize_pair(vocab, "t0 t1 t2", "t3 t4 t5 t6", config.max_len)
 
     with Tape() as tape:
@@ -40,9 +40,9 @@ def test_c01_gradient_correctness_every_parameter_group():
     tape.backward(out)
 
     worst = 0.0
-    for name, p in model.parameters():
+    for name, p in model.params.items():
         assert p.grad is not None, f"no gradient reached {name}"
-        fd = finite_diff_grad(lambda _: score_batch(model, [seq])[0], p)
+        fd = oracles.finite_diff_grad(lambda _: score_batch(model, [seq])[0], p)
         err = max_rel_err(p.grad, fd.data)
         worst = max(worst, err)
         assert err < 1e-4, f"{name}: relative error {err}"
@@ -50,7 +50,7 @@ def test_c01_gradient_correctness_every_parameter_group():
     assert elapsed < 60.0
     print(
         f"ACCEPTANCE C1 PASS: backward matches finite differences on all "
-        f"{sum(1 for _ in model.parameters())} parameter groups "
+        f"{len(model.params)} parameter groups "
         f"(worst rel err {worst:.2e}, {elapsed:.1f}s)"
     )
 
@@ -183,7 +183,7 @@ def _desk_scale_training(optimizer: str, data, vocab, pairs, out_dir):
     config = CrossEncoderConfig(
         vocab_size=vocab.size, d_model=64, n_layers=1, n_heads=2, d_ff=128, max_len=16, seed=12
     )
-    model = init_params(config)
+    model = CrossEncoder(config)
     train_config = TrainConfig(
         batch_size=64, epochs=3, seed=12, optimizer=optimizer, base_lr=2e-4, schedule="constant"
     )

@@ -18,7 +18,7 @@ from reranklab.checkpoint import (
     parse_checkpoint,
     save_checkpoint,
 )
-from reranklab.model import CrossEncoderConfig, Vocab, checkpoint_views, init_params
+from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, checkpoint_views
 from reranklab.optim import OPTIMIZERS, AdamW, Lion
 
 import oracles
@@ -36,7 +36,7 @@ def setup():
     config = CrossEncoderConfig(
         vocab_size=vocab.size, d_model=8, n_layers=2, n_heads=2, d_ff=16, max_len=8, seed=3
     )
-    return init_params(config), vocab
+    return CrossEncoder(config), vocab
 
 
 class TestRoundTrip:
@@ -47,7 +47,7 @@ class TestRoundTrip:
         bundle = load_checkpoint(path)
         assert bundle.vocab == vocab
         assert bundle.model.config == model.config
-        for (name_a, pa), (name_b, pb) in zip(model.parameters(), bundle.model.parameters()):
+        for (name_a, pa), (name_b, pb) in zip(model.params.items(), bundle.model.params.items()):
             assert name_a == name_b
             np.testing.assert_array_equal(pa.data, pb.data)
         assert bundle.optimizer is None
@@ -65,7 +65,7 @@ class TestRoundTrip:
     def test_lion_state_round_trip(self, setup, rng):
         model, vocab = setup
         opt = Lion(model.params, lr=3e-4, betas=(0.85, 0.95), weight_decay=0.02)
-        for _, p in model.parameters():
+        for _, p in model.params.items():
             p.grad = rng.normal(size=p.shape)
         opt.step()
         bundle = parse_checkpoint(checkpoint_text(model, vocab, opt))
@@ -80,7 +80,7 @@ class TestRoundTrip:
         model, vocab = setup
         opt = AdamW(model.params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01)
         for step in range(3):
-            for _, p in model.parameters():
+            for _, p in model.params.items():
                 p.grad = rng.normal(size=p.shape)
             opt.step()
         bundle = parse_checkpoint(checkpoint_text(model, vocab, opt))
@@ -96,21 +96,21 @@ class TestRoundTrip:
         model, vocab = setup
         for cls in OPTIMIZERS.values():
             opt = cls(model.params, lr=1e-3)
-            grads = {name: rng.normal(size=p.shape) for name, p in model.parameters()}
-            for name, p in model.parameters():
+            grads = {name: rng.normal(size=p.shape) for name, p in model.params.items()}
+            for name, p in model.params.items():
                 p.grad = grads[name]
             opt.step()
             bundle = parse_checkpoint(checkpoint_text(model, vocab, opt))
             assert type(bundle.optimizer) is cls
             assert bundle.optimizer.state_bytes() == opt.state_bytes()
             # one more step on both the original and the restored pair
-            next_grads = {name: rng.normal(size=p.shape) for name, p in model.parameters()}
-            for (name, p), (_, q) in zip(model.parameters(), bundle.model.parameters()):
+            next_grads = {name: rng.normal(size=p.shape) for name, p in model.params.items()}
+            for (name, p), (_, q) in zip(model.params.items(), bundle.model.params.items()):
                 p.grad = next_grads[name]
                 q.grad = next_grads[name]
             opt.step()
             bundle.optimizer.step()
-            for (name, p), (_, q) in zip(model.parameters(), bundle.model.parameters()):
+            for (name, p), (_, q) in zip(model.params.items(), bundle.model.params.items()):
                 np.testing.assert_array_equal(p.data, q.data)
             assert checkpoint_text(bundle.model, vocab, bundle.optimizer) == checkpoint_text(model, vocab, opt)
 
@@ -190,14 +190,14 @@ class TestV2Encoding:
     @given(st.data())
     def test_whole_checkpoint_save_load_save(self, data):
         vocab = Vocab(["alpha", "beta"])
-        model = init_params(CrossEncoderConfig(vocab_size=vocab.size, d_model=4, n_heads=2, d_ff=8, max_len=8))
+        model = CrossEncoder(CrossEncoderConfig(vocab_size=vocab.size, d_model=4, n_heads=2, d_ff=8, max_len=8))
         opt = AdamW(model.params)
-        arrays = {name: p.data for name, p in model.parameters()} | opt.buffers()
+        arrays = {name: p.data for name, p in model.params.items()} | opt.buffers()
         for array in arrays.values():
             array[...] = data.draw(float_arrays(array.shape))
         text = checkpoint_text(model, vocab, opt)
         bundle = parse_checkpoint(text)
-        restored = {name: p.data for name, p in bundle.model.parameters()} | bundle.optimizer.buffers()
+        restored = {name: p.data for name, p in bundle.model.params.items()} | bundle.optimizer.buffers()
         assert all(same_bits(restored[key], array) for key, array in arrays.items())
         assert checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer) == text
 
@@ -216,11 +216,11 @@ class TestV1Files:
         model, vocab = setup
         opt = None if kind is None else OPTIMIZERS[kind](model.params, lr=1e-3)
         if opt is not None:
-            for _, p in model.parameters():
+            for _, p in model.params.items():
                 p.grad = rng.normal(size=p.shape)
             opt.step()
         bundle = parse_checkpoint(oracles.v1_checkpoint_text(model, vocab, opt))
-        for (name_a, pa), (name_b, pb) in zip(model.parameters(), bundle.model.parameters()):
+        for (name_a, pa), (name_b, pb) in zip(model.params.items(), bundle.model.params.items()):
             assert name_a == name_b and same_bits(pa.data, pb.data)
         if opt is not None:
             restored = bundle.optimizer.buffers()
@@ -256,13 +256,13 @@ class TestGoldenDigests:
         config = CrossEncoderConfig(
             vocab_size=vocab.size, d_model=64, n_layers=1, n_heads=2, d_ff=128, max_len=16, seed=12
         )
-        model = init_params(config)
+        model = CrossEncoder(config)
         opt = OPTIMIZERS[kind](model.params, lr=2e-4, weight_decay=0.01)
         rng = np.random.default_rng(12)
         for _ in range(3):
-            for _, p in model.parameters():
+            for _, p in model.params.items():
                 p.grad = np.empty(p.shape)
-            for name, grad in checkpoint_views({n: p.grad for n, p in model.parameters()}, config.n_heads).items():
+            for name, grad in checkpoint_views({n: p.grad for n, p in model.params.items()}, config.n_heads).items():
                 grad[...] = rng.normal(size=grad.shape)
                 if name == "token_embedding":
                     grad[::2] = 0.0
@@ -302,7 +302,7 @@ class TestOptimizerBlock:
         hypers = {"lr": 0.5, "betas": (0.75, 0.875), "weight_decay": 0.25}
         opt = Lion(model.params, **hypers) if kind == "lion" else AdamW(model.params, eps=0.125, **hypers)
         for _ in range(2):
-            for _, p in model.parameters():
+            for _, p in model.params.items():
                 p.grad = np.ones(p.shape)
             opt.step()
         lines = checkpoint_text(model, vocab, opt).splitlines()
@@ -311,7 +311,7 @@ class TestOptimizerBlock:
         params = [line.partition("] ")[2] for line in lines if line.startswith("[param ")]
         buffers = [line.partition("] ")[2] for line in block if line.startswith("[state ")]
         assert keys == self.HYPER_LINES[kind]
-        assert params == [name for name, _ in model.parameters()]
+        assert params == [name for name, _ in model.params.items()]
         assert "layers.1.attn.w_qkv" in params
         assert buffers == [f"{prefix}/{name}" for prefix in self.PREFIXES[kind] for name in params]
 

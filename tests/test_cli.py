@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from reranklab import cli, ir_eval, train as train_mod
-from reranklab.checkpoint import CheckpointError, load_checkpoint, parse_checkpoint, save_checkpoint
+from reranklab.checkpoint import CheckpointError, checkpoint_text, load_checkpoint, parse_checkpoint, save_checkpoint
 from reranklab.ir_eval import read_qrels, read_run
-from reranklab.model import CrossEncoderConfig, Vocab, init_params
+from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab
 from reranklab.optim import AdamW, Lion
 from reranklab.synth import SynthConfig
 from reranklab.tensor import Tensor
@@ -616,7 +616,7 @@ def _set_value(line, col, value):
 def tiny_checkpoint(tmp_path):
     """A Lion checkpoint of an untrained model, and its text."""
     vocab = Vocab(["alpha", "beta"])
-    model = init_params(CrossEncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, d_ff=16, max_len=8))
+    model = CrossEncoder(CrossEncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, d_ff=16, max_len=8))
     path = tmp_path / "tiny.ckpt"
     save_checkpoint(path, model, vocab, Lion(model.params))
     return path, path.read_text(encoding="utf-8")
@@ -686,7 +686,7 @@ class TestNegativeAdamwStep:
     @pytest.mark.parametrize("step", ["-1", "-2"])
     def test_rerank_exits_2_naming_it(self, tmp_path, capsys, step):
         vocab = Vocab(["alpha", "beta"])
-        model = init_params(CrossEncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, d_ff=16, max_len=8))
+        model = CrossEncoder(CrossEncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, d_ff=16, max_len=8))
         path = tmp_path / "adamw.ckpt"
         save_checkpoint(path, model, vocab, AdamW(model.params))
         text = path.read_text(encoding="utf-8")
@@ -755,6 +755,43 @@ class TestNonUtf8Input:
                     "--passages", f["passages.tsv"], "--candidates", f["run.txt"], "--out", tmp_path / "o.run"]
         assert run_cli(*argv) == code
         assert f"{path}: not UTF-8 text (byte 0xff: invalid start byte)" in capsys.readouterr().err
+
+
+def _reloaded_text(path):
+    bundle = load_checkpoint(path)
+    return checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer)
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as the same file without it."""
+
+    TEXTS = {
+        "run": "q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 0.5 t\n",
+        "qrels": "q1 0 d1 1\n",
+        "corpus": "d1\tbeta\n",
+        "triplets": "alpha\tbeta\tgamma\n",
+    }
+    READ = {
+        "run": read_run,
+        "qrels": read_qrels,
+        "corpus": ir_eval.read_corpus_tsv,
+        "triplets": load_triplets,
+        "config": lambda path: {name: dict(section) for name, section in cli._read_ini(path).items()},
+        "checkpoint": _reloaded_text,
+    }
+
+    @pytest.mark.parametrize("kind", list(READ))
+    def test_reads_as_the_plain_file(self, tmp_path, tiny_checkpoint, kind):
+        if kind == "config":
+            plain = write_config(tmp_path, tmp_path)
+        elif kind == "checkpoint":
+            plain = tiny_checkpoint[0]
+        else:
+            plain = tmp_path / kind
+            plain.write_text(self.TEXTS[kind], encoding="utf-8")
+        marked = tmp_path / f"bom-{plain.name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert self.READ[kind](marked) == self.READ[kind](plain)
 
 
 class TestOutputDirectory:

@@ -23,7 +23,7 @@ from reranklab.ir_eval import (
     report_table,
     report_tsv_lines,
 )
-from reranklab.model import CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
+from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, score_batch, tokenize_pair
 
 import oracles
 from conftest import query_metrics
@@ -193,7 +193,7 @@ class TestRoundTrips:
 
 def _constant_model(vocab):
     config = CrossEncoderConfig(vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8)
-    model = init_params(config)
+    model = CrossEncoder(config)
     model.params["head.weight"].data[...] = 0.0
     model.params["head.bias"].data[...] = 0.0
     return model

@@ -11,14 +11,14 @@ from reranklab.model import (
     PAD_ID,
     SEP_ID,
     UNK_ID,
+    CrossEncoder,
     CrossEncoderConfig,
     Vocab,
     checkpoint_views,
-    init_params,
     score_batch,
     tokenize_pair,
 )
-from reranklab.tensor import Tape, finite_diff_grad
+from reranklab.tensor import Tape
 from reranklab.train import bce_loss
 
 from conftest import max_rel_err
@@ -123,22 +123,22 @@ class TestConfig:
 class TestInitParams:
     def test_same_seed_bit_identical(self, tiny_vocab):
         cfg = CrossEncoderConfig(vocab_size=tiny_vocab.size, d_model=8, n_heads=2, seed=3)
-        a, b = init_params(cfg), init_params(cfg)
-        for (name_a, pa), (name_b, pb) in zip(a.parameters(), b.parameters()):
+        a, b = CrossEncoder(cfg), CrossEncoder(cfg)
+        for (name_a, pa), (name_b, pb) in zip(a.params.items(), b.params.items()):
             assert name_a == name_b
             np.testing.assert_array_equal(pa.data, pb.data)
 
     def test_different_seeds_differ(self, tiny_vocab):
-        a = init_params(CrossEncoderConfig(vocab_size=tiny_vocab.size, d_model=8, n_heads=2, seed=1))
-        b = init_params(CrossEncoderConfig(vocab_size=tiny_vocab.size, d_model=8, n_heads=2, seed=2))
+        a = CrossEncoder(CrossEncoderConfig(vocab_size=tiny_vocab.size, d_model=8, n_heads=2, seed=1))
+        b = CrossEncoder(CrossEncoderConfig(vocab_size=tiny_vocab.size, d_model=8, n_heads=2, seed=2))
         assert any(
             not np.array_equal(pa.data, pb.data)
-            for (_, pa), (_, pb) in zip(a.parameters(), b.parameters())
+            for (_, pa), (_, pb) in zip(a.params.items(), b.params.items())
         )
 
     def test_parameter_count_closed_form(self):
         cfg = CrossEncoderConfig(vocab_size=50, d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=32)
-        model = init_params(cfg)
+        model = CrossEncoder(cfg)
         v, d, h, dh, dff, ml = 50, 16, 2, 8, 32, 32
         expected = (
             v * d  # token embedding
@@ -151,10 +151,10 @@ class TestInitParams:
             + d * dff + dff + dff * d + d  # feed-forward
             + d + 1  # scoring head
         )
-        assert model.parameter_count() == expected == 3505
+        assert sum(p.size for p in model.params.values()) == expected == 3505
 
     def test_biases_start_at_zero(self, tiny_model):
-        for name, p in tiny_model.parameters():
+        for name, p in tiny_model.params.items():
             if name.endswith((".b1", ".b2", "out_bias", "head.bias", "norm.bias")):
                 np.testing.assert_array_equal(p.data, 0.0)
 
@@ -165,7 +165,7 @@ class TestCheckpointViews:
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_views_cover_every_fused_element_once(self, n_heads, n_layers, prefix):
         cfg = CrossEncoderConfig(vocab_size=10, d_model=8, n_layers=n_layers, n_heads=n_heads, d_ff=16)
-        counts = {prefix + name: np.zeros_like(p.data) for name, p in init_params(cfg).parameters()}
+        counts = {prefix + name: np.zeros_like(p.data) for name, p in CrossEncoder(cfg).params.items()}
         views = checkpoint_views(counts, n_heads)
         for view in views.values():
             view += 1.0  # reaches the fused array only through a view
@@ -178,11 +178,11 @@ class TestCheckpointViews:
 
     def test_desk_model_names_in_file_order(self):
         cfg = CrossEncoderConfig(vocab_size=100, d_model=64, n_layers=1, n_heads=2, d_ff=128, max_len=16)
-        model = init_params(cfg)
+        model = CrossEncoder(cfg)
         fused = ["layers.0.attn.w_qkv", "layers.0.attn.w_out"]
         assert [name for name in model.params if name.startswith("layers.0.attn.")] == fused + ["layers.0.attn.out_bias"]
         assert [model.params[name].shape for name in fused] == [(64, 192), (64, 64)]
-        views = checkpoint_views({name: p.data for name, p in model.parameters()}, cfg.n_heads)
+        views = checkpoint_views({name: p.data for name, p in model.params.items()}, cfg.n_heads)
         assert list(views) == [
             "token_embedding",
             "position_embedding",
@@ -265,14 +265,14 @@ class TestScore:
         cfg = CrossEncoderConfig(
             vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8, seed=5
         )
-        model = init_params(cfg)
+        model = CrossEncoder(cfg)
         ids = tokenize_pair(vocab, "t0 t1", "t2 t3", cfg.max_len)
         with Tape() as tape:
             out = model.forward([ids])
         tape.backward(out)
         for name in ("position_embedding", "layers.0.attn.w_qkv", "layers.0.attn.w_out", "layers.0.ff.w2", "head.bias"):
             p = model.params[name]
-            fd = finite_diff_grad(lambda _: score_batch(model, [ids])[0], p)
+            fd = oracles.finite_diff_grad(lambda _: score_batch(model, [ids])[0], p)
             assert max_rel_err(p.grad, fd.data) < 1e-4, name
 
 
@@ -288,7 +288,7 @@ class TestBatchedGradient:
         cfg = CrossEncoderConfig(
             vocab_size=vocab.size, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=16, seed=12
         )
-        model = init_params(cfg)
+        model = CrossEncoder(cfg)
         batch = _mixed_length_batch(vocab, cfg.max_len)
         assert len({sum(i != PAD_ID for i in ids) for ids in batch}) == len(batch)
         labels = np.array([1, 0, 1, 0])
@@ -296,9 +296,9 @@ class TestBatchedGradient:
         with Tape() as tape:
             loss = bce_loss(model.forward(batch), labels)
         tape.backward(loss)
-        for name, p in model.parameters():
+        for name, p in model.params.items():
             assert p.grad is not None, f"no gradient reached {name}"
-            fd = finite_diff_grad(lambda _: bce_loss(model.forward(batch), labels), p)
+            fd = oracles.finite_diff_grad(lambda _: bce_loss(model.forward(batch), labels), p)
             assert max_rel_err(p.grad, fd.data) < 1e-4, name
 
 
@@ -312,7 +312,7 @@ class TestLastLayerClsOnly:
         cfg = CrossEncoderConfig(
             vocab_size=vocab.size, d_model=8, n_layers=n_layers, n_heads=n_heads, d_ff=16, max_len=16, seed=3
         )
-        model = init_params(cfg)
+        model = CrossEncoder(cfg)
         batch = _mixed_length_batch(vocab, cfg.max_len)
         labels = np.array([1, 0, 1, 0])
         runs = []
@@ -321,8 +321,8 @@ class TestLastLayerClsOnly:
                 scores = forward(batch)
                 loss = bce_loss(scores, labels)
             tape.backward(loss)
-            runs.append((scores.data, {name: np.asarray(p.grad) for name, p in model.parameters()}))
-            for _, p in model.parameters():
+            runs.append((scores.data, {name: np.asarray(p.grad) for name, p in model.params.items()}))
+            for _, p in model.params.items():
                 p.zero_grad()
         (scores, got), (ref_scores, ref) = runs
         assert scores.shape == (len(batch), 1)
@@ -336,9 +336,9 @@ class TestLastLayerClsOnly:
         cfg = CrossEncoderConfig(
             vocab_size=vocab.size, d_model=64, n_layers=n_layers, n_heads=2, d_ff=128, max_len=16
         )
-        model = init_params(cfg)
+        model = CrossEncoder(cfg)
         batch = [tokenize_pair(vocab, f"t{i % 16}", f"t{i % 7} t{i % 5}", cfg.max_len) for i in range(64)]
-        names = {id(p): name for name, p in model.parameters()}
+        names = {id(p): name for name, p in model.params.items()}
         rows = {}
         linear = T.linear
 
@@ -350,7 +350,7 @@ class TestLastLayerClsOnly:
         # call, the (first column, number of columns) of the weight it reads (w's, or w.T's rows),
         # and the leading shape of its other operand
         passes = [{}]
-        qkv = {name: p.data for name, p in model.parameters() if name.endswith("attn.w_qkv")}
+        qkv = {name: p.data for name, p in model.params.items() if name.endswith("attn.w_qkv")}
         matmul = np.matmul
 
         def spying(a, b, *args, **kwargs):
@@ -405,7 +405,7 @@ class TestScoreBatch:
 
     def test_mixed_lengths_match_single_scores_and_halves(self, tiny_vocab, tiny_model):
         seqs = _mixed_length_batch(tiny_vocab, 16)[:3] + [tokenize_pair(tiny_vocab, "t3", "", 16)]
-        model = init_params(
+        model = CrossEncoder(
             CrossEncoderConfig(
                 vocab_size=tiny_vocab.size, d_model=8, n_layers=2, n_heads=2, d_ff=16, max_len=16, seed=7
             )

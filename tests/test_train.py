@@ -14,12 +14,12 @@ import pytest
 
 from reranklab import ir_eval, tensor
 from reranklab import train as train_mod
-from reranklab.model import CLS_ID, CrossEncoder, CrossEncoderConfig, Vocab, init_params, score_batch, tokenize_pair
+from reranklab.ir_eval import ParseError
+from reranklab.model import CLS_ID, CrossEncoder, CrossEncoderConfig, Vocab, score_batch, tokenize_pair
 from reranklab.optim import OPTIMIZERS
-from reranklab.tensor import RowGrad, Tape, Tensor, finite_diff_grad
+from reranklab.tensor import RowGrad, Tape, Tensor
 from reranklab.train import (
     NonFiniteLossError,
-    ParseError,
     LossRecord,
     TrainConfig,
     TrainPair,
@@ -35,6 +35,7 @@ from reranklab.train import (
 )
 from reranklab.synth import SynthConfig, generate
 
+import oracles
 from conftest import max_rel_err
 
 
@@ -80,8 +81,12 @@ class TestLoadTriplets:
         with pytest.raises(ParseError, match=r"\[2, 3\]"):
             load_triplets(path)
 
-    def test_parse_error_is_the_one_ir_eval_class(self):
-        assert ParseError is ir_eval.ParseError
+    def test_parse_error_is_the_one_ir_eval_class(self, tmp_path):
+        path = tmp_path / "triplets.tsv"
+        path.write_text("q only\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_triplets(path)
+        assert type(info.value) is ir_eval.ParseError
 
     def test_many_bad_lines_counted(self, tmp_path):
         path = tmp_path / "triplets.tsv"
@@ -132,7 +137,7 @@ class TestBCELoss:
                 tape.backward(loss)
                 analytic = (p - y) / (p * (1.0 - p))
                 assert max_rel_err(y_hat.grad, [analytic]) < 1e-6
-                fd = finite_diff_grad(lambda t: bce_loss(t, y).item(), y_hat)
+                fd = oracles.finite_diff_grad(lambda t: bce_loss(t, y).item(), y_hat)
                 assert max_rel_err(y_hat.grad, fd.data) < 1e-6
 
     def test_mixed_batch_at_and_past_the_clamp(self):
@@ -155,7 +160,7 @@ class TestBCELoss:
         assert max_rel_err(y_hat.grad[on_edge, 0], (p - y) / (p * (1.0 - p)) / len(labels)) < 1e-6
         inside = ~outside[:, 0] & ~on_edge
         assert inside.sum() == 4
-        fd = finite_diff_grad(lambda t: bce_loss(t, labels), y_hat)
+        fd = oracles.finite_diff_grad(lambda t: bce_loss(t, labels), y_hat)
         assert max_rel_err(y_hat.grad[inside], fd.data[inside]) < 1e-6
 
 
@@ -169,7 +174,7 @@ def _tiny_setup(n_triplets=24, d_model=16, seed=12, n_layers=1):
     config = CrossEncoderConfig(
         vocab_size=vocab.size, d_model=d_model, n_layers=n_layers, n_heads=2, d_ff=2 * d_model, max_len=16, seed=seed
     )
-    return init_params(config), vocab, pairs
+    return CrossEncoder(config), vocab, pairs
 
 
 class TestTrainConfig:
@@ -212,7 +217,7 @@ class TestRunTraining:
         for _ in range(2):
             model, vocab, pairs = _tiny_setup()
             run_training(model, vocab, pairs, TrainConfig(batch_size=8, epochs=2, seed=12), tmp_path)
-            states.append({name: p.data.copy() for name, p in model.parameters()})
+            states.append({name: p.data.copy() for name, p in model.params.items()})
         for name in states[0]:
             np.testing.assert_array_equal(states[0][name], states[1][name])
 
@@ -264,7 +269,7 @@ class TestRunTraining:
         assert stats.peak_step_ms >= stats.mean_step_ms >= 0.0
         assert stats.std_step_ms >= 0.0
         assert 0.0 < stats.mean_update_ms <= stats.mean_step_ms
-        assert stats.optimizer_state_bytes == 8 * model.parameter_count()
+        assert stats.optimizer_state_bytes == 8 * sum(p.size for p in model.params.values())
 
     def test_schedule_total_steps_drives_cosine(self, tmp_path):
         model, vocab, pairs = _tiny_setup(n_triplets=8)  # 16 pairs
@@ -297,7 +302,7 @@ class TestSteps:
         assert rows[0] == rows[1]
         assert [r.step for r in records] == list(range(6))
         assert [r.epoch for r in records] == [1, 1, 1, 2, 2, 2]
-        for (name, p), (_, q) in zip(model.parameters(), fresh.parameters()):
+        for (name, p), (_, q) in zip(model.params.items(), fresh.params.items()):
             np.testing.assert_array_equal(p.data, q.data, err_msg=name)
 
     def test_resource_stats_come_from_the_records(self, tmp_path):
@@ -315,7 +320,7 @@ class TestSteps:
         assert stats_text == "\n".join(resource_stats_lines(result.stats, "lion")) + "\n"
 
     @pytest.mark.parametrize("stop", ["break", "close"])
-    def test_stopping_early_leaves_no_tape_workspace_or_gradient(self, stop):
+    def test_stopping_early_leaves_no_active_tape_or_gradient(self, stop):
         model, vocab, pairs = _tiny_setup()
         config = TrainConfig(batch_size=8, epochs=2, seed=12)
         records = steps(model, *_steps_inputs(model, vocab, pairs, config), config)
@@ -325,7 +330,7 @@ class TestSteps:
             records.close()
         assert record.step == 0
         assert tensor._TAPE_STACK == []
-        assert all(p.grad is None for _, p in model.parameters())
+        assert all(p.grad is None for _, p in model.params.items())
 
     @pytest.mark.parametrize("bad_step", [0, 4])
     def test_nan_loss_names_its_step(self, monkeypatch, bad_step):
@@ -381,7 +386,7 @@ class TestStepGraph:
 
     def test_desk_step_records_15_nodes(self):
         vocab = Vocab([f"t{i}" for i in range(16)])
-        model = init_params(
+        model = CrossEncoder(
             CrossEncoderConfig(vocab_size=vocab.size, d_model=64, n_layers=1, n_heads=2, d_ff=128, max_len=16)
         )
         seqs = [tokenize_pair(vocab, f"t{i % 16}", f"t{i % 7} t{i % 5}", 16) for i in range(64)]
@@ -428,7 +433,7 @@ def _desk_faults_per_step(optimizer: str, free_4mb_first: bool) -> float:
     if free_4mb_first:
         bytearray(4 << 20)  # allocated and freed at once: glibc then keeps up to 8 MB of freed heap
     config = CrossEncoderConfig(vocab_size=100, d_model=64, n_layers=1, n_heads=2, d_ff=128, max_len=16, seed=12)
-    model = init_params(config)
+    model = CrossEncoder(config)
     ids = np.random.default_rng(0).integers(4, config.vocab_size, size=(103 * 64, config.max_len))
     ids[:, 0] = CLS_ID
     train_config = TrainConfig(batch_size=64, epochs=1, optimizer=optimizer, seed=12)
@@ -463,7 +468,7 @@ class TestWorkspace:
         assert [id(buf) for buf in lent[n:]] == [id(buf) for buf in lent[:n]]
 
     @pytest.mark.parametrize("n_layers", [1, 2])  # only a layer before the last runs full-length backward rules
-    def test_step_bit_identical_with_and_without_workspace(self, n_layers):
+    def test_step_bit_identical_on_fresh_and_reused_tape(self, n_layers):
         runs = []
         for tape in (None, Tape()):  # a fresh tape per pass, then one tape entered twice
             model, first, second = self._batches(n_layers)
@@ -471,7 +476,7 @@ class TestWorkspace:
             for p in model.params.values():
                 p.zero_grad()
             losses.append(_step(model, *second, tape))  # a pass on reused buffers
-            runs.append((losses, {name: p.grad for name, p in model.parameters()}))
+            runs.append((losses, {name: p.grad for name, p in model.params.items()}))
         assert runs[0][0] == runs[1][0]
         for name, grad in runs[0][1].items():
             np.testing.assert_array_equal(runs[1][1][name], grad, err_msg=name)
@@ -486,7 +491,7 @@ class TestWorkspace:
         assert lent
         # np.asarray of a RowGrad is a fresh dense copy, so check the array it holds
         assert isinstance(model.params["token_embedding"].grad, RowGrad)
-        for name, p in model.parameters():
+        for name, p in model.params.items():
             grad = p.grad.values if isinstance(p.grad, RowGrad) else p.grad
             assert not any(np.shares_memory(grad, buf) for buf in lent), name
             assert not any(np.shares_memory(p.data, buf) for buf in lent), name
