@@ -21,6 +21,10 @@
 # bytes as the run itself. report prints the Lion run's stats,
 # loss log and metrics. bench-optim then trains both optimizers from the
 # same config, and tabulates a two-row --import file.
+# Two malformed inputs must fail cleanly: a copy of the AdamW epoch-2
+# checkpoint whose [config] claims 100000000 layers makes rerank exit 2
+# within 60 seconds, without building that model, and a candidates run that
+# lists one line twice makes rerank exit 3. Neither may print a traceback.
 # Every file is written through a temp file and a rename, so at the end no
 # *.tmp file may be left anywhere under WORK_DIR. Every directory a command
 # populated must hold its manifest.json, and every file a manifest lists
@@ -65,6 +69,24 @@ reranklab report "$work/out/stats-lion.txt" "$work/out/loss-lion.tsv" "$work/met
 reranklab bench-optim --config "$work/run.ini" --out "$work/bench"
 printf 'encoder-small\t33.09\t32.21\nencoder-long-context\t77.04\t74.35\n' > "$work/means.tsv"
 reranklab bench-optim --import "$work/means.tsv" --out "$work/bench-import"
+# expect_exit CODE COMMAND...: COMMAND must exit CODE without a Python traceback on stderr
+expect_exit() {
+  local want=$1 status=0
+  shift
+  "$@" 2> "$work/stderr.txt" || status=$?
+  if [ "$status" -ne "$want" ] || grep -q Traceback "$work/stderr.txt"; then
+    echo "expected exit $want without a traceback, got $status from: $*" >&2
+    cat "$work/stderr.txt" >&2
+    exit 1
+  fi
+}
+sed 's/^n_layers=2$/n_layers=100000000/' "$work/out/two-layer-adamw-epoch2.ckpt" > "$work/many-layers.ckpt"
+grep -qx 'n_layers=100000000' "$work/many-layers.ckpt"
+expect_exit 2 timeout 60 reranklab rerank --checkpoint "$work/many-layers.ckpt" --queries "$work/data/queries.tsv" \
+  --passages "$work/data/passages.tsv" --candidates "$work/data/candidates.run" --out "$work/many-layers.run"
+{ cat "$work/data/candidates.run"; head -n 1 "$work/data/candidates.run"; } > "$work/repeated.run"
+expect_exit 3 reranklab rerank --checkpoint "$work/out/two-layer-adamw-epoch2.ckpt" --queries "$work/data/queries.tsv" \
+  --passages "$work/data/passages.tsv" --candidates "$work/repeated.run" --out "$work/repeated-reranked.run"
 leftover=$(find "$work" -name '*.tmp')
 if [ -n "$leftover" ]; then
   echo "temp files left under $work:" $leftover >&2

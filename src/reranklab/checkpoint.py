@@ -20,7 +20,10 @@ in their order, so each layer's attention weights are the fused ``w_qkv`` and
 ``w_out``. Save followed by load reproduces every buffer bit-exactly, and
 save, load, save writes the same bytes. Loading rejects a non-finite value
 (inf, nan) in any array or hyperparameter, and a name given twice; a bad row
-is named by its array and its index from 0.
+is named by its array and its index from 0. Every stored value takes at
+least two characters, so loading rejects a ``[config]`` whose parameters
+could not fit in the file, without building the model, and an AdamW
+``step`` outside the int64 step counter, 0 <= step < 2**63.
 
 v1 files still load. They have the same sections, but a row is its values as
 space-separated ``float.hex()`` text, and arrays go in the order and under
@@ -38,6 +41,7 @@ import base64
 import binascii
 import io
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional, TextIO
 
@@ -202,7 +206,8 @@ def _read_array(rows: list[str], dims: tuple[int, ...], name: str, decode_row, r
     return data
 
 
-def _parse(lines: Iterable[str]) -> CheckpointBundle:
+def _parse(lines: Iterable[str], length: int) -> CheckpointBundle:
+    """The checkpoint in ``lines``, ``length`` characters or bytes in all."""
     sections = _sections(lines)
     magic, after_magic = next(sections, ("", []))
     version = _FORMATS.get(magic)
@@ -246,7 +251,9 @@ def _parse(lines: Iterable[str]) -> CheckpointBundle:
             f"vocab holds {vocab.size} ids but config says {config.vocab_size}"
         )
 
-    model = CrossEncoder(config)
+    # Every stored value takes at least two characters. A config too large for the file builds no
+    # model, and its error waits for the arrays, so a file cut short is still named as cut.
+    model = CrossEncoder(config) if 2 * config.parameter_count() <= length else None
     arrays: dict[str, np.ndarray] = {}  # by "[param] <name>" or "[state] <key>"
     opt_kind = None
     opt_hypers: dict[str, float] = {}
@@ -271,12 +278,14 @@ def _parse(lines: Iterable[str]) -> CheckpointBundle:
                     raise CheckpointError(f"{field}: repeated key")
                 parse = int if key == "step" else float.fromhex
                 opt_hypers[key] = _parse_value(parse, value, field)
-                if not math.isfinite(opt_hypers[key]):
+                if key != "step" and not math.isfinite(opt_hypers[key]):  # step is range-checked below
                     raise CheckpointError(f"{field}: value {value!r} is not finite")
         else:
             raise CheckpointError(f"unexpected line in checkpoint: {header!r}")
     else:
         raise CheckpointError("unexpected end of checkpoint")
+    if model is None:
+        raise CheckpointError(f"[config] gives more parameter values than a file of length {length} holds")
 
     optimizer = None
     params = views({name: p.data for name, p in model.params.items()}, config.n_heads)
@@ -301,6 +310,8 @@ def _parse(lines: Iterable[str]) -> CheckpointBundle:
         if cls.COUNTS_STEPS:
             if opt_hypers["step"] < 0:  # the next step would divide by a bias correction <= 0
                 raise CheckpointError(f"[optimizer {opt_kind}] step: must be >= 0, got {opt_hypers['step']}")
+            if opt_hypers["step"] >= 2**63:  # state_bytes counts one int64 step counter
+                raise CheckpointError(f"[optimizer {opt_kind}] step: must be < 2**63")
             optimizer.step_count = opt_hypers["step"]
         buffers = views(optimizer.buffers(), config.n_heads)
         targets.update({f"[state] {key}": buf for key, buf in buffers.items()})
@@ -321,10 +332,10 @@ def _parse(lines: Iterable[str]) -> CheckpointBundle:
 
 def parse_checkpoint(text: str) -> CheckpointBundle:
     """The checkpoint in ``text``, split into lines as ``load_checkpoint`` splits a file."""
-    return _parse(io.StringIO(text, newline=None))
+    return _parse(io.StringIO(text, newline=None), len(text))
 
 
 def load_checkpoint(path) -> CheckpointBundle:
     """Read the file at ``path`` one section at a time; its lines split as in ``parse_checkpoint``."""
     with open_utf8(path, CheckpointError) as fh:
-        return _parse(fh)
+        return _parse(fh, os.fstat(fh.fileno()).st_size)

@@ -225,6 +225,13 @@ def read_corpus_tsv(path) -> dict[str, str]:
 # reranking
 
 
+def _check_ranked_once(qid: str, docids: Sequence[str]) -> None:
+    """Raise ValueError naming ``qid`` and the first docid ``docids`` lists twice, if any."""
+    if len(set(docids)) < len(docids):
+        docid = next(d for d, n in Counter(docids).items() if n > 1)
+        raise ValueError(f"query {qid!r}: docid {docid!r} is ranked more than once")
+
+
 def rerank(
     model: CrossEncoder,
     vocab: Vocab,
@@ -234,7 +241,8 @@ def rerank(
 ) -> dict[str, list[tuple[float, str]]]:
     """Rescore candidate lists with the model.
 
-    Every candidate qid/docid must resolve to text. Output per query is
+    Every candidate qid/docid must resolve to text, and a query may list a
+    docid once only, as :func:`evaluate` requires. Output per query is
     a permutation of its input docids. Each score is kept as the run
     format prints it, ``round(s, 6)``, and the list is ordered by
     (score, docid) descending, the order :func:`evaluate` reads back from
@@ -245,6 +253,7 @@ def rerank(
         if qid not in queries:
             raise ValueError(f"rerank: query id {qid!r} has no text")
         docids = [docid for _, docid in pairs]
+        _check_ranked_once(qid, docids)
         missing = [docid for docid in docids if docid not in passages]
         if missing:
             raise ValueError(f"rerank: passage id {missing[0]!r} (query {qid!r}) has no text")
@@ -376,9 +385,7 @@ def evaluate(
             continue
         evaluated_ids.append(qid)
         ranking = [docid for _, docid in sorted(run[qid], reverse=True)]
-        if len(set(ranking)) < len(ranking):
-            docid = next(d for d, n in Counter(ranking).items() if n > 1)
-            raise ValueError(f"query {qid!r}: docid {docid!r} is ranked more than once")
+        _check_ranked_once(qid, ranking)
         try:
             ndcg_column[qid] = _ndcg(ranking, grades, k, exponential_gain)
         except OverflowError:

@@ -131,6 +131,12 @@ class CrossEncoderConfig:
         if self.max_len < 8:
             raise ValueError(f"max_len must be >= 8, got {self.max_len}")
 
+    def parameter_count(self) -> int:
+        """The number of values in a :class:`CrossEncoder`'s parameters."""
+        d, d_ff = self.d_model, self.d_ff
+        per_layer = 4 * d * d + 2 * d * d_ff + 6 * d + d_ff  # w_qkv, w_out, ff weights, then biases and norms
+        return (self.vocab_size + self.max_len) * d + self.n_layers * per_layer + d + 1
+
 
 def checkpoint_views(arrays: Mapping[str, np.ndarray], n_heads: int) -> dict[str, np.ndarray]:
     """``arrays`` under their checkpoint v1 names, in file order, as views.
@@ -176,7 +182,7 @@ class CrossEncoder:
     # -- construction -------------------------------------------------
 
     def _param(self, name: str, data: np.ndarray) -> None:
-        self.params[name] = Tensor(data, requires_grad=True)
+        self.params[name] = Tensor(data)
 
     def _uniform(self, rng, shape, fan_in: int) -> np.ndarray:
         bound = 1.0 / np.sqrt(fan_in)

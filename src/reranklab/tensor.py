@@ -1,12 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Ops compute eagerly with numpy. When a :class:`Tape` is active and the
-result requires gradients, the op records a node carrying its local
-backward rule. ``Tape.backward`` walks the node list once in reverse
-(forward execution order is already topological). Gradients reach leaves
-only: ``.grad`` is written to the ``requires_grad`` tensors that no node on
-the tape produced (parameters and inputs), and an intermediate's gradient
-is freed as soon as its node has run. Leaf gradients accumulate across
+Ops compute eagerly with numpy. While a :class:`Tape` is active, every op
+records a node carrying its local backward rule; with none active, no op
+records. ``Tape.backward`` walks the node list once in reverse (forward
+execution order is already topological). Gradients reach leaves only:
+``.grad`` is written to every tensor the pass reached that no node on the
+tape produced (parameters and inputs), and an intermediate's gradient is
+freed as soon as its node has run. Leaf gradients accumulate across
 backward calls; callers zero them between steps.
 
 A leaf's ``.grad`` is an ndarray, or a :class:`RowGrad` when the leaf is a
@@ -21,9 +21,9 @@ tape, op outputs and backward temporaries are lent by the tape and
 overwritten once it is entered again; with no tape active they are fresh.
 Leaf gradients are copied out, so ``.grad`` never aliases a lent buffer.
 
-The active tape is process-wide: ``with tape:`` pushes onto one stack
-that every thread's ops read, so an op run in any thread records on the
-innermost tape any thread has entered. Use tapes from one thread.
+At most one tape is active in the process: entering a tape while any tape
+is active raises. The active tape is process-wide, so every thread's ops
+record on it, and the entry check takes no lock: use tapes from one thread.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested op."""
 
 
-_TAPE_STACK: list["Tape"] = []
+_TAPE_STACK: list["Tape"] = []  # the active tape, if any: at most one
 
 
 class _Node:
@@ -80,15 +80,16 @@ class Tape:
                 tape.backward(loss)
 
     Entering the tape starts a pass: the last pass's nodes are forgotten.
-    While it is the innermost active tape, every op takes its output
-    buffer (and any activation its backward rule keeps) from the tape
-    instead of allocating one, as do backward rules for their large
-    temporaries and the backward pass for its gradient sums; leaf
-    gradients are copied out. Buffers are pooled by shape and lent in
-    request order, so a pass with the same shapes as the last one gets the
-    same buffers back and the memory stays mapped. No buffer is lent twice
-    within one pass, so a backward temporary never overwrites an activation
-    a rule reads. A lent buffer is valid until the tape is entered again.
+    Entering it while any tape is active raises. While it is active, every
+    op records on it and takes its output buffer (and any activation its
+    backward rule keeps) from it instead of allocating one, as do backward
+    rules for their large temporaries and the backward pass for its
+    gradient sums; leaf gradients are copied out. Buffers are pooled by
+    shape and lent in request order, so a pass with the same shapes as the
+    last one gets the same buffers back and the memory stays mapped. No
+    buffer is lent twice within one pass, so a backward temporary never
+    overwrites an activation a rule reads. A lent buffer is valid until the
+    tape is entered again.
 
     The tape references its nodes, their tensors and its buffers, never
     the reverse, so reference counting frees a pass's graph when the tape
@@ -102,8 +103,8 @@ class Tape:
         self._lent: dict[tuple[int, ...], int] = {}
 
     def __enter__(self) -> "Tape":
-        if self in _TAPE_STACK:
-            raise RuntimeError("tape is already active")
+        if _TAPE_STACK:
+            raise RuntimeError("a tape is already active")
         self.nodes.clear()
         self._lent.clear()
         _TAPE_STACK.append(self)
@@ -115,10 +116,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def _record(self, inputs, output, rule):
-        output.node_id = len(self.nodes)
-        self.nodes.append(_Node(inputs, output, rule))
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
         """A float64 buffer of ``shape`` not yet lent in this pass (contents undefined)."""
@@ -132,10 +129,11 @@ class Tape:
     def backward(self, loss: "Tensor") -> None:
         """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
-        A leaf is a ``requires_grad`` tensor that no node on this tape
-        produced. Op outputs get no ``.grad``: each one's gradient is
-        dropped once its node has passed it on. ``loss`` must be a
-        single-element tensor produced in the tape's last pass.
+        A leaf is any tensor that no node of this pass produced, so every
+        leaf the loss depends on gets a gradient. Op outputs get no
+        ``.grad``: each one's gradient is dropped once its node has passed
+        it on. ``loss`` must be a single-element tensor produced in the
+        tape's last pass.
 
         A leaf whose only gradient is one lookup's :class:`RowGrad` keeps
         it as ``.grad``. Any sum with another gradient, from a second
@@ -147,8 +145,7 @@ class Tape:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         if not self.nodes:
             raise ValueError("backward on an empty tape")
-        node_id = loss.node_id
-        if node_id is None or node_id >= len(self.nodes) or self.nodes[node_id].output is not loss:
+        if not any(node.output is loss for node in self.nodes):
             raise ValueError("loss was not produced on this tape")
 
         # id(tensor) -> (tensor, accumulated gradient); entries are never
@@ -164,8 +161,6 @@ class Tape:
                 continue  # node did not contribute to the loss
             out_grad = entry[1]
             for tensor, grad in zip(node.inputs, node.rule(out_grad)):
-                if grad is None or not tensor.requires_grad:
-                    continue
                 prev = pending.get(id(tensor))
                 if prev is None:
                     pending[id(tensor)] = (tensor, grad)
@@ -184,8 +179,8 @@ class Tape:
 
 
 def _buffer(shape: tuple[int, ...]) -> np.ndarray:
-    """An op's output buffer or a backward temporary: lent by the innermost active tape, else fresh."""
-    return _TAPE_STACK[-1].take(shape) if _TAPE_STACK else np.empty(shape)
+    """An op's output buffer or a backward temporary: lent by the active tape, else fresh."""
+    return _TAPE_STACK[0].take(shape) if _TAPE_STACK else np.empty(shape)
 
 
 class Tensor:
@@ -196,13 +191,11 @@ class Tensor:
     ndarray or a :class:`RowGrad`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.array(data, dtype=np.float64, order="C")
-        self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray | RowGrad] = None
-        self.node_id: Optional[int] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -221,7 +214,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 class RowGrad:
@@ -248,7 +241,7 @@ class RowGrad:
 
 
 def as_tensor(x) -> Tensor:
-    """Wrap scalars/arrays as constant tensors; pass tensors through."""
+    """Wrap scalars/arrays as tensors; pass tensors through."""
     if isinstance(x, Tensor):
         return x
     return Tensor(x)
@@ -258,11 +251,9 @@ def _emit(inputs: tuple[Tensor, ...], data: np.ndarray, rule) -> Tensor:
     # ``data`` is the op's own result buffer, so it is wrapped without a copy.
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64, order="C")
-    out.requires_grad = any(t.requires_grad for t in inputs)
     out.grad = None
-    out.node_id = None
-    if _TAPE_STACK and out.requires_grad:
-        _TAPE_STACK[-1]._record(inputs, out, rule)
+    if _TAPE_STACK:
+        _TAPE_STACK[0].nodes.append(_Node(inputs, out, rule))
     return out
 
 
@@ -304,8 +295,8 @@ def matmul(a, b) -> Tensor:
 
     def rule(g):
         return (
-            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None,
-            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None,
+            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape),
         )
 
     out = _buffer(batch + (a.shape[-2], b.shape[-1]))
@@ -335,11 +326,11 @@ def linear(x, w, b=None) -> Tensor:
 
     def rule(g):
         g2 = g.reshape(-1, n)
-        dx = np.matmul(g2, w.data.T, out=_buffer(x2.shape)).reshape(x.shape) if x.requires_grad else None
-        dw = np.matmul(x2.T, g2, out=_buffer(w.shape)) if w.requires_grad else None
+        dx = np.matmul(g2, w.data.T, out=_buffer(x2.shape)).reshape(x.shape)
+        dw = np.matmul(x2.T, g2, out=_buffer(w.shape))
         if bias is None:
             return dx, dw
-        return dx, dw, g2.sum(axis=0) if bias.requires_grad else None
+        return dx, dw, g2.sum(axis=0)
 
     return _emit((x, w) if bias is None else (x, w, bias), out, rule)
 
@@ -545,10 +536,8 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 
     def rule(g):
         g_xhat = np.multiply(g, xhat, out=_buffer(xhat.shape))
-        dgain = g_xhat.reshape(-1, n).sum(axis=0) if gain.requires_grad else None
-        dbias = g.reshape(-1, n).sum(axis=0) if bias.requires_grad else None
-        if not a.requires_grad:
-            return (None, dgain, dbias)
+        dgain = g_xhat.reshape(-1, n).sum(axis=0)
+        dbias = g.reshape(-1, n).sum(axis=0)
         # With dxhat = g * gain: da = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
         da = np.multiply(g, gain.data, out=_buffer(a.shape))
         da -= np.mean(da, axis=-1, keepdims=True)

@@ -250,8 +250,8 @@ def mul(a, b):
 
     def rule(g):
         return (
-            T._unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            T._unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+            T._unbroadcast(g * b.data, a.shape),
+            T._unbroadcast(g * a.data, b.shape),
         )
 
     return T._emit((a, b), np.multiply(a.data, b.data, out=np.empty(shape)), rule)

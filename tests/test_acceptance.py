@@ -59,7 +59,7 @@ def test_c02_lion_single_step_oracle():
     beta1, beta2, lr, g, theta0, m0 = 0.9, 0.99, 0.1, 2.0, 1.0, 0.0
     c1 = beta1 * m0 + (1.0 - beta1) * g
     assert abs(c1 - 0.2) < 1e-15
-    params = {"w": Tensor([theta0], requires_grad=True)}
+    params = {"w": Tensor([theta0])}
     opt = Lion(params, lr=lr, betas=(beta1, beta2), weight_decay=0.0)
     params["w"].grad = np.array([g])
     opt.step()
@@ -76,7 +76,7 @@ def test_c03_lion_scale_invariance_bitwise():
         theta0 = rng.normal(size=dims)
         trajectories = []
         for c in (1e-6, 1.0, 1e6):
-            params = {"w": Tensor(theta0.copy(), requires_grad=True)}
+            params = {"w": Tensor(theta0.copy())}
             opt = Lion(params, lr=0.01, weight_decay=0.01)
             history = []
             for t in range(length):
@@ -93,7 +93,7 @@ def test_c03_lion_scale_invariance_bitwise():
 
 
 def test_c04_adamw_single_step_oracle():
-    params = {"w": Tensor([1.0], requires_grad=True)}
+    params = {"w": Tensor([1.0])}
     opt = AdamW(params, lr=0.1, betas=(0.9, 0.999), eps=0.0, weight_decay=0.01)
     params["w"].grad = np.array([2.0])
     opt.step()
@@ -101,7 +101,7 @@ def test_c04_adamw_single_step_oracle():
 
     rng = np.random.default_rng(12)
     g = rng.normal(size=32)
-    params = {"w": Tensor(np.zeros(32), requires_grad=True)}
+    params = {"w": Tensor(np.zeros(32))}
     opt = AdamW(params, lr=0.05, eps=0.0, weight_decay=0.0)
     params["w"].grad = g.copy()
     opt.step()
@@ -112,7 +112,7 @@ def test_c04_adamw_single_step_oracle():
 def test_c05_memory_claim_state_bytes():
     worst_low, worst_high = 1.0, 0.0
     for count in (10**2, 10**3, 10**4, 10**5, 10**6):
-        params = {"w": Tensor(np.zeros(count), requires_grad=True)}
+        params = {"w": Tensor(np.zeros(count))}
         lion_bytes = Lion(params).state_bytes()
         adamw_bytes = AdamW(params).state_bytes()
         ratio = lion_bytes / adamw_bytes

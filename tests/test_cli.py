@@ -5,6 +5,9 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,6 +535,24 @@ class TestRerank:
         )
         assert code == cli.EXIT_PARSE
 
+    def test_repeated_candidate_is_parse_error(self, tmp_path, synth_dir, tiny_checkpoint, capsys):
+        lines = (synth_dir / "candidates.run").read_text(encoding="utf-8").splitlines(keepends=True)
+        repeated = tmp_path / "repeated.run"
+        repeated.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+        qid, _, docid = lines[1].split()[:3]
+        out = tmp_path / "o.run"
+        code = run_cli(
+            "rerank",
+            "--checkpoint", tiny_checkpoint[0],
+            "--queries", synth_dir / "queries.tsv",
+            "--passages", synth_dir / "passages.tsv",
+            "--candidates", repeated,
+            "--out", out,
+        )
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err == f"input error: query {qid!r}: docid {docid!r} is ranked more than once\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "corpus, text",
         [("queries.tsv", "q1\talpha\nq1\tbeta\n"), ("passages.tsv", "d1\tbeta\nd1\talpha\n")],
@@ -705,6 +726,37 @@ class TestNegativeAdamwStep:
         )
         assert code == cli.EXIT_CONFIG
         assert f"config error: {named}\n" in capsys.readouterr().err
+
+
+class TestOversizedCheckpointHeader:
+    """One edited header line of a valid AdamW checkpoint that no file of its length could hold."""
+
+    @pytest.mark.parametrize(
+        "line, edited, named",
+        [
+            ("step=0", "step=" + "9" * 401, "[optimizer adamw] step: must be < 2**63\n"),
+            ("d_model=8", "d_model=10000000000000", "[config] gives "),
+            ("d_model=8", "d_model=1" + "0" * 30, "[config] gives "),
+            ("n_layers=1", "n_layers=100000000", "[config] gives "),
+        ],
+        ids=["step-401-digits", "d_model-14-digits", "d_model-31-digits", "n_layers-1e8"],
+    )
+    def test_rerank_exits_2_naming_it(self, tmp_path, line, edited, named):
+        vocab = Vocab(["alpha", "beta"])
+        model = CrossEncoder(CrossEncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, d_ff=16, max_len=8))
+        path = tmp_path / "adamw.ckpt"
+        save_checkpoint(path, model, vocab, AdamW(model.params))
+        text = path.read_text(encoding="utf-8")
+        assert f"\n{line}\n" in text
+        path.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n", 1), encoding="utf-8")
+        # A child process, so a load that builds the model of such a header is stopped by the timeout.
+        argv = ["rerank", "--checkpoint", path, "--queries", tmp_path / "q.tsv", "--passages", tmp_path / "p.tsv",
+                "--candidates", tmp_path / "c.run", "--out", tmp_path / "o.run"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-m", "reranklab.cli", *map(str, argv)], env=env,
+                               capture_output=True, text=True, timeout=30)
+        assert child.returncode == cli.EXIT_CONFIG
+        assert child.stderr.startswith(f"config error: {named}") and "Traceback" not in child.stderr
 
 
 class TestNonUtf8Input:

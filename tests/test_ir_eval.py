@@ -265,6 +265,11 @@ class TestRerank:
         assert parse_run(format_run(out, "t").splitlines()) == out
         assert [docid for _, docid in out["q1"]] == oracles.brute_ranking([(d, v) for v, d in out["q1"]])
 
+    def test_docid_listed_twice_named(self, tiny_vocab, tiny_model):
+        candidates = {"q1": [(0.3, "d1"), (0.2, "d2"), (0.1, "d1")]}
+        with pytest.raises(ValueError, match=r"^query 'q1': docid 'd1' is ranked more than once$"):
+            rerank(tiny_model, tiny_vocab, {"q1": "t0"}, {"d1": "t1", "d2": "t2"}, candidates)
+
     def test_unresolvable_ids_named(self, tiny_vocab, tiny_model):
         with pytest.raises(ValueError, match="q9"):
             rerank(tiny_model, tiny_vocab, {}, {"d1": "x"}, {"q9": [(0.0, "d1")]})

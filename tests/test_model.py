@@ -151,7 +151,9 @@ class TestInitParams:
             + d * dff + dff + dff * d + d  # feed-forward
             + d + 1  # scoring head
         )
-        assert sum(p.size for p in model.params.values()) == expected == 3505
+        assert sum(p.size for p in model.params.values()) == expected == 3505 == cfg.parameter_count()
+        deeper = CrossEncoderConfig(vocab_size=9, d_model=12, n_layers=3, n_heads=4, d_ff=20, max_len=8)
+        assert deeper.parameter_count() == sum(p.size for p in CrossEncoder(deeper).params.values())
 
     def test_biases_start_at_zero(self, tiny_model):
         for name, p in tiny_model.params.items():

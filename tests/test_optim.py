@@ -14,7 +14,7 @@ from conftest import same_bits
 
 
 def make_params(values):
-    return {name: Tensor(np.asarray(v, dtype=np.float64), requires_grad=True) for name, v in values.items()}
+    return {name: Tensor(np.asarray(v, dtype=np.float64)) for name, v in values.items()}
 
 
 def set_grads(params, grads):
@@ -217,8 +217,8 @@ class TestRowGradUpdate:
     @pytest.mark.parametrize("extra", [0, 280, 300])
     @pytest.mark.parametrize("kind", list(OPTIMIZERS))
     def test_matches_dense_formula_bit_for_bit(self, rng, kind, extra):
-        table = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
-        bias = Tensor(rng.normal(size=5), requires_grad=True)  # a dense gradient alongside
+        table = Tensor(rng.normal(size=self.SHAPE))
+        bias = Tensor(rng.normal(size=5))  # a dense gradient alongside
         opt = OPTIMIZERS[kind]({"table": table, "bias": bias}, lr=1e-3, weight_decay=0.01)
         # Untouched rows start with momentum -0.0 (which the dense formula
         # turns into +0.0) and a negative subnormal (whose sign moves theta).
@@ -261,7 +261,7 @@ class TestAllocation:
     @pytest.mark.parametrize("form", ["rows", "dense"])
     @pytest.mark.parametrize("kind", list(OPTIMIZERS))
     def test_step_peak_below_512_kib(self, rng, kind, form):
-        table = Tensor(rng.normal(size=(2500, 64)), requires_grad=True)
+        table = Tensor(rng.normal(size=(2500, 64)))
         opt = OPTIMIZERS[kind]({"table": table}, lr=1e-3)
         for _ in range(2):  # the second step runs on warm state
             ids = rng.integers(0, 2500, size=(4, 16))

@@ -39,8 +39,8 @@ class TestMatmul:
             assert max_rel_err(left, right) < 1e-9
 
     def test_backward_rules(self, rng):
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        a = Tensor(rng.normal(size=(3, 4)))
+        b = Tensor(rng.normal(size=(4, 2)))
         with Tape() as tape:
             loss = oracles.reduce_sum(T.matmul(a, b))
         tape.backward(loss)
@@ -51,8 +51,8 @@ class TestMatmul:
 
     @pytest.mark.parametrize("b_shape", [(4, 2), (3, 4, 2)])
     def test_batched_product_and_backward(self, rng, b_shape):
-        a = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+        a = Tensor(rng.normal(size=(3, 5, 4)))
+        b = Tensor(rng.normal(size=b_shape))
         out = T.matmul(a, b)
         for i in range(3):
             rhs = b.data if b.data.ndim == 2 else b.data[i]
@@ -76,20 +76,19 @@ class TestMatmul:
 
     @pytest.mark.parametrize("trained", ["a", "b"])
     def test_folded_backward_with_one_constant_operand(self, rng, trained):
-        a = Tensor(rng.normal(size=(2, 3, 5, 4)), requires_grad=trained == "a")
-        b = Tensor(rng.normal(size=(4, 3)), requires_grad=trained == "b")
+        # One operand is a plain array: matmul wraps it in a Tensor, and that Tensor gets a gradient too.
+        a, b = rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(4, 3))
+        a, b = (Tensor(a), b) if trained == "a" else (a, Tensor(b))
         weights = rng.normal(size=(2, 3, 5, 3))
         with Tape() as tape:
             loss = oracles.reduce_sum(oracles.mul(T.matmul(a, b), weights))
         tape.backward(loss)
-        if trained == "a":
-            fd = oracles.finite_diff_grad(lambda t: oracles.reduce_sum(oracles.mul(T.matmul(t, b), weights)), a)
-            assert b.grad is None and a.grad.shape == a.shape
-            assert max_rel_err(a.grad, fd.data) < 1e-4
-        else:
-            fd = oracles.finite_diff_grad(lambda t: oracles.reduce_sum(oracles.mul(T.matmul(a, t), weights)), b)
-            assert a.grad is None and b.grad.shape == b.shape
-            assert max_rel_err(b.grad, fd.data) < 1e-4
+        a, b = tape.nodes[0].inputs
+        fd_a = oracles.finite_diff_grad(lambda t: oracles.reduce_sum(oracles.mul(T.matmul(t, b), weights)), a)
+        fd_b = oracles.finite_diff_grad(lambda t: oracles.reduce_sum(oracles.mul(T.matmul(a, t), weights)), b)
+        assert a.grad.shape == a.shape and b.grad.shape == b.shape
+        assert max_rel_err(a.grad, fd_a.data) < 1e-4
+        assert max_rel_err(b.grad, fd_b.data) < 1e-4
 
     def test_batch_axes_must_broadcast(self):
         with pytest.raises(ShapeError, match="batch axes.*do not broadcast"):
@@ -99,9 +98,9 @@ class TestMatmul:
 class TestLinear:
     @pytest.mark.parametrize("with_bias", [True, False])
     def test_forward_and_backward_on_3d_input(self, rng, with_bias):
-        x = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        b = Tensor(rng.normal(size=6), requires_grad=True) if with_bias else None
+        x = Tensor(rng.normal(size=(3, 5, 4)))
+        w = Tensor(rng.normal(size=(4, 6)))
+        b = Tensor(rng.normal(size=6)) if with_bias else None
         out = T.linear(x, w, b)
         expected = np.matmul(x.data, w.data) + (b.data if with_bias else 0.0)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
@@ -132,8 +131,8 @@ class TestAttention:
 
     def _leaves(self, rng):
         d = self.H * self.DH
-        x = Tensor(rng.normal(size=(self.B, self.L, d)), requires_grad=True)
-        w_qkv = Tensor(rng.normal(size=(d, 3 * d)), requires_grad=True)
+        x = Tensor(rng.normal(size=(self.B, self.L, d)))
+        w_qkv = Tensor(rng.normal(size=(d, 3 * d)))
         return x, w_qkv
 
     def _check_finite_differences(self, rng, first_query_only):
@@ -169,14 +168,14 @@ class TestAttention:
         d = self.H * self.DH
         real = self._mask()
         a, w_qkv = self._leaves(rng)
-        w_out = Tensor(rng.normal(size=(d, d)), requires_grad=True)
+        w_out = Tensor(rng.normal(size=(d, d)))
         weights = rng.normal(size=(self.B, self.L, d))
         with Tape() as tape:
             fused = T.linear(T.attention(a, w_qkv, real, self.H), w_out)
             loss = oracles.reduce_sum(oracles.mul(fused, weights))
         tape.backward(loss)
 
-        ref = {name: Tensor(t.data, requires_grad=True) for name, t in (("a", a), ("w_qkv", w_qkv), ("w_out", w_out))}
+        ref = {name: Tensor(t.data) for name, t in (("a", a), ("w_qkv", w_qkv), ("w_out", w_out))}
         with Tape() as tape:
             attended = oracles.per_head_attention(T.linear(ref["a"], ref["w_qkv"]), real, self.H)
             composed = T.linear(attended, ref["w_out"])
@@ -194,12 +193,12 @@ class TestAttention:
         if desk:  # the desk model's B 64, L 16, d 64 with random padding, at its init's weight scale
             batch, length, d = 64, 16, 64
             real = np.arange(length) < rng.integers(1, length + 1, size=(batch, 1))
-            full_x = Tensor(rng.normal(size=(batch, length, d)), requires_grad=True)
-            full_w = Tensor(rng.normal(size=(d, 3 * d)) / np.sqrt(d), requires_grad=True)
+            full_x = Tensor(rng.normal(size=(batch, length, d)))
+            full_w = Tensor(rng.normal(size=(d, 3 * d)) / np.sqrt(d))
         else:
             real, (full_x, full_w) = self._mask(), self._leaves(rng)
         batch, length, d = full_x.shape
-        x, w_qkv = Tensor(full_x.data, requires_grad=True), Tensor(full_w.data, requires_grad=True)
+        x, w_qkv = Tensor(full_x.data), Tensor(full_w.data)
         weights = rng.normal(size=(batch, d))
         row0 = np.zeros((batch, length, d))
         row0[:, 0] = weights  # the full loss reads row 0 only
@@ -245,7 +244,7 @@ class TestFirstRow:
         np.testing.assert_array_equal(out.data, a.data[:, 0])
 
     def test_backward_matches_finite_differences(self, rng):
-        a = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        a = Tensor(rng.normal(size=(3, 5, 4)))
         weights = rng.normal(size=(3, 4))
 
         def f(t):
@@ -301,8 +300,8 @@ class TestElementwise:
         ],
     )
     def test_binary_backward_matches_oracle(self, rng, op, shapes):
-        a = Tensor(rng.normal(size=shapes[0]), requires_grad=True)
-        b = Tensor(rng.normal(size=shapes[1]), requires_grad=True)
+        a = Tensor(rng.normal(size=shapes[0]))
+        b = Tensor(rng.normal(size=shapes[1]))
         with Tape() as tape:
             loss = oracles.reduce_sum(oracles.mul(op(a, b), op(a, b)))
         tape.backward(loss)
@@ -313,7 +312,7 @@ class TestElementwise:
 
     @pytest.mark.parametrize("op", [T.relu, T.sigmoid])
     def test_unary_backward_matches_oracle(self, rng, op):
-        x = Tensor(rng.normal(size=(3, 5)) + 0.3, requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 5)) + 0.3)
         with Tape() as tape:
             loss = oracles.reduce_sum(op(x))
         tape.backward(loss)
@@ -348,7 +347,7 @@ class TestSoftmax:
             oracles.softmax(Tensor(np.ones((2, 2))), axis=5)
 
     def test_backward_matches_oracle(self, rng):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 4)))
         w = Tensor(rng.normal(size=(3, 4)))
 
         def f(t):
@@ -380,9 +379,9 @@ class TestLayerNorm:
             T.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
 
     def test_backward_matches_oracle(self, rng):
-        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        gain = Tensor(rng.normal(size=6), requires_grad=True)
-        bias = Tensor(rng.normal(size=6), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 6)))
+        gain = Tensor(rng.normal(size=6))
+        bias = Tensor(rng.normal(size=6))
         w = Tensor(rng.normal(size=(4, 6)))
 
         def f(_):
@@ -404,7 +403,7 @@ class TestEmbeddingLookup:
         np.testing.assert_array_equal(out.data[0], table.data[0])
 
     def test_keeps_shape_of_id_array(self, rng):
-        table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        table = Tensor(rng.normal(size=(5, 3)))
         ids = np.array([[0, 4, 4], [2, 0, 1]])
         out = T.embedding_lookup(table, ids)
         assert out.shape == (2, 3, 3)
@@ -423,7 +422,7 @@ class TestEmbeddingLookup:
             T.embedding_lookup(Tensor(rng.normal(size=(5, 3))), [1, 7])
 
     def test_gradient_scatters_additively(self, rng):
-        table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        table = Tensor(rng.normal(size=(4, 3)))
         with Tape() as tape:
             loss = oracles.reduce_sum(T.embedding_lookup(table, [1, 1]))
         tape.backward(loss)
@@ -444,7 +443,7 @@ class TestRowGrad:
         return g
 
     def test_one_lookup_holds_touched_rows(self, rng):
-        table = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
+        table = Tensor(rng.normal(size=self.SHAPE))
         ids = np.array([[7, 3, 7, 39], [0, 7, 3, 7], [12, 12, 12, 12]])
         g = self._upstream(rng, ids.shape)
         with Tape() as tape:
@@ -457,7 +456,7 @@ class TestRowGrad:
         assert same_bits(np.asarray(grad), oracles.dense_scatter(self.SHAPE, ids, g))
 
     def test_table_looked_up_twice_on_one_tape(self, rng):
-        table = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
+        table = Tensor(rng.normal(size=self.SHAPE))
         ids1, ids2 = rng.integers(0, 40, size=(3, 5)), rng.integers(0, 40, size=7)
         g1, g2 = self._upstream(rng, ids1.shape), self._upstream(rng, ids2.shape)
         with Tape() as tape:
@@ -470,7 +469,7 @@ class TestRowGrad:
         assert same_bits(table.grad, want)
 
     def test_table_also_read_densely_on_one_tape(self, rng):
-        table = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
+        table = Tensor(rng.normal(size=self.SHAPE))
         ids, w = rng.integers(0, 40, size=9), rng.normal(size=self.SHAPE)
         g = self._upstream(rng, ids.shape)
         with Tape() as tape:
@@ -482,7 +481,7 @@ class TestRowGrad:
         assert same_bits(table.grad, w + oracles.dense_scatter(self.SHAPE, ids, g))
 
     def test_two_backward_calls_without_zero_grad(self, rng):
-        table = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
+        table = Tensor(rng.normal(size=self.SHAPE))
         want = None
         for _ in range(3):
             ids = rng.integers(0, 40, size=(2, 6))
@@ -515,7 +514,7 @@ class TestEmbeddingScatter:
     def test_matches_add_at_into_zeros(self, lookup):
         rows, ids, g = lookup
         width = g.shape[-1]
-        table = Tensor(np.zeros((rows, width)), requires_grad=True)
+        table = Tensor(np.zeros((rows, width)))
         with Tape() as tape:
             out = T.embedding_lookup(table, ids)
         (grad,) = tape.nodes[0].rule(g)
@@ -531,7 +530,7 @@ class TestReduce:
         assert oracles.reduce_sum(Tensor([1.0, 2.0, 3.0])).item() == 6.0
 
     def test_axis_reduction_backward(self, rng):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 4)))
 
         def f(t):
             return oracles.reduce_sum(oracles.mul(oracles.reduce_sum(t, axis=0), oracles.reduce_sum(t, axis=0)))
@@ -547,7 +546,7 @@ class TestBCE:
     def test_value_is_mean_pair_loss_in_one_node(self, rng):
         p = rng.uniform(0.05, 0.95, size=(6, 1))
         y = np.array([[1.0], [0.0], [0.0], [1.0], [1.0], [0.0]])
-        x = Tensor(p, requires_grad=True)
+        x = Tensor(p)
         with Tape() as tape:
             loss = T.bce(x, y, 1e-12)
         assert len(tape) == 1
@@ -555,7 +554,7 @@ class TestBCE:
         assert abs(loss.item() - expected) < 1e-15
 
     def test_backward_matches_oracle_under_upstream_gradient(self, rng):
-        x = Tensor(rng.uniform(0.05, 0.95, size=(4, 3)), requires_grad=True)
+        x = Tensor(rng.uniform(0.05, 0.95, size=(4, 3)))
         y = (rng.uniform(size=(4, 3)) < 0.5).astype(float)
         with Tape() as tape:
             loss = oracles.mul(T.bce(x, y, 1e-12), 3.0)
@@ -564,7 +563,7 @@ class TestBCE:
         assert max_rel_err(x.grad, fd.data) < 1e-6
 
     def test_wide_clamp_zeroes_gradient_outside(self, rng):
-        x = Tensor([0.05, 0.2, 0.5, 0.8, 0.95], requires_grad=True)
+        x = Tensor([0.05, 0.2, 0.5, 0.8, 0.95])
         y = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
         with Tape() as tape:
             loss = T.bce(x, y, 0.1)
@@ -582,21 +581,21 @@ class TestBCE:
 
 class TestBackward:
     def test_sum_gives_ones(self, rng):
-        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 3)))
         with Tape() as tape:
             loss = oracles.reduce_sum(x)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_sum_gradient(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0])
         with Tape() as tape:
             loss = oracles.reduce_sum(oracles.mul(x, x))
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
     def test_backward_twice_doubles(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0])
         with Tape() as tape:
             loss = oracles.reduce_sum(oracles.mul(x, x))
         tape.backward(loss)
@@ -605,7 +604,7 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 2 * first, atol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0])
         with Tape() as tape:
             y = oracles.mul(x, x)
         with pytest.raises(ValueError, match="scalar"):
@@ -616,7 +615,7 @@ class TestBackward:
             Tape().backward(Tensor(1.0))
 
     def test_each_node_visited_once(self, rng):
-        x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 3)))
         with Tape() as tape:
             y = T.sigmoid(T.matmul(x, x))
             loss = oracles.reduce_sum(oracles.mul(y, y))
@@ -633,8 +632,8 @@ class TestBackward:
 
     def test_gradients_reach_leaves_only(self, rng):
         x = Tensor(rng.normal(size=(2, 5, 4)))
-        w1 = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        w2 = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+        w1 = Tensor(rng.normal(size=(4, 3)))
+        w2 = Tensor(rng.normal(size=(3, 1)))
 
         def f(_=None):
             return oracles.reduce_sum(T.sigmoid(T.matmul(T.relu(T.matmul(x, w1)), w2)))
@@ -644,12 +643,11 @@ class TestBackward:
         tape.backward(loss)
         assert len(tape.nodes) == 5
         assert all(node.output.grad is None for node in tape.nodes)
-        assert x.grad is None
-        for w in (w1, w2):
-            assert max_rel_err(w.grad, oracles.finite_diff_grad(f, w).data) < 1e-4
+        for leaf in (x, w1, w2):
+            assert max_rel_err(leaf.grad, oracles.finite_diff_grad(f, leaf).data) < 1e-4
 
     def test_shared_input_accumulates(self):
-        x = Tensor([3.0], requires_grad=True)
+        x = Tensor([3.0])
         with Tape() as tape:
             loss = oracles.reduce_sum(T.add(oracles.mul(x, x), x))  # d/dx = 2x + 1
         tape.backward(loss)
@@ -660,7 +658,7 @@ class TestTapePasses:
     """Each entry of a tape is a pass: it forgets the last pass's nodes and lends its buffers again."""
 
     def test_second_entry_records_only_its_own_pass(self):
-        x = Tensor([1.0, -2.0], requires_grad=True)
+        x = Tensor([1.0, -2.0])
         tape = Tape()
         with tape:
             T.relu(x)
@@ -668,10 +666,22 @@ class TestTapePasses:
         with tape:
             y = T.relu(x)
         assert len(tape) == 1
-        assert tape.nodes[0].output is y and y.node_id == 0
+        assert tape.nodes[0].output is y
+
+    def test_second_tape_rejected_while_one_is_active(self):
+        x = Tensor([1.0, -2.0])
+        with Tape() as tape:
+            with pytest.raises(RuntimeError, match="a tape is already active"):
+                with Tape():
+                    T.sigmoid(x)
+            T.relu(x)  # records on the tape that stayed active
+        assert len(tape) == 1
+        with Tape() as other:  # once none is active, any tape may be entered
+            T.relu(x)
+        assert len(other) == 1
 
     def test_loss_from_the_previous_pass_rejected(self):
-        x = Tensor([1.0, -2.0], requires_grad=True)
+        x = Tensor([1.0, -2.0])
         tape = Tape()
         with tape:
             old = oracles.reduce_sum(x)
@@ -715,8 +725,8 @@ class TestFiniteDiff:
             oracles.finite_diff_grad(lambda t: oracles.reduce_sum(t), Tensor([1.0]), h=0.0)
 
     def test_agrees_with_backward_on_two_layer_network(self, rng):
-        w1 = Tensor(rng.normal(size=(4, 8)) * 0.5, requires_grad=True)
-        w2 = Tensor(rng.normal(size=(8, 1)) * 0.5, requires_grad=True)
+        w1 = Tensor(rng.normal(size=(4, 8)) * 0.5)
+        w2 = Tensor(rng.normal(size=(8, 1)) * 0.5)
         x = Tensor(rng.normal(size=(5, 4)))
 
         def f(_):
@@ -737,7 +747,7 @@ class TestTensorBasics:
         assert t.size == 15 and t.shape == (3, 5)
 
     def test_grad_matches_data_length(self, rng):
-        x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 2)))
         with Tape() as tape:
             loss = oracles.reduce_sum(x)
         tape.backward(loss)
@@ -754,14 +764,14 @@ class TestTensorBasics:
             Tensor([1.0, 2.0]).item()
 
     def test_tensor_backward_method(self):
-        x = Tensor([2.0], requires_grad=True)
+        x = Tensor([2.0])
         with Tape() as tape:
             loss = oracles.reduce_sum(oracles.mul(x, x))
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [4.0], atol=1e-12)
 
     def test_backward_off_tape_rejected(self):
-        x = Tensor([2.0], requires_grad=True)
+        x = Tensor([2.0])
         with Tape() as tape:
             oracles.reduce_sum(oracles.mul(x, x))
         with Tape():

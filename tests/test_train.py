@@ -131,7 +131,7 @@ class TestBCELoss:
     def test_gradient_formula(self, rng):
         for y in (0, 1):
             for p in rng.uniform(0.1, 0.9, size=5):
-                y_hat = Tensor([p], requires_grad=True)
+                y_hat = Tensor([p])
                 with Tape() as tape:
                     loss = bce_loss(y_hat, y)
                 tape.backward(loss)
@@ -145,7 +145,7 @@ class TestBCELoss:
         edges = [0.0, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13, 1.0]
         preds = np.array(edges * 2 + [0.2, 0.7, 0.4, 0.9]).reshape(-1, 1)
         labels = np.array([1, 0] * 3 + [0, 1] * 3 + [1, 0, 0, 1])
-        y_hat = Tensor(preds, requires_grad=True)
+        y_hat = Tensor(preds)
         with Tape() as tape:
             loss = bce_loss(y_hat, labels)
         tape.backward(loss)
@@ -446,7 +446,7 @@ def _desk_faults_per_step(optimizer: str, free_4mb_first: bool) -> float:
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / n
 
 
-class TestWorkspace:
+class TestTapeBuffers:
     def _batches(self, n_layers=1):
         model, vocab, pairs = _tiny_setup(n_triplets=12, n_layers=n_layers)
         seqs = [tokenize_pair(vocab, p.query, p.passage, model.config.max_len) for p in pairs]
