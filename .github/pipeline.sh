@@ -21,10 +21,12 @@
 # bytes as the run itself. report prints the Lion run's stats,
 # loss log and metrics. bench-optim then trains both optimizers from the
 # same config, and tabulates a two-row --import file.
-# Two malformed inputs must fail cleanly: a copy of the AdamW epoch-2
+# Three malformed inputs must fail cleanly: a copy of the AdamW epoch-2
 # checkpoint whose [config] claims 100000000 layers makes rerank exit 2
-# within 60 seconds, without building that model, and a candidates run that
-# lists one line twice makes rerank exit 3. Neither may print a traceback.
+# within 60 seconds, without building that model, a candidates run that
+# lists one line twice makes rerank exit 3, and a two-row --import file
+# that gives one label twice makes bench-optim exit 3. None may print a
+# traceback.
 # Every file is written through a temp file and a rename, so at the end no
 # *.tmp file may be left anywhere under WORK_DIR. Every directory a command
 # populated must hold its manifest.json, and every file a manifest lists
@@ -87,6 +89,8 @@ expect_exit 2 timeout 60 reranklab rerank --checkpoint "$work/many-layers.ckpt" 
 { cat "$work/data/candidates.run"; head -n 1 "$work/data/candidates.run"; } > "$work/repeated.run"
 expect_exit 3 reranklab rerank --checkpoint "$work/out/two-layer-adamw-epoch2.ckpt" --queries "$work/data/queries.tsv" \
   --passages "$work/data/passages.tsv" --candidates "$work/repeated.run" --out "$work/repeated-reranked.run"
+printf 'encoder-small\t33.09\t32.21\nencoder-small\t77.04\t74.35\n' > "$work/repeated-means.tsv"
+expect_exit 3 reranklab bench-optim --import "$work/repeated-means.tsv"
 leftover=$(find "$work" -name '*.tmp')
 if [ -n "$leftover" ]; then
   echo "temp files left under $work:" $leftover >&2

@@ -288,8 +288,6 @@ def _parse(lines: Iterable[str], length: int) -> CheckpointBundle:
         raise CheckpointError(f"[config] gives more parameter values than a file of length {length} holds")
 
     optimizer = None
-    params = views({name: p.data for name, p in model.params.items()}, config.n_heads)
-    targets = {f"[param] {name}": data for name, data in params.items()}
     if opt_kind is not None:
         cls = OPTIMIZERS.get(opt_kind)
         if cls is None:
@@ -313,6 +311,10 @@ def _parse(lines: Iterable[str], length: int) -> CheckpointBundle:
             if opt_hypers["step"] >= 2**63:  # state_bytes counts one int64 step counter
                 raise CheckpointError(f"[optimizer {opt_kind}] step: must be < 2**63")
             optimizer.step_count = opt_hypers["step"]
+    # Taken after the optimizer adopted the parameters, so the values land in its arena.
+    params = views({name: p.data for name, p in model.params.items()}, config.n_heads)
+    targets = {f"[param] {name}": data for name, data in params.items()}
+    if optimizer is not None:
         buffers = views(optimizer.buffers(), config.n_heads)
         targets.update({f"[state] {key}": buf for key, buf in buffers.items()})
 

@@ -337,6 +337,7 @@ def cmd_eval(args) -> int:
 
 def _bench_import(path: Path) -> str:
     rows = []
+    seen: dict[str, int] = {}  # label -> the line that gave it
     with ir_eval.open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -354,6 +355,9 @@ def _bench_import(path: Path) -> str:
                     raise ir_eval.ParseError(f"{path}: {column} must be finite on line {lineno}, got {text}")
                 if value <= 0:
                     raise ir_eval.ParseError(f"{path}: {column} must be positive on line {lineno}, got {text}")
+            if parts[0] in seen:
+                raise ir_eval.ParseError(f"{path}: label {parts[0]!r} on line {lineno} repeats line {seen[parts[0]]}")
+            seen[parts[0]] = lineno
             rows.append([parts[0], f"{adamw_mean:.2f}", f"{lion_mean:.2f}",
                          f"{efficiency_gain(adamw_mean, lion_mean):.2f}%"])
     return _align_table(["label", "adamw_mean", "lion_mean", "efficiency_gain"], rows)

@@ -1,12 +1,14 @@
 """Lion and AdamW optimizers plus step-indexed learning-rate schedules.
 
-Both optimizers consume gradients left on the parameter tensors by the
-autodiff backward pass and mutate parameter buffers in place, slice by
-slice through two small scratch arrays, so a step allocates no
-parameter-sized temporary. A :class:`~reranklab.tensor.RowGrad` gradient
-costs the touched rows plus one zero-gradient pass over the table, with
-the same bits as its dense gradient. ``step`` accepts an effective
-learning rate so an external schedule can drive it.
+An optimizer adopts its parameters: their values, their gradients and
+each state buffer live in one flat float64 arena per kind, and each
+parameter's ``.data`` and ``.grad`` become views of its span. The
+autodiff backward pass accumulates into those gradient views in place, so
+a step is one sweep over the arenas, slice by slice through two small
+scratch arrays, and allocates no parameter-sized temporary. A parameter
+the loss does not reach keeps a zero gradient and is decayed like any
+other. ``step`` accepts an effective learning rate so an external
+schedule can drive it.
 ``OPTIMIZERS`` maps each kind name to its class; other modules ask it
 rather than naming kinds.
 """
@@ -19,33 +21,31 @@ from typing import Mapping
 
 import numpy as np
 
-from reranklab.tensor import RowGrad, ShapeError, Tensor
+from reranklab.tensor import ShapeError, Tensor
 
 __all__ = ["Optimizer", "Lion", "AdamW", "OPTIMIZERS", "ScheduleSpec", "lr_at"]
 
 FLOAT_BYTES = 8  # float64 buffers everywhere
 COUNTER_BYTES = 8  # step counter, one int64
 # Elements per slice of an update. The two scratch arrays stay small
-# (2 x 128 KiB), where scratch sized for the largest parameter (an embedding
-# table) would add to peak memory for the optimizer's whole life.
+# (2 x 128 KiB), where scratch sized for the arenas would add to peak
+# memory for the optimizer's whole life.
 _SLICE = 16384
-# The gradient of the rows a RowGrad leaves out: +0.0, as in a dense one.
-_ZEROS = np.zeros(_SLICE)
-_ZEROS.flags.writeable = False
 
 
 class Optimizer:
-    """What Lion and AdamW share: checks, per-parameter state, checkpoint state.
+    """What Lion and AdamW share: checks, the arenas, checkpoint state.
 
     A subclass declares its checkpointed hyperparameters in file order
-    (``HYPERS``), its buffer prefixes (``BUFFERS``; one zero buffer per
-    parameter each), and whether it counts steps (``COUNTS_STEPS``).
-    Beyond that it holds only its per-slice arithmetic, which its ``step``
-    hands to :meth:`_update`. Each subclass defines its own ``step`` and
+    (``HYPERS``), its buffer prefixes (``BUFFERS``; one zero arena each),
+    and whether it counts steps (``COUNTS_STEPS``). Beyond that it holds
+    only its per-slice arithmetic, which its ``step`` hands to
+    :meth:`_update`. Each subclass defines its own ``step`` and
     ``zero_grad``: ``perfbench/tracing.py`` wraps the ``step`` and
     ``zero_grad`` in each class's own ``__dict__`` and closes a training
     step's span in ``zero_grad``, so one inherited from here would
-    silently go untraced.
+    silently go untraced. Construction adopts ``params`` into the arenas
+    ``values``, ``grads`` and ``state``, in ``params`` order.
     """
 
     name: str
@@ -70,62 +70,52 @@ class Optimizer:
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.state = {
-            prefix: {name: np.zeros_like(p.data) for name, p in self.params.items()} for prefix in self.BUFFERS
-        }
+        total = sum(p.size for p in self.params.values())
+        self.values, self.grads = np.empty(total), np.zeros(total)
+        self.state = {prefix: np.zeros(total) for prefix in self.BUFFERS}
+        self._grad_views = self._views(self.grads)
+        for name, data in self._views(self.values).items():
+            p = self.params[name]
+            data[...] = p.data
+            p.data, p.grad = data, self._grad_views[name]
         if self.COUNTS_STEPS:
             self.step_count = 0
         # Update temporaries, not state: see _SLICE.
         self._scratch = (np.empty(_SLICE), np.empty(_SLICE))
 
+    def _views(self, arena: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's span of ``arena``, in its shape."""
+        views, start = {}, 0
+        for name, p in self.params.items():
+            views[name] = arena[start : start + p.size].reshape(p.shape)
+            start += p.size
+        return views
+
     def _update(self, rule) -> None:
-        """Apply ``rule`` in place to every parameter holding a gradient.
+        """Apply ``rule`` in place to the arenas, one slice at a time.
 
         ``rule(theta, grad, *buffers, s1, s2)`` updates one slice of at
-        most ``_SLICE`` elements of a parameter and of its state buffers
-        (in ``BUFFERS`` order), with ``s1`` and ``s2`` as scratch. For a
-        ``RowGrad`` the touched rows of the parameter and its buffers are
-        gathered first; the rule then runs over the whole table with a zero
-        gradient, which is what the dense gradient holds outside those rows,
-        and over the gathered rows with ``values``, which are scattered
-        back. Each element thus sees the arithmetic, and gets the bits, of
-        the dense update.
+        most ``_SLICE`` elements of ``values``, ``grads`` and the state
+        arenas (in ``BUFFERS`` order), with ``s1`` and ``s2`` as scratch.
+        A ``.grad`` rebound since adoption would be dropped, so it raises.
         """
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} mismatches parameter {name!r} {p.data.shape}")
-            arrays = (p.data, *(self.state[prefix][name] for prefix in self.BUFFERS))
-            if not isinstance(g, RowGrad):
-                self._sweep(rule, arrays, g)
-            else:
-                touched = tuple(a[g.rows] for a in arrays)
-                self._sweep(rule, arrays, None)
-                self._sweep(rule, touched, g.values)
-                for a, rows in zip(arrays, touched):
-                    a[g.rows] = rows
-
-    def _sweep(self, rule, arrays: tuple[np.ndarray, ...], grad: np.ndarray | None) -> None:
-        """Run ``rule`` slice by slice over ``arrays``; a None ``grad`` is all +0.0."""
-        # Flat views of C-contiguous arrays, so the writes reach the parameter and its buffers.
-        flat = [a.reshape(-1) for a in arrays]
-        grad = None if grad is None else grad.reshape(-1)
+            if p.grad is not self._grad_views[name]:
+                raise ShapeError(f"gradient of parameter {name!r} was rebound; write into its .grad in place")
+        arenas = (self.values, self.grads, *self.state.values())
         s1, s2 = self._scratch
-        for start in range(0, flat[0].size, _SLICE):
-            views = [a[start : start + _SLICE] for a in flat]
+        for start in range(0, self.values.size, _SLICE):
+            views = [a[start : start + _SLICE] for a in arenas]
             n = views[0].size
-            g = _ZEROS[:n] if grad is None else grad[start : start + _SLICE]
-            rule(views[0], g, *views[1:], s1[:n], s2[:n])
+            rule(*views, s1[:n], s2[:n])
 
     def buffers(self) -> dict[str, np.ndarray]:
-        """Every state buffer under its checkpoint key ``<prefix>/<param>``."""
-        return {f"{prefix}/{name}": buf for prefix, store in self.state.items() for name, buf in store.items()}
+        """Every state buffer, a view of its arena, under its checkpoint key ``<prefix>/<param>``."""
+        return {f"{prefix}/{name}": v for prefix, arena in self.state.items() for name, v in self._views(arena).items()}
 
     def state_bytes(self) -> int:
         """Exact bytes held in state: the buffers plus the step counter, if any."""
-        buffers = sum(buf.size * FLOAT_BYTES for buf in self.buffers().values())
+        buffers = sum(arena.size * FLOAT_BYTES for arena in self.state.values())
         return buffers + (COUNTER_BYTES if self.COUNTS_STEPS else 0)
 
 
@@ -177,8 +167,7 @@ class Lion(Optimizer):
         self._update(rule)
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.grads.fill(0.0)
 
 
 class AdamW(Optimizer):
@@ -240,8 +229,7 @@ class AdamW(Optimizer):
         self._update(rule)
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.grads.fill(0.0)
 
 
 # Kind name -> class; the one list of optimizer kinds, in CLI order.

@@ -7,13 +7,14 @@ execution order is already topological). Gradients reach leaves only:
 ``.grad`` is written to every tensor the pass reached that no node on the
 tape produced (parameters and inputs), and an intermediate's gradient is
 freed as soon as its node has run. Leaf gradients accumulate across
-backward calls; callers zero them between steps.
+backward calls, in place; callers zero them between steps.
 
-A leaf's ``.grad`` is an ndarray, or a :class:`RowGrad` when the leaf is a
-table read only by one ``embedding_lookup``: the rows that lookup touched
-and their summed gradients, so the backward pass and an optimizer update
-cost the rows a batch touches rather than the whole table. ``np.asarray``
-of a ``RowGrad`` is the dense gradient.
+A leaf's ``.grad`` is always an ndarray. Inside the pass, an
+``embedding_lookup`` gives its table a :class:`RowGrad`: the rows that
+lookup touched and their summed gradients. When that reaches the leaf
+it is scattered into ``.grad``, so the backward pass costs the rows a
+batch touches rather than the whole table. ``np.asarray`` of a
+``RowGrad`` is the dense gradient.
 
 Op outputs own C-contiguous buffers that alias no input; the public
 ``Tensor(data)`` constructor copies the data it is given. Inside an active
@@ -135,11 +136,13 @@ class Tape:
         it on. ``loss`` must be a single-element tensor produced in the
         tape's last pass.
 
-        A leaf whose only gradient is one lookup's :class:`RowGrad` keeps
-        it as ``.grad``. Any sum with another gradient, from a second
-        lookup of the same table on this tape or from an earlier backward
-        call not cleared by ``zero_grad``, is dense, and equal bit for bit
-        to summing the dense gradients.
+        A leaf whose ``.grad`` is None gets a dense copy of its gradient;
+        otherwise the gradient is added into ``.grad`` in place, so an
+        optimizer's view of its gradient arena stays bound. A lookup's
+        :class:`RowGrad` is scattered: only its rows are added to. A sum of
+        two gradients in the pass, such as from a second lookup of the same
+        table, is dense, and equal bit for bit to summing the dense
+        gradients.
         """
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -167,15 +170,14 @@ class Tape:
                 else:  # np.add densifies a RowGrad through its __array__
                     pending[id(tensor)] = (tensor, np.add(prev[1], grad, out=_buffer(tensor.data.shape)))
 
-        # Every op output has been popped, so what is left are the leaves. A
-        # RowGrad's values are its rule's own array, so it needs no copy.
+        # Every op output has been popped, so what is left are the leaves.
         for tensor, grad in pending.values():
-            if tensor.grad is not None:
-                tensor.grad = np.add(tensor.grad, grad)
+            if tensor.grad is None:
+                tensor.grad = np.array(grad)  # a RowGrad densifies through its __array__
             elif isinstance(grad, RowGrad):
-                tensor.grad = grad
+                tensor.grad[grad.rows] += grad.values  # rows are unique
             else:
-                tensor.grad = grad.copy()
+                tensor.grad += grad
 
 
 def _buffer(shape: tuple[int, ...]) -> np.ndarray:
@@ -186,16 +188,16 @@ def _buffer(shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """N-dimensional float64 array with an attached gradient slot.
 
-    The shape is fixed at construction. ``grad`` starts as None and is
-    filled (and thereafter accumulated into) by ``Tape.backward``, with an
-    ndarray or a :class:`RowGrad`.
+    The shape is fixed at construction. ``grad`` starts as None; an
+    optimizer binds it to a zeroed view of its gradient arena, and
+    ``Tape.backward`` fills it with an ndarray or accumulates into it.
     """
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
         self.data = np.array(data, dtype=np.float64, order="C")
-        self.grad: Optional[np.ndarray | RowGrad] = None
+        self.grad: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -209,9 +211,6 @@ class Tensor:
         if self.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"

@@ -1197,6 +1197,14 @@ class TestBenchOptim:
         assert run_cli("bench-optim", "--import", means) == cli.EXIT_PARSE
         assert f"{means}: {column} must be positive on line 3, got {mean}" in capsys.readouterr().err
 
+    def test_import_repeated_label_names_both_lines(self, tmp_path, capsys):
+        means = tmp_path / "means.tsv"
+        means.write_text("a\t1\t2\n# comment\na\t3\t4\n", encoding="utf-8")
+        assert run_cli("bench-optim", "--import", means) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert f"{means}: label 'a' on line 3 repeats line 1" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "row, column, value",
         [

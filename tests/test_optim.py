@@ -8,7 +8,7 @@ import pytest
 import oracles
 from reranklab import tensor as T
 from reranklab.optim import OPTIMIZERS, AdamW, Lion, ScheduleSpec, lr_at
-from reranklab.tensor import RowGrad, ShapeError, Tape, Tensor
+from reranklab.tensor import ShapeError, Tape, Tensor
 
 from conftest import same_bits
 
@@ -18,8 +18,9 @@ def make_params(values):
 
 
 def set_grads(params, grads):
+    # in place: an optimizer's parameters hold views of its gradient arena
     for name, g in grads.items():
-        params[name].grad = np.asarray(g, dtype=np.float64)
+        params[name].grad[...] = g
 
 
 class TestLion:
@@ -30,7 +31,7 @@ class TestLion:
         set_grads(params, {"w": [2.0]})
         opt.step()
         assert abs(params["w"].data[0] - 0.9) < 1e-15
-        assert abs(opt.state["m"]["w"][0] - 0.02) < 1e-15
+        assert abs(opt.buffers()["m/w"][0] - 0.02) < 1e-15
 
     def test_zero_gradient_fixed_point(self):
         params = make_params({"w": [1.5, -2.0]})
@@ -38,7 +39,7 @@ class TestLion:
         set_grads(params, {"w": [0.0, 0.0]})
         opt.step()
         np.testing.assert_array_equal(params["w"].data, [1.5, -2.0])
-        np.testing.assert_array_equal(opt.state["m"]["w"], [0.0, 0.0])
+        np.testing.assert_array_equal(opt.buffers()["m/w"], [0.0, 0.0])
 
     def test_update_magnitude_is_exactly_lr(self, rng):
         params = make_params({"w": rng.normal(size=20)})
@@ -58,7 +59,7 @@ class TestLion:
         set_grads(params, {"w": [4.0]})
         opt.step()
         # momentum from raw g, not from the decayed parameter
-        assert opt.state["m"]["w"][0] == 2.0
+        assert opt.buffers()["m/w"][0] == 2.0
 
     def test_scale_invariance_bitwise(self, rng):
         length, dims = 50, 8
@@ -94,13 +95,6 @@ class TestLion:
         with pytest.raises(ShapeError, match="emb"):
             opt.step()
 
-    def test_skips_parameters_without_grad(self):
-        params = make_params({"a": [1.0], "b": [2.0]})
-        opt = Lion(params, lr=0.1, weight_decay=0.0)
-        set_grads(params, {"a": [1.0]})
-        opt.step()
-        assert params["b"].data[0] == 2.0
-
     def test_zero_gradient_decays_every_parameter(self):
         # weight decay lives on the shared base; with a zero gradient both
         # kinds move every parameter by lr * weight_decay * theta alone
@@ -120,8 +114,8 @@ class TestAdamW:
         set_grads(params, {"w": [2.0]})
         opt.step()
         assert abs(params["w"].data[0] - 0.899) < 1e-12
-        assert abs(opt.state["m"]["w"][0] - 0.2) < 1e-15
-        assert abs(opt.state["v"]["w"][0] - 0.004) < 1e-15
+        assert abs(opt.buffers()["m/w"][0] - 0.2) < 1e-15
+        assert abs(opt.buffers()["v/w"][0] - 0.004) < 1e-15
 
     def test_zero_gradient_no_move(self):
         params = make_params({"w": [3.0]})
@@ -186,7 +180,7 @@ class TestAdamW:
                 ref[name] = ref[name] - 1e-3 * t * step
         for name, p in params.items():
             np.testing.assert_array_equal(p.data, ref[name], err_msg=name)
-            np.testing.assert_array_equal(opt.state["v"][name], v[name], err_msg=name)
+            np.testing.assert_array_equal(opt.buffers()[f"v/{name}"], v[name], err_msg=name)
 
     def test_shape_mismatch_names_parameter(self):
         params = make_params({"head": np.ones(4)})
@@ -194,6 +188,31 @@ class TestAdamW:
         params["head"].grad = np.ones(5)
         with pytest.raises(ShapeError, match="head"):
             opt.step()
+
+
+class TestAdoption:
+    """An optimizer's parameters live in its arenas; each has a gradient, reached or not."""
+
+    @pytest.mark.parametrize("kind", list(OPTIMIZERS))
+    def test_parameter_the_loss_does_not_reach_decays(self, kind):
+        params = make_params({"used": [1.0, 2.0], "unused": [[1.0, -4.0]]})
+        opt = OPTIMIZERS[kind](params, lr=0.1, weight_decay=0.5)
+        theta = params["unused"].data.copy()
+        with Tape() as tape:
+            loss = oracles.reduce_sum(params["used"])
+        tape.backward(loss)
+        opt.step()
+        # a zero gradient with zero state: the step is lr * weight_decay * theta alone
+        assert same_bits(params["unused"].data, theta - 0.1 * (0.5 * theta))
+
+    @pytest.mark.parametrize("kind", list(OPTIMIZERS))
+    def test_rebound_gradient_of_right_shape_names_parameter(self, kind):
+        params = make_params({"w": [1.0], "head": np.ones(4)})
+        opt = OPTIMIZERS[kind](params)
+        params["head"].grad = np.ones(4)  # not the optimizer's view: the update would drop it
+        with pytest.raises(ShapeError, match="'head'"):
+            opt.step()
+        assert params["w"].data[0] == 1.0 and (params["head"].data == 1.0).all()
 
 
 def lookup_backward(table, ids, upstream):
@@ -232,11 +251,12 @@ class TestRowGradUpdate:
             ids = self._ids(rng, extra)
             upstream = rng.normal(size=ids.shape + (self.SHAPE[1],))
             lookup_backward(table, ids, upstream)
-            bias.grad = rng.normal(size=5)
-            assert isinstance(table.grad, RowGrad)
-            assert (table.grad.rows.size == self.SHAPE[0]) == (extra == 300)
+            bias.grad[...] = rng.normal(size=5)
+            # the lookup's rows were scattered into the optimizer's zeroed gradient arena
+            assert isinstance(table.grad, np.ndarray) and table.grad.base is opt.grads
+            assert table.grad.any(axis=1).all() == (extra == 300)
             grads = {"table": oracles.dense_scatter(self.SHAPE, ids, upstream), "bias": bias.grad.copy()}
-            assert same_bits(np.asarray(table.grad), grads["table"])
+            assert same_bits(table.grad, grads["table"])
             lr = 1e-3 * t
             opt.step(lr=lr)
             opt.zero_grad()
@@ -265,10 +285,11 @@ class TestAllocation:
         opt = OPTIMIZERS[kind]({"table": table}, lr=1e-3)
         for _ in range(2):  # the second step runs on warm state
             ids = rng.integers(0, 2500, size=(4, 16))
-            lookup_backward(table, ids, rng.normal(size=(4, 16, 64)))
-            assert isinstance(table.grad, RowGrad)
-            if form == "dense":
-                table.grad = np.asarray(table.grad)
+            if form == "rows":
+                lookup_backward(table, ids, rng.normal(size=(4, 16, 64)))
+            else:
+                table.grad[...] = rng.normal(size=table.shape)
+            assert table.grad.base is opt.grads
             tracemalloc.start()
             try:
                 opt.step()

@@ -17,7 +17,7 @@ from reranklab import train as train_mod
 from reranklab.ir_eval import ParseError
 from reranklab.model import CLS_ID, CrossEncoder, CrossEncoderConfig, Vocab, score_batch, tokenize_pair
 from reranklab.optim import OPTIMIZERS
-from reranklab.tensor import RowGrad, Tape, Tensor
+from reranklab.tensor import Tape, Tensor
 from reranklab.train import (
     NonFiniteLossError,
     LossRecord,
@@ -330,7 +330,8 @@ class TestSteps:
             records.close()
         assert record.step == 0
         assert tensor._TAPE_STACK == []
-        assert all(p.grad is None for _, p in model.params.items())
+        # the optimizer's gradient arena, zeroed after the step
+        assert all(p.grad is not None and not p.grad.any() for _, p in model.params.items())
 
     @pytest.mark.parametrize("bad_step", [0, 4])
     def test_nan_loss_names_its_step(self, monkeypatch, bad_step):
@@ -474,7 +475,7 @@ class TestTapeBuffers:
             model, first, second = self._batches(n_layers)
             losses = [_step(model, *first, tape)]
             for p in model.params.values():
-                p.zero_grad()
+                p.grad = None
             losses.append(_step(model, *second, tape))  # a pass on reused buffers
             runs.append((losses, {name: p.grad for name, p in model.params.items()}))
         assert runs[0][0] == runs[1][0]
@@ -489,11 +490,9 @@ class TestTapeBuffers:
         with tape:
             scores = score_batch(model, first[0])
         assert lent
-        # np.asarray of a RowGrad is a fresh dense copy, so check the array it holds
-        assert isinstance(model.params["token_embedding"].grad, RowGrad)
         for name, p in model.params.items():
-            grad = p.grad.values if isinstance(p.grad, RowGrad) else p.grad
-            assert not any(np.shares_memory(grad, buf) for buf in lent), name
+            assert isinstance(p.grad, np.ndarray), name  # the embedding's too: the tape keeps its RowGrad
+            assert not any(np.shares_memory(p.grad, buf) for buf in lent), name
             assert not any(np.shares_memory(p.data, buf) for buf in lent), name
         # scores are plain floats: overwriting every lent buffer leaves them as they were
         kept = list(scores)
