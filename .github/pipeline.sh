@@ -15,7 +15,11 @@
 # out-again, and both epochs' checkpoints and the loss log must match the
 # first run's byte for byte: a step's forward and backward buffers are
 # reused from step to step, and this is the only end-to-end run of the
-# full-length backward rules on them. The Lion run is also scored with exponential
+# full-length backward rules on them. rerank normalizes layer 0's input
+# once per distinct (token, position) pair and gathers it for each query,
+# so each reranked run must equal, byte for byte, the run written from
+# every query's scores recomputed through CrossEncoder.forward with no
+# tape. The Lion run is also scored with exponential
 # gains, and the first-stage run as is. A copy of the Lion reranked run
 # that starts with a UTF-8 byte-order mark must give the same metrics.tsv
 # bytes as the run itself. report prints the Lion run's stats,
@@ -60,6 +64,26 @@ EOF
   done
   reranklab rerank --checkpoint "$work/out/two-layer-$optimizer-epoch2.ckpt" --queries "$work/data/queries.tsv" \
     --passages "$work/data/passages.tsv" --candidates "$work/data/candidates.run" --out "$work/reranked-$optimizer.run"
+  python - "$work/out/two-layer-$optimizer-epoch2.ckpt" "$work/data" "$work/forward-$optimizer.run" <<'EOF'
+import sys
+from pathlib import Path
+
+from reranklab.checkpoint import load_checkpoint
+from reranklab.ir_eval import format_run, read_corpus_tsv, read_run
+from reranklab.model import tokenize_pair
+
+checkpoint, data, out = Path(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3])
+bundle = load_checkpoint(checkpoint)
+max_len = bundle.model.config.max_len
+queries, passages = read_corpus_tsv(data / "queries.tsv"), read_corpus_tsv(data / "passages.tsv")
+run = {}
+for qid, pairs in read_run(data / "candidates.run").items():
+    ids = [tokenize_pair(bundle.vocab, queries[qid], passages[docid], max_len) for _, docid in pairs]
+    scores = bundle.model.forward(ids).data[:, 0].tolist()  # no tape is active
+    run[qid] = sorted(((round(s, 6), docid) for s, (_, docid) in zip(scores, pairs)), reverse=True)
+out.write_text(format_run(run, checkpoint.stem), encoding="utf-8")
+EOF
+  cmp "$work/reranked-$optimizer.run" "$work/forward-$optimizer.run"
   reranklab eval --run "$work/reranked-$optimizer.run" --qrels "$work/data/qrels.txt" --out "$work/metrics-$optimizer"
 done
 reranklab eval --run "$work/reranked-lion.run" --qrels "$work/data/qrels.txt" --exponential-gain --binarize-at 2 --k 5

@@ -10,7 +10,7 @@ from reranklab.model import (
     CrossEncoder,
     CrossEncoderConfig,
     Vocab,
-    score_batch,
+    score_batches,
     tokenize_pair,
 )
 from reranklab.optim import AdamW, Lion, ScheduleSpec, lr_at
@@ -34,7 +34,7 @@ __all__ = [
     "CrossEncoder",
     "CrossEncoderConfig",
     "Vocab",
-    "score_batch",
+    "score_batches",
     "tokenize_pair",
     "AdamW",
     "Lion",

@@ -20,7 +20,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from reranklab.model import CrossEncoder, Vocab, score_batch, tokenize_pair
+from reranklab.model import CrossEncoder, Vocab, score_batches, tokenize_pair
 
 logger = logging.getLogger(__name__)
 
@@ -246,9 +246,11 @@ def rerank(
     a permutation of its input docids. Each score is kept as the run
     format prints it, ``round(s, 6)``, and the list is ordered by
     (score, docid) descending, the order :func:`evaluate` reads back from
-    the written file.
+    the written file. Every query is checked and tokenized before any is
+    scored; :func:`score_batches` then scores each query's candidates as
+    one batch.
     """
-    out: dict[str, list[tuple[float, str]]] = {}
+    batches = []
     for qid, pairs in candidates.items():
         if qid not in queries:
             raise ValueError(f"rerank: query id {qid!r} has no text")
@@ -257,9 +259,10 @@ def rerank(
         missing = [docid for docid in docids if docid not in passages]
         if missing:
             raise ValueError(f"rerank: passage id {missing[0]!r} (query {qid!r}) has no text")
-        ids = [tokenize_pair(vocab, queries[qid], passages[d], model.config.max_len) for d in docids]
-        scores = score_batch(model, ids)
-        out[qid] = sorted(((round(value, 6), docid) for value, docid in zip(scores, docids)), reverse=True)
+        batches.append([tokenize_pair(vocab, queries[qid], passages[d], model.config.max_len) for d in docids])
+    out: dict[str, list[tuple[float, str]]] = {}
+    for (qid, pairs), scores in zip(candidates.items(), score_batches(model, batches)):
+        out[qid] = sorted(((round(value, 6), docid) for value, (_, docid) in zip(scores, pairs)), reverse=True)
     return out
 
 

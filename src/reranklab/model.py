@@ -28,7 +28,7 @@ __all__ = [
     "checkpoint_views",
     "normalize_text",
     "tokenize_pair",
-    "score_batch",
+    "score_batches",
 ]
 
 CLS_ID, SEP_ID, PAD_ID, UNK_ID = 0, 1, 2, 3
@@ -215,6 +215,17 @@ class CrossEncoder:
 
     # -- forward ------------------------------------------------------
 
+    def _check_ids(self, ids) -> np.ndarray:
+        """``ids`` as a (B, max_len) intp array; a ValueError naming ``max_len`` if it is not one."""
+        expected = f"a (batch, max_len {self.config.max_len}) integer array"
+        try:
+            ids = np.asarray(ids)
+        except ValueError as exc:  # rows of different lengths
+            raise ValueError(f"token ids are not {expected}: {exc}") from None
+        if ids.ndim != 2 or ids.shape[1] != self.config.max_len or ids.dtype.kind not in "iu":
+            raise ValueError(f"token ids of shape {ids.shape} and dtype {ids.dtype} are not {expected}")
+        return ids.astype(np.intp, copy=False)
+
     def forward(self, ids) -> Tensor:
         """Relevance scores for a batch of id sequences as a (B, 1) tensor.
 
@@ -222,33 +233,34 @@ class CrossEncoder:
         array of, such as a list of :func:`tokenize_pair` results. A
         position is padding, and masked as a key, where its id is ``PAD_ID``.
 
+        Records on the active tape, so it is the training-path entry
+        point; :func:`score_batches` runs the same layers for plain float
+        inference.
+        """
+        ids = self._check_ids(ids)
+        P = self.params
+        # The (L, d) position table broadcasts over B; add's backward sums it back.
+        x = T.add(T.embedding_lookup(P["token_embedding"], ids), P["position_embedding"])
+        a = T.layer_norm(x, P["layers.0.attn_norm.gain"], P["layers.0.attn_norm.bias"])
+        return self._layers(x, a, ids != PAD_ID)
+
+    def _layers(self, x: Tensor, a: Tensor, real: np.ndarray) -> Tensor:
+        """The (B, 1) scores from layer 0's input ``x`` (B, L, d), its ``attn_norm`` ``a`` and the key mask.
+
         The head reads only the CLS position, and nothing after the last
         layer's attention mixes positions, so that layer queries from the
         CLS row alone and runs its output projection, residual adds and
         feed-forward on one (B, d) row per sequence. Only its ``attn_norm``
-        still covers every position: no keys or values are formed.
-
-        Records on the active tape, so it is the training-path entry
-        point; use :func:`score_batch` for plain float inference.
+        still covers every position: no keys or values are formed. So with
+        one layer only ``x[:, 0]`` is read, and ``x`` may be (B, 1, d).
         """
         cfg = self.config
-        expected = f"a (batch, max_len {cfg.max_len}) integer array"
-        try:
-            ids = np.asarray(ids)
-        except ValueError as exc:  # rows of different lengths
-            raise ValueError(f"token ids are not {expected}: {exc}") from None
-        if ids.ndim != 2 or ids.shape[1] != cfg.max_len or ids.dtype.kind not in "iu":
-            raise ValueError(f"token ids of shape {ids.shape} and dtype {ids.dtype} are not {expected}")
-        ids = ids.astype(np.intp, copy=False)
         P = self.params
-        real = ids != PAD_ID
-
-        # The (L, d) position table broadcasts over B; add's backward sums it back.
-        x = T.add(T.embedding_lookup(P["token_embedding"], ids), P["position_embedding"])
         for i in range(cfg.n_layers):
             pre = f"layers.{i}"
             last = i == cfg.n_layers - 1
-            a = T.layer_norm(x, P[f"{pre}.attn_norm.gain"], P[f"{pre}.attn_norm.bias"])
+            if i:
+                a = T.layer_norm(x, P[f"{pre}.attn_norm.gain"], P[f"{pre}.attn_norm.bias"])
             attended = T.attention(a, P[f"{pre}.attn.w_qkv"], real, cfg.n_heads, first_query_only=last)
             if last:
                 x = T.first_row(x)
@@ -260,9 +272,37 @@ class CrossEncoder:
         return T.sigmoid(T.linear(x, P["head.weight"], P["head.bias"]))
 
 
-def score_batch(model: CrossEncoder, ids) -> list[float]:
-    """Relevance scores in (0, 1) of (B, max_len) ids, in input order, from one forward pass."""
-    if len(ids) == 0:
-        return []
-    return model.forward(ids).data[:, 0].tolist()
+def score_batches(model: CrossEncoder, batches) -> list[list[float]]:
+    """Relevance scores in (0, 1), one list per (B, max_len) id batch, in input order.
 
+    Each batch is one forward pass, through the layers ``forward`` runs.
+    Layer 0's input ``E[id] + P[pos]`` and its ``attn_norm`` depend only on
+    (token id, position), so both are computed once per distinct pair
+    across all batches, and each batch gathers its rows from that table.
+    The scores are those of ``model.forward(ids)`` bit for bit. A batch
+    with no rows scores as ``[]``.
+    """
+    L = model.config.max_len
+    batches = [model._check_ids(ids) if len(ids) else np.empty((0, L), np.intp) for ids in batches]
+    if not batches:
+        return []
+    P = model.params
+    stacked = np.concatenate(batches)
+    if stacked.size and (stacked.min() < 0 or stacked.max() >= model.config.vocab_size):
+        T.embedding_lookup(P["token_embedding"], stacked)  # raises its IndexError naming the id, before a key can wrap
+    # Flat keys: numpy 2.0 changed return_inverse's shape for n-d input.
+    distinct, inverse = np.unique((stacked * L + np.arange(L)).reshape(-1), return_inverse=True)
+    x = T.add(T.embedding_lookup(P["token_embedding"], distinct // L),
+              T.embedding_lookup(P["position_embedding"], distinct % L))
+    a = T.layer_norm(x, P["layers.0.attn_norm.gain"], P["layers.0.attn_norm.bias"])
+    scores, end = [], 0
+    for ids in batches:
+        start, end = end, end + ids.size
+        if not len(ids):
+            scores.append([])
+            continue
+        rows = inverse[start:end].reshape(ids.shape)
+        residual = rows if model.config.n_layers > 1 else rows[:, :1]  # one layer reads x[:, 0] only
+        out = model._layers(T.embedding_lookup(x, residual), T.embedding_lookup(a, rows), ids != PAD_ID)
+        scores.append(out.data[:, 0].tolist())
+    return scores

@@ -19,6 +19,21 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def assert_same_text(got: str, want: str, context: int = 30) -> None:
+    """Assert ``got == want``, naming the first differing offset with ``context`` characters around it.
+
+    pytest reports a failed ``==`` of two strings with a diff, which takes
+    minutes for multi-MB checkpoint texts.
+    """
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        lo, hi = max(at - context, 0), at + context
+        raise AssertionError(
+            f"texts of {len(got)} and {len(want)} characters differ at offset {at}: "
+            f"{got[lo:hi]!r} != {want[lo:hi]!r}"
+        )
+
+
 def query_metrics(ranking, grades, k=10, binarize_at=1, exponential=False):
     """The six metrics of one ranking, from ``evaluate`` on a one-query run.
 

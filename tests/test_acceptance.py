@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from reranklab.ir_eval import evaluate, format_qrels, format_run, parse_qrels, parse_run, rerank
-from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, score_batch, tokenize_pair
+from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, score_batches, tokenize_pair
 from reranklab.optim import AdamW, Lion, ScheduleSpec, lr_at
 from reranklab.synth import SynthConfig, generate
 from reranklab.tensor import Tape, Tensor
@@ -42,7 +42,7 @@ def test_c01_gradient_correctness_every_parameter_group():
     worst = 0.0
     for name, p in model.params.items():
         assert p.grad is not None, f"no gradient reached {name}"
-        fd = oracles.finite_diff_grad(lambda _: score_batch(model, [seq])[0], p)
+        fd = oracles.finite_diff_grad(lambda _: score_batches(model, [[seq]])[0][0], p)
         err = max_rel_err(p.grad, fd.data)
         worst = max(worst, err)
         assert err < 1e-4, f"{name}: relative error {err}"

@@ -22,7 +22,7 @@ from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, checkpoint_
 from reranklab.optim import OPTIMIZERS, AdamW, Lion
 
 import oracles
-from conftest import same_bits
+from conftest import assert_same_text, same_bits
 
 
 def b64_row(*values):
@@ -54,13 +54,13 @@ class TestRoundTrip:
 
     def test_serialization_deterministic(self, setup):
         model, vocab = setup
-        assert checkpoint_text(model, vocab) == checkpoint_text(model, vocab)
+        assert_same_text(checkpoint_text(model, vocab), checkpoint_text(model, vocab))
 
     def test_save_load_save_identical_bytes(self, setup, tmp_path):
         model, vocab = setup
         text = checkpoint_text(model, vocab)
         bundle = parse_checkpoint(text)
-        assert checkpoint_text(bundle.model, bundle.vocab) == text
+        assert_same_text(checkpoint_text(bundle.model, bundle.vocab), text)
 
     def test_lion_state_round_trip(self, setup, rng):
         model, vocab = setup
@@ -112,7 +112,7 @@ class TestRoundTrip:
             bundle.optimizer.step()
             for (name, p), (_, q) in zip(model.params.items(), bundle.model.params.items()):
                 np.testing.assert_array_equal(p.data, q.data)
-            assert checkpoint_text(bundle.model, vocab, bundle.optimizer) == checkpoint_text(model, vocab, opt)
+            assert_same_text(checkpoint_text(bundle.model, vocab, bundle.optimizer), checkpoint_text(model, vocab, opt))
 
 
 # float64 bit patterns at the edge of a field: signed zeros, the extreme
@@ -199,7 +199,7 @@ class TestV2Encoding:
         bundle = parse_checkpoint(text)
         restored = {name: p.data for name, p in bundle.model.params.items()} | bundle.optimizer.buffers()
         assert all(same_bits(restored[key], array) for key, array in arrays.items())
-        assert checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer) == text
+        assert_same_text(checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer), text)
 
     def test_scalar_and_float32(self):
         for data in (np.float64(-2.5).reshape(()), np.arange(6, dtype=np.float32).reshape(2, 3) / 3):
@@ -226,7 +226,7 @@ class TestV1Files:
             restored = bundle.optimizer.buffers()
             for key, buf in opt.buffers().items():
                 assert same_bits(buf, restored[key]), key
-        assert checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer) == checkpoint_text(model, vocab, opt)
+        assert_same_text(checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer), checkpoint_text(model, vocab, opt))
 
 
 class TestGoldenDigests:
@@ -270,7 +270,7 @@ class TestGoldenDigests:
         assert hashlib.sha256(v1_text.encode()).hexdigest() == self.V1_DIGESTS[kind]
         assert hashlib.sha256(text.encode()).hexdigest() == self.V2_DIGESTS[kind]
         bundle = parse_checkpoint(v1_text)
-        assert checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer) == text
+        assert_same_text(checkpoint_text(bundle.model, bundle.vocab, bundle.optimizer), text)
 
 
 class TestOptimizerBlock:

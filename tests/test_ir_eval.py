@@ -23,10 +23,10 @@ from reranklab.ir_eval import (
     report_table,
     report_tsv_lines,
 )
-from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, score_batch, tokenize_pair
+from reranklab.model import CrossEncoder, CrossEncoderConfig, Vocab, score_batches, tokenize_pair
 
 import oracles
-from conftest import query_metrics
+from conftest import query_metrics, same_bits
 
 # No per-example deadline: example times swing with machine load.
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -240,11 +240,35 @@ class TestRerank:
     def test_scores_match_model(self, tiny_vocab, tiny_model):
         out = rerank(tiny_model, tiny_vocab, {"q1": "t0 t1"}, {"d1": "t2"}, {"q1": [(0.0, "d1")]})
         seq = tokenize_pair(tiny_vocab, "t0 t1", "t2", tiny_model.config.max_len)
-        assert out["q1"][0][0] == round(score_batch(tiny_model, [seq])[0], 6)
+        assert out["q1"][0][0] == round(score_batches(tiny_model, [[seq]])[0][0], 6)
+
+    @pytest.mark.parametrize("n_layers, n_heads", [(1, 2), (2, 4)])
+    def test_each_query_scored_as_one_forward_batch(self, tiny_vocab, monkeypatch, n_layers, n_heads):
+        model = CrossEncoder(CrossEncoderConfig(
+            vocab_size=tiny_vocab.size, d_model=16, n_layers=n_layers, n_heads=n_heads, d_ff=32, max_len=12, seed=4
+        ))
+        passages = {f"d{i}": " ".join(f"t{i * j % 17}" for j in range(i % 15)) for i in range(50)}
+        # lists of 1, 7 and 50; q1 and q2 share their text, and long passages are truncated at max_len
+        queries = {"q1": "t0 t1", "q2": "t0 t1", "q3": "t5 t2 t8"}
+        candidates = {qid: [(0.0, f"d{i}") for i in range(n)] for qid, n in zip(queries, (1, 7, 50))}
+        calls = []
+
+        def recording(model, batches):
+            calls.append((batches, score_batches(model, batches)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(ir_eval, "score_batches", recording)
+        out = rerank(model, tiny_vocab, queries, passages, candidates)
+        [(batches, scores)] = calls
+        for qid, ids, got in zip(candidates, batches, scores, strict=True):
+            assert ids == [tokenize_pair(tiny_vocab, queries[qid], passages[d], 12) for _, d in candidates[qid]]
+            assert same_bits(got, model.forward(ids).data[:, 0])
+            assert out[qid] == sorted(((round(s, 6), d) for s, (_, d) in zip(got, candidates[qid])), reverse=True)
+        assert max(len(text.split()) for text in passages.values()) + 3 + 3 > 12  # some are truncated
 
     def test_scores_that_print_equal_rank_by_docid(self, tiny_vocab, tiny_model, monkeypatch):
         # at full precision da > db > dc; all three print as 0.500000
-        monkeypatch.setattr(ir_eval, "score_batch", lambda model, seqs: [0.5000003, 0.5000001, 0.4999996])
+        monkeypatch.setattr(ir_eval, "score_batches", lambda model, batches: [[0.5000003, 0.5000001, 0.4999996]])
         candidates = {"q1": [(0.0, "da"), (0.0, "db"), (0.0, "dc")]}
         out = rerank(tiny_model, tiny_vocab, {"q1": "t0"}, {d: "t1" for d in ("da", "db", "dc")}, candidates)
         assert out == {"q1": [(0.5, "dc"), (0.5, "db"), (0.5, "da")]}
@@ -259,7 +283,7 @@ class TestRerank:
     def test_written_run_reads_back_as_returned(self, scores):
         vocab = Vocab(["t0"])
         docids = [f"d{i}" for i in range(len(scores))]
-        with mock.patch.object(ir_eval, "score_batch", lambda model, seqs: list(scores)):
+        with mock.patch.object(ir_eval, "score_batches", lambda model, batches: [list(scores)]):
             out = rerank(_constant_model(vocab), vocab, {"q1": "t0"}, dict.fromkeys(docids, "t0"),
                          {"q1": [(0.0, d) for d in docids]})
         assert parse_run(format_run(out, "t").splitlines()) == out

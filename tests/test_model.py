@@ -15,13 +15,13 @@ from reranklab.model import (
     CrossEncoderConfig,
     Vocab,
     checkpoint_views,
-    score_batch,
+    score_batches,
     tokenize_pair,
 )
 from reranklab.tensor import Tape
 from reranklab.train import bce_loss
 
-from conftest import max_rel_err
+from conftest import max_rel_err, same_bits
 
 
 class TestVocab:
@@ -212,22 +212,33 @@ class TestCheckpointViews:
         assert heads == {name: (32, 64) if name.endswith("w_out") else (64, 32) for name in heads}
 
 
+# Not a (batch, 8) integer array.
+_MALFORMED_IDS = [
+    np.full(8, CLS_ID),  # one sequence, not a batch
+    np.full((2, 7), CLS_ID),
+    np.full((2, 9), CLS_ID),
+    np.full((1, 2, 8), CLS_ID),
+    np.full((2, 8), 4.5),  # would be truncated to id 4
+    [[CLS_ID] * 8, [CLS_ID] * 12],  # ragged
+]
+
+
 class TestScore:
     def test_zero_head_gives_half(self, tiny_vocab, tiny_model):
         tiny_model.params["head.weight"].data[...] = 0.0
         tiny_model.params["head.bias"].data[...] = 0.0
         ids = tokenize_pair(tiny_vocab, "t0", "t1 t2", tiny_model.config.max_len)
-        assert score_batch(tiny_model, [ids])[0] == 0.5
+        assert score_batches(tiny_model, [[ids]])[0][0] == 0.5
 
     def test_deterministic(self, tiny_vocab, tiny_model):
         ids = tokenize_pair(tiny_vocab, "t0 t4", "t1", tiny_model.config.max_len)
-        assert score_batch(tiny_model, [ids])[0] == score_batch(tiny_model, [ids])[0]
+        assert score_batches(tiny_model, [[ids]])[0][0] == score_batches(tiny_model, [[ids]])[0][0]
 
     def test_score_in_open_unit_interval(self, tiny_vocab, tiny_model, rng):
         for _ in range(10):
             toks = [f"t{i}" for i in rng.integers(0, 16, size=4)]
             ids = tokenize_pair(tiny_vocab, " ".join(toks[:2]), " ".join(toks[2:]), 8)
-            s = score_batch(tiny_model, [ids])[0]
+            s = score_batches(tiny_model, [[ids]])[0][0]
             assert 0.0 < s < 1.0
 
     def test_masking_invariance(self, tiny_vocab, tiny_model, rng):
@@ -236,28 +247,18 @@ class TestScore:
         token, position = tiny_model.params["token_embedding"].data, tiny_model.params["position_embedding"].data
         for ids in batch:
             length = ids.index(PAD_ID)
-            base = score_batch(tiny_model, [ids])[0]
+            base = score_batches(tiny_model, [[ids]])[0][0]
             for _ in range(5):
                 token[PAD_ID] = rng.normal(size=token.shape[1])
                 position[length:] = rng.normal(size=position[length:].shape)
-                assert abs(score_batch(tiny_model, [ids])[0] - base) < 1e-12
+                assert abs(score_batches(tiny_model, [[ids]])[0][0] - base) < 1e-12
 
     def test_length_mismatch_rejected(self, tiny_vocab, tiny_model):
         ids = tokenize_pair(tiny_vocab, "t0", "t1", 12)
         with pytest.raises(ValueError, match="max_len"):
-            score_batch(tiny_model, [ids])[0]
+            score_batches(tiny_model, [[ids]])
 
-    @pytest.mark.parametrize(
-        "ids",
-        [
-            np.full(8, CLS_ID),  # one sequence, not a batch
-            np.full((2, 7), CLS_ID),
-            np.full((2, 9), CLS_ID),
-            np.full((1, 2, 8), CLS_ID),
-            np.full((2, 8), 4.5),  # would be truncated to id 4
-            [[CLS_ID] * 8, [CLS_ID] * 12],  # ragged
-        ],
-    )
+    @pytest.mark.parametrize("ids", _MALFORMED_IDS)
     def test_forward_rejects_malformed_ids(self, tiny_model, ids):
         with pytest.raises(ValueError, match=r"not a \(batch, max_len 8\) integer array"):
             tiny_model.forward(ids)
@@ -274,7 +275,7 @@ class TestScore:
         tape.backward(out)
         for name in ("position_embedding", "layers.0.attn.w_qkv", "layers.0.attn.w_out", "layers.0.ff.w2", "head.bias"):
             p = model.params[name]
-            fd = oracles.finite_diff_grad(lambda _: score_batch(model, [ids])[0], p)
+            fd = oracles.finite_diff_grad(lambda _: score_batches(model, [[ids]])[0][0], p)
             assert max_rel_err(p.grad, fd.data) < 1e-4, name
 
 
@@ -395,14 +396,15 @@ class TestLastLayerClsOnly:
 class TestScoreBatch:
     def test_matches_per_item_scores(self, tiny_vocab, tiny_model):
         seqs = [tokenize_pair(tiny_vocab, f"t{i}", f"t{i + 1}", 8) for i in range(6)]
-        batch = score_batch(tiny_model, seqs)
-        single = [score_batch(tiny_model, [s])[0] for s in seqs]
+        [batch] = score_batches(tiny_model, [seqs])
+        single = [scores[0] for scores in score_batches(tiny_model, [[s] for s in seqs])]
         assert all(abs(a - b) < 1e-12 for a, b in zip(batch, single))
 
     def test_concatenation_of_half_batches(self, tiny_vocab, tiny_model):
         seqs = [tokenize_pair(tiny_vocab, f"t{i}", "t0", 8) for i in range(4)]
-        whole = score_batch(tiny_model, seqs)
-        halves = score_batch(tiny_model, seqs[:2]) + score_batch(tiny_model, seqs[2:])
+        [whole] = score_batches(tiny_model, [seqs])
+        first, second = score_batches(tiny_model, [seqs[:2], seqs[2:]])
+        halves = first + second
         assert whole == halves
 
     def test_mixed_lengths_match_single_scores_and_halves(self, tiny_vocab, tiny_model):
@@ -412,18 +414,53 @@ class TestScoreBatch:
                 vocab_size=tiny_vocab.size, d_model=8, n_layers=2, n_heads=2, d_ff=16, max_len=16, seed=7
             )
         )
-        whole = score_batch(model, seqs)
-        assert all(abs(a - score_batch(model, [s])[0]) < 1e-12 for a, s in zip(whole, seqs))
-        halves = score_batch(model, seqs[:2]) + score_batch(model, seqs[2:])
+        [whole] = score_batches(model, [seqs])
+        assert all(abs(a - score_batches(model, [[s]])[0][0]) < 1e-12 for a, s in zip(whole, seqs))
+        first, second = score_batches(model, [seqs[:2], seqs[2:]])
+        halves = first + second
         assert all(abs(a - b) < 1e-12 for a, b in zip(whole, halves))
 
-    def test_empty_batch(self, tiny_model):
-        assert score_batch(tiny_model, []) == []
-        assert score_batch(tiny_model, np.empty((0, 8), dtype=np.intp)) == []
+    def test_empty_batch(self, tiny_vocab, tiny_model):
+        assert score_batches(tiny_model, []) == []
+        assert score_batches(tiny_model, [[]]) == [[]]
+        assert score_batches(tiny_model, [np.empty((0, 8), dtype=np.intp)]) == [[]]
+        seqs = [tokenize_pair(tiny_vocab, "t0", "t1", 8)]
+        assert score_batches(tiny_model, [[], seqs, []]) == [[]] + score_batches(tiny_model, [seqs]) + [[]]
 
     def test_id_matrix_scores_as_id_lists(self, tiny_vocab, tiny_model):
         seqs = [tokenize_pair(tiny_vocab, f"t{i}", f"t{i + 2} t3", 8) for i in range(5)]
-        assert score_batch(tiny_model, np.array(seqs, dtype=np.intp)) == score_batch(tiny_model, seqs)
+        assert score_batches(tiny_model, [np.array(seqs, dtype=np.intp)]) == score_batches(tiny_model, [seqs])
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_batches_scored_together_or_apart_give_same_bits(self, tiny_vocab, n_layers):
+        model = CrossEncoder(
+            CrossEncoderConfig(
+                vocab_size=tiny_vocab.size, d_model=8, n_layers=n_layers, n_heads=2, d_ff=16, max_len=16, seed=7
+            )
+        )
+        first = _mixed_length_batch(tiny_vocab, 16)
+        second = [tokenize_pair(tiny_vocab, f"t{i}", f"t{i + 3} t{i % 5}", 16) for i in range(9)]
+        together = score_batches(model, [first, second])
+        apart = score_batches(model, [first]) + score_batches(model, [second])
+        assert all(same_bits(a, b) for a, b in zip(together, apart, strict=True))
+
+    # 2**61 * max_len wraps to 0 as an int64 key
+    @pytest.mark.parametrize(
+        "ids", _MALFORMED_IDS + [[[CLS_ID] * 7 + [99]], np.full((1, 8), -1), np.full((1, 8), 2**61)]
+    )
+    def test_id_errors_keep_their_messages(self, tiny_vocab, tiny_model, ids):
+        good = [tokenize_pair(tiny_vocab, "t0", "t1", 8)]
+        errors = []
+        for score in (tiny_model.forward, lambda ids: score_batches(tiny_model, [good, ids])):
+            with pytest.raises((ValueError, IndexError)) as info:
+                score(ids)
+            errors.append((info.type, str(info.value)))
+        assert errors[0] == errors[1]
+        kind, message = errors[0]
+        if kind is ValueError:
+            assert "not a (batch, max_len 8) integer array" in message
+        else:
+            assert any(f"id {bad} out of range" in message for bad in (99, -1, 2**61)), message
 
 
 class TestEmptyVocab:

@@ -15,7 +15,7 @@ import pytest
 from reranklab import ir_eval, tensor
 from reranklab import train as train_mod
 from reranklab.ir_eval import ParseError
-from reranklab.model import CLS_ID, CrossEncoder, CrossEncoderConfig, Vocab, score_batch, tokenize_pair
+from reranklab.model import CLS_ID, CrossEncoder, CrossEncoderConfig, Vocab, score_batches, tokenize_pair
 from reranklab.optim import OPTIMIZERS
 from reranklab.tensor import Tape, Tensor
 from reranklab.train import (
@@ -488,7 +488,7 @@ class TestTapeBuffers:
         tape = Tape()
         _step(model, *first, tape)
         with tape:
-            scores = score_batch(model, first[0])
+            scores = score_batches(model, [first[0]])[0]
         assert lent
         for name, p in model.params.items():
             assert isinstance(p.grad, np.ndarray), name  # the embedding's too: the tape keeps its RowGrad
@@ -498,7 +498,7 @@ class TestTapeBuffers:
         kept = list(scores)
         for buf in lent:
             buf.fill(np.nan)
-        assert scores == kept == score_batch(model, first[0])
+        assert scores == kept == score_batches(model, [first[0]])[0]
 
     @pytest.mark.parametrize("free_4mb_first", [False, True], ids=["fresh-heap", "after-4mb-free"])
     @pytest.mark.parametrize("optimizer", ["lion", "adamw"])
